@@ -2,9 +2,8 @@
 
     python3 perfbench/collect.py --out perfbench/results/A --seeds 1-10
 
-Runs every workload of BENCHMARK.json (or those named by --workloads) once
-per seed, alternating workloads within a seed, with the run length of
-BENCHMARK.json.  Each run's stdout goes to ``<out>/<workload>-<seed>.out``;
+Runs every workload of BENCHMARK.json once per seed, untraced, alternating
+workloads within a seed, with the run length of BENCHMARK.json.  Each run's stdout goes to ``<out>/<workload>-<seed>.out``;
 ``perfbench/compare.py`` reads those files.
 """
 
@@ -23,18 +22,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", default="1-10", help="first-last, inclusive")
-    ap.add_argument("--workloads", default=None, help="comma list (default: all)")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
     first, _, last = args.seeds.partition("-")
     os.makedirs(args.out, exist_ok=True)
     for seed in range(int(first), int(last or first) + 1):
         for name in names:
             cmd = [*bench["command"], "--workload", name, "--seed", str(seed),
-                   "--seconds", str(bench["run_seconds"]), "--trace", str(args.trace)]
+                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             path = os.path.join(args.out, f"{name}-{seed}.out")
             with open(path, "w") as fh:
                 rc = subprocess.run(cmd, cwd=ROOT, stdout=fh, timeout=900).returncode

@@ -1,6 +1,6 @@
-"""Print the SHA-256 of each workload's diagnostics.csv.
+"""Print the SHA-256 of each workload's diagnostics.csv at seed 0.
 
-    python3 perfbench/digest.py [--seed 0]
+    python3 perfbench/digest.py
 
 A refactor that must keep outputs byte-identical can compare these digests
 before and after the change.  This is information, not a gate.
@@ -8,7 +8,6 @@ before and after the change.  This is information, not a gate.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -23,9 +22,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from sphgas.cli import main as cli_main
 
@@ -34,7 +30,7 @@ def main() -> int:
         for name in NAMES:
             cfg = os.path.join(workdir, f"{name}.cfg")
             with open(cfg, "w") as fh:
-                fh.write(config_text(workload_config(name, args.seed)))
+                fh.write(config_text(workload_config(name, 0)))
             out = os.path.join(workdir, name)
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli_main(["run", "--config", cfg, "--out", out])
@@ -42,7 +38,7 @@ def main() -> int:
                 print(f"{name}: sphgas run exited {rc}", file=sys.stderr)
                 return rc
             with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name} seed {args.seed}")
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name} seed 0")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0

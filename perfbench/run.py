@@ -81,8 +81,11 @@ def run_checks(rounds, raw, decay) -> dict[str, tuple[bool, str]]:
     """Every operation of every round: the verbs' exit codes and the checks."""
     results = {}
     for i, entry in enumerate(rounds):
-        for j, (name, rc, _, _) in enumerate(entry["verbs"]):
-            results[f"r{i}.{j}.{name}_exit"] = (rc == 0, f"exit {rc}")
+        for j, (name, rc, _, _, error) in enumerate(entry["verbs"]):
+            results[f"r{i}.{j}.{name}_exit"] = (rc == 0, error or f"exit {rc}")
+        if "untraced" in entry:
+            missing = entry["untraced"]
+            results[f"r{i}.trace_install"] = (not missing, f"not traced: {missing}")
         out = os.path.join(entry["dir"], "out")
         try:
             found = checks.check_run(out, raw, decay)
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
         times: dict[str, list[float]] = {}
         walls: dict[str, list[float]] = {}
         for entry in rounds:
-            for name, _, wall, scaled in entry["verbs"]:
+            for name, _, wall, scaled, _ in entry["verbs"]:
                 times.setdefault(name, []).append(scaled)
                 walls.setdefault(name, []).append(wall)
         first_out = os.path.join(rounds[0]["dir"], "out")
@@ -145,11 +148,15 @@ def main(argv=None) -> int:
         if args.trace:
             layers = []
             for entry in rounds:
-                factors = [s / w for name, _, w, s in entry["verbs"] if name != "run_untraced"]
+                factors = [s / w for name, _, w, s, _ in entry["verbs"] if name != "run_untraced"]
                 with open(os.path.join(entry["dir"], "spans.json")) as fh:
                     layers.append(spans.layer_metrics(json.load(fh), factors))
-            with open(os.path.join(first_out, "summary.json")) as fh:
-                rejections = float(json.load(fh)["n_rejections"])
+            try:
+                with open(os.path.join(first_out, "summary.json")) as fh:
+                    rejections = float(json.load(fh)["n_rejections"])
+            except (OSError, ValueError, KeyError) as exc:
+                results["rejections_read"] = (False, repr(exc))
+                rejections = 0.0
             overhead = [t - u for t, u in zip(times["run"], times["run_untraced"])]
             values = {
                 **{k: statistics.median(m[k] for m in layers) for k in layers[0]},

@@ -42,6 +42,13 @@ METHODS = [
 ]
 
 
+def _module(name):
+    try:
+        return importlib.import_module(f"sphgas.{name}")
+    except ImportError:
+        return None
+
+
 class Tracer:
     """Records spans as ``[name, start, end, parent_index]`` lists."""
 
@@ -67,27 +74,35 @@ class Tracer:
 
         return traced
 
-    def install(self):
-        """Wrap every listed function and method; a name the program no
-        longer has is skipped, so its layer reads 0."""
+    def install(self) -> list[str]:
+        """Wrap every listed function and method.
+
+        Returns the listed bindings that the program no longer has, as
+        ``span@module``: their layers would read 0, so a traced round with
+        any of them counts as failed.
+        """
+        missing = []
         for name, home, attr, callers in FUNCTIONS:
-            original = getattr(importlib.import_module(f"sphgas.{home}"), attr, None)
+            original = getattr(_module(home), attr, None)
             for caller in callers:
-                mod = importlib.import_module(f"sphgas.{caller}")
+                mod = _module(caller)
                 if original is None or getattr(mod, attr, None) is not original:
+                    missing.append(f"{name}@{caller}")
                     continue
                 self._restore.append((mod, attr, original))
                 setattr(mod, attr, self.span(name, original))
         for name, home, cls_name, attr in METHODS:
-            cls = getattr(importlib.import_module(f"sphgas.{home}"), cls_name, None)
+            cls = getattr(_module(home), cls_name, None)
             raw = vars(cls).get(attr) if cls is not None else None
             if raw is None:
+                missing.append(f"{name}@{home}")
                 continue
             self._restore.append((cls, attr, raw))
             if isinstance(raw, classmethod):
                 setattr(cls, attr, classmethod(self.span(name, raw.__func__)))
             else:
                 setattr(cls, attr, self.span(name, raw))
+        return missing
 
     def remove(self):
         for owner, attr, original in reversed(self._restore):

@@ -134,6 +134,14 @@ def test_negative_form_gap(output):
     assert failing(out, raw) == {"form_gap"}
 
 
+@pytest.mark.parametrize("row", [0, -1])
+def test_stored_gap_must_match_recomputed_gap(output, row):
+    # Still far above -1e-12, so only the closed-form recomputation catches it.
+    out, raw = output
+    edit_csv(os.path.join(out, "diagnostics.csv"), row, "b6_gap_min", series_value(out, row, "b6_gap_min") + 1e-9)
+    assert failing(out, raw) == {"form_gap"}
+
+
 def test_representation_residual_too_large(output):
     out, raw = output
     edit_csv(os.path.join(out, "diagnostics.csv"), 4, "repr_residual", 0.06)
@@ -175,3 +183,18 @@ def test_error_that_does_not_shrink_fails(tmp_path):
     (tmp_path / "orders.txt").write_text(text)
     assert all(math.isnan(s) for s in checks.refit_orders(text)["spatial"].values())
     assert checks.check_verify(str(tmp_path))["verify_orders"][0] is False
+
+
+def test_tracer_reports_bindings_it_cannot_wrap(monkeypatch):
+    import sphgas.diagnostics
+    from spans import Tracer
+
+    tracer = Tracer()
+    assert tracer.install() == []
+    tracer.remove()
+    monkeypatch.setattr(sphgas.diagnostics, "discrete_gradients", lambda state: None)
+    tracer = Tracer()
+    try:
+        assert tracer.install() == ["state.discrete_gradients@diagnostics"]
+    finally:
+        tracer.remove()

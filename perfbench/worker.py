@@ -9,8 +9,10 @@ A round is ``run`` once, ``report`` REPORTS times on that output, then
 began.  With TRACE=1 a round is instead an untraced ``run`` followed by one
 traced ``run``, ``report`` and ``verify``.  Each verb's stdout goes to a log
 file beside its output.  ``WORKDIR/worker.json`` gets, per verb, its exit
-code, wall seconds and probe-scaled seconds (see meter.py); a traced round's
-spans and probe pauses go to ``spans.json`` in its round directory.
+code (-1 if it raised), wall seconds, probe-scaled seconds (see meter.py)
+and the repr of what it raised; per traced round, the tracer's bindings
+that the program no longer has.  A traced round's spans and probe pauses go
+to ``spans.json`` in its round directory.
 """
 
 from __future__ import annotations
@@ -36,9 +38,16 @@ def main(argv) -> int:
 
     def verb(entry, label, args, log, tracer=None):
         fn = cli_main if tracer is None else tracer.span(f"cli.{args[0]}", cli_main)
+        error = ""
+        start = time.perf_counter()
         with open(log, "w") as fh, contextlib.redirect_stdout(fh):
-            rc, wall, scaled = meter.measure(fn, args)
-        entry["verbs"].append([label, rc, wall, scaled])
+            try:
+                rc, wall, scaled = meter.measure(fn, args)
+            except (Exception, SystemExit) as exc:
+                # A verb that raises is a failed operation; its time is unscaled.
+                rc, error = -1, repr(exc)
+                wall = scaled = time.perf_counter() - start
+        entry["verbs"].append([label, rc, wall, scaled, error])
 
     rounds = []
     t0 = time.perf_counter()
@@ -53,7 +62,7 @@ def main(argv) -> int:
             bare = os.path.join(rdir, "untraced")
             verb(entry, "run_untraced", ["run", "--config", config, "--out", bare], bare + ".log")
             tracer = Tracer()
-            tracer.install()
+            entry["untraced"] = tracer.install()
         try:
             verb(entry, "run", ["run", "--config", config, "--out", out], out + "_run.log", tracer)
             for i in range(1 if trace else reports):
