@@ -7,7 +7,6 @@ from .grid import (
     MassGrid,
     PhysParams,
     build_mass_grid,
-    lagrangian_radius_of_mass,
     radius_from_volume,
 )
 from .state import (
@@ -22,7 +21,6 @@ from .solver import (
     RunConfig,
     RunResult,
     StepReport,
-    apply_boundary,
     run,
     select_dt,
     step,
@@ -47,7 +45,6 @@ __all__ = [
     "MassGrid",
     "PhysParams",
     "build_mass_grid",
-    "lagrangian_radius_of_mass",
     "radius_from_volume",
     "FlowState",
     "InitProfile",
@@ -58,7 +55,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "StepReport",
-    "apply_boundary",
     "run",
     "select_dt",
     "step",

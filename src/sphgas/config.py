@@ -13,7 +13,7 @@ One ``key=value`` pair per line, ``#`` starts a comment.  Documented keys:
     cadence                              sampling interval in time units
     scheme_order                         1 (IMEX Euler) or 2 (midpoint variant)
     probe.k, probe.x                     representation probe
-    superlevel.a                         temperature threshold
+    superlevel.a                         temperature threshold (> 1)
     case                                 manufactured-case name (verify)
 """
 

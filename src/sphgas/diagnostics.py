@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MassGrid, PhysParams
-from .state import FlowState, discrete_gradients, div_ru, stress_sigma
+from .state import FlowState, Gradients, discrete_gradients, stress_sigma
 
 __all__ = [
     "DiagnosticsSeries",
@@ -65,19 +65,15 @@ def _u_sq_centers(state: FlowState) -> np.ndarray:
     return 0.5 * (state.u[:-1] ** 2 + state.u[1:] ** 2)
 
 
-def _edge_theta_x_quadrature(state: FlowState, params: PhysParams):
-    """Native interior-edge values of theta_x with quadrature weights.
-
-    Returns (weights, theta_x, v_edge, theta_edge, w2_edge) for the integrals
-    whose integrand is built on theta differences.
-    """
-    g = state.grid
-    he = g.edge_gaps
+def _conduction_integral(state: FlowState, params: PhysParams) -> float:
+    """int r^(2(n-1)) theta_x^2/(v theta^2) on the native interior-edge
+    values of theta_x, with the center gaps as quadrature weights."""
+    he = state.grid.edge_gaps
     theta_x = np.diff(state.theta) / he
     v_e = 0.5 * (state.v[:-1] + state.v[1:])
     th_e = 0.5 * (state.theta[:-1] + state.theta[1:])
     w2 = state.r[1:-1] ** (2 * (params.n - 1))
-    return he, theta_x, v_e, th_e, w2
+    return np.sum(w2 * theta_x**2 / (v_e * th_e**2) * he)
 
 
 def energy_functional(state: FlowState, params: PhysParams) -> float:
@@ -95,36 +91,33 @@ def dissipation_rate(state: FlowState, params: PhysParams) -> np.ndarray:
     """The four nonnegative dissipation integrals, in the order
     (v u^2/(r^2 theta), r^(2(n-1)) u_x^2/(v theta), (r^(n-1)u)_x^2/(v theta),
     r^(2(n-1)) theta_x^2/(v theta^2))."""
-    g = state.grid
-    h = g.cell_widths
-    n = params.n
-    v, th = state.v, state.theta
-    gr = discrete_gradients(state)
-    r_c = gr.r_centers
-    u2 = _u_sq_centers(state)
+    return _dissipation(state, params, discrete_gradients(state))
 
-    d1 = np.sum(v * u2 / (r_c**2 * th) * h)
-    d2 = np.sum(r_c ** (2 * (n - 1)) * gr.u_x**2 / (v * th) * h)
+
+def _dissipation(state: FlowState, params: PhysParams, gr: Gradients) -> np.ndarray:
+    """:func:`dissipation_rate` from the state's gradient bundle ``gr``."""
+    h = state.grid.cell_widths
+    v, th = state.v, state.theta
+    r_c = gr.r_centers
+    d1 = np.sum(v * _u_sq_centers(state) / (r_c**2 * th) * h)
+    d2 = np.sum(r_c ** (2 * (params.n - 1)) * gr.u_x**2 / (v * th) * h)
     d3 = np.sum(gr.div_ru**2 / (v * th) * h)
-    he, theta_x, v_e, th_e, w2 = _edge_theta_x_quadrature(state, params)
-    d4 = np.sum(w2 * theta_x**2 / (v_e * th_e**2) * he)
-    return np.array([d1, d2, d3, d4])
+    return np.array([d1, d2, d3, _conduction_integral(state, params)])
 
 
 def balance_integrand(state: FlowState, params: PhysParams) -> float:
     """Spatial integral of the three-term dissipation bracket in the exact
     energy identity (its time integral balances the energy drop)."""
-    g = state.grid
-    h = g.cell_widths
-    n = params.n
-    v, th = state.v, state.theta
-    G = div_ru(state)
-    term_visc = params.beta * np.sum(G**2 / (v * th) * h)
-    ru2 = state.r ** (n - 2) * state.u**2
-    term_cross = 2.0 * params.mu * (n - 1) * np.sum(np.diff(ru2) / h / th * h)
-    he, theta_x, v_e, th_e, w2 = _edge_theta_x_quadrature(state, params)
-    term_cond = params.kappa * np.sum(w2 * theta_x**2 / (v_e * th_e**2) * he)
-    return float(term_visc - term_cross + term_cond)
+    gr = discrete_gradients(state)
+    return _balance(state, params, gr, _dissipation(state, params, gr))
+
+
+def _balance(state: FlowState, params: PhysParams, gr: Gradients, D: np.ndarray) -> float:
+    """:func:`balance_integrand` from the bundle ``gr`` and the dissipation
+    integrals ``D``: beta D[2] - 2 mu (n-1) int (r^(n-2)u^2)_x/theta + kappa D[3]."""
+    h = state.grid.cell_widths
+    term_cross = 2.0 * params.mu * (params.n - 1) * np.sum(gr.div_ru2 / state.theta * h)
+    return float(params.beta * D[2] - term_cross + params.kappa * D[3])
 
 
 def energy_balance_residual(history, params: PhysParams) -> float:
@@ -172,7 +165,11 @@ def quadratic_form(a, b, params: PhysParams):
 def pointwise_form_gap(state: FlowState, params: PhysParams) -> float:
     """min over centers of Q(a, b) - C_min (a^2 + b^2); nonnegative up to
     floating-point rounding."""
-    gr = discrete_gradients(state)
+    return _form_gap(params, discrete_gradients(state))
+
+
+def _form_gap(params: PhysParams, gr: Gradients) -> float:
+    """:func:`pointwise_form_gap` from the state's gradient bundle ``gr``."""
     a = gr.r_pow_ux
     b = gr.geom_vu / (params.n - 1)
     gap = quadratic_form(a, b, params) - viscous_form_gap(params) * (a**2 + b**2)
@@ -405,7 +402,7 @@ def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = N
     u2 = _u_sq_centers(state)
 
     E = energy_functional(state, params)
-    D = dissipation_rate(state, params)
+    D = _dissipation(state, params, gr)
     out = {
         "E": E,
         "D_vu2": D[0],
@@ -430,8 +427,8 @@ def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = N
         "grad2_v": np.sum(gr.v_x**2 * h),
         "grad2_u": np.sum(gr.u_x**2 * h),
         "grad2_theta": np.sum(gr.theta_x**2 * h),
-        "balance_phi": balance_integrand(state, params),
-        "b6_gap_min": pointwise_form_gap(state, params),
+        "balance_phi": _balance(state, params, gr, D),
+        "b6_gap_min": _form_gap(params, gr),
     }
 
     # second-derivative integrands (standard three-point stencils)

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "PhysParams",
     "MassGrid",
     "build_mass_grid",
     "radius_from_volume",
-    "lagrangian_radius_of_mass",
 ]
 
 
@@ -173,61 +171,3 @@ def radius_at_centers(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
     rn_left[0] = 1.0
     rn_left[1:] = 1.0 + n * np.cumsum(v[:-1] * grid.cell_widths[:-1])
     return (rn_left + n * v * (0.5 * grid.cell_widths)) ** (1.0 / n)
-
-
-def lagrangian_radius_of_mass(
-    rho0,
-    x: float,
-    n: int,
-    rho_min: float = 1e-6,
-    tol: float = 1e-12,
-) -> float:
-    """Radius r0 >= 1 holding mass ``x``: solves integral_1^r0 y^(n-1) rho0(y) dy = x.
-
-    ``rho0`` is a callable density profile over radius, bounded below by
-    ``rho_min`` > 0.  Bisection on the bracket [1, 1 + x/rho_min] followed by a
-    Newton polish; ``tol`` is the absolute tolerance on the integral residual.
-    """
-    if x < 0:
-        raise ValueError(f"mass coordinate must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if not (rho_min > 0):
-        raise ValueError("rho_min must be positive")
-
-    def residual(r):
-        val, _ = quad(lambda y: y ** (n - 1) * rho0(y), 1.0, r, limit=200)
-        return val - x
-
-    lo, hi = 1.0, 1.0 + x / rho_min
-    f_lo, f_hi = -x, residual(hi)
-    if f_hi < 0:
-        raise ValueError(
-            "bracketing failed: rho0 appears to fall below rho_min on the bracket"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) <= tol:
-            lo = hi = mid
-            break
-        if f_mid < 0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    r = 0.5 * (lo + hi)
-    # Newton polish on the integral residual
-    for _ in range(8):
-        f_r = residual(r)
-        if abs(f_r) <= tol:
-            break
-        slope = r ** (n - 1) * rho0(r)
-        if slope <= 0:
-            raise ValueError("rho0 must be positive at the current iterate")
-        r_new = r - f_r / slope
-        if not (r_new >= 1.0):
-            r_new = max(1.0, 0.5 * (r + 1.0))
-        r = r_new
-    return r

@@ -153,9 +153,9 @@ class ManufacturedCase:
         """Solver hook: (x_centers, x_edges, t) -> (S_v, S_u, S_theta)."""
 
         def hook(xc, xe, t):
-            s_v, _, s_t = manufactured_source(self, params, xc, t)
-            _, s_u, _ = manufactured_source(self, params, xe, t)
-            return s_v, s_u, s_t
+            s_v, s_u, s_t = manufactured_source(self, params, np.concatenate((xc, xe)), t)
+            m = len(xc)
+            return s_v[:m], s_u[m:], s_t[:m]
 
         return hook
 
@@ -249,7 +249,7 @@ def fit_order(scales, errors) -> tuple[float, bool, bool]:
 @dataclass(frozen=True)
 class ConvergenceReport:
     mode: str
-    scales: np.ndarray  # dx for spatial/coupled modes, dt for temporal
+    scales: np.ndarray  # dx for the spatial mode, dt for the temporal one
     errors: dict  # field -> array of max-norm errors
     orders: dict  # field -> fitted slope (nan when floor or non-monotone)
     at_floor: dict
@@ -284,7 +284,6 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
     mode="spatial":  ``resolutions`` are cell counts, dt ~ dx^2 (errors vs the
                      exact fields isolate the second-order space
                      discretization under the first-order scheme);
-    mode="coupled":  cell counts with dt ~ dx, errors vs the exact fields;
     mode="temporal": ``resolutions`` are time steps at a fixed fine grid;
                      errors are measured against a same-grid reference run at
                      an eightfold smaller step, which removes the fixed
@@ -294,14 +293,13 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
         raise ValueError("need at least three resolutions")
     errors = {"v": [], "u": [], "theta": []}
     scales = []
-    if mode in ("spatial", "coupled"):
+    if mode == "spatial":
         n0 = int(resolutions[0])
         if base_dt is None:
-            base_dt = 0.2 * case.x_max / n0 if mode == "coupled" else 0.5 * (case.x_max / n0) ** 2
+            base_dt = 0.5 * (case.x_max / n0) ** 2
         for n_cells in resolutions:
             n_cells = int(n_cells)
-            ratio = n0 / n_cells
-            dt = base_dt * (ratio**2 if mode == "spatial" else ratio)
+            dt = base_dt * (n0 / n_cells) ** 2
             _, _, err = solve_case(case, params, n_cells, dt, t_end, scheme_order)
             for f in errors:
                 errors[f].append(err[f])

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .grid import PhysParams, build_mass_grid, radius_from_volume
 from .state import FlowState, InitProfile, edge_weight, make_initial_data
@@ -40,7 +41,6 @@ __all__ = [
     "RunSummary",
     "RunResult",
     "PositivityError",
-    "apply_boundary",
     "select_dt",
     "step",
     "run",
@@ -79,8 +79,8 @@ class RunConfig:
     superlevel_a: float = 1.5
 
     def __post_init__(self):
-        if not (self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (0 < self.t_end < np.inf):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (self.v_floor > 0 and self.theta_floor > 0):
             raise ValueError("positivity floors must be positive")
         if not (0 < self.cfl_fraction <= 1):
@@ -93,6 +93,8 @@ class RunConfig:
             raise ValueError("dt_initial must be positive")
         if self.grading != "uniform" and not (1.0 <= float(self.grading) <= 1.2):
             raise ValueError(f"geometric ratio must lie in [1, 1.2], got {self.grading}")
+        if not (self.superlevel_a > 1.0):
+            raise ValueError(f"superlevel threshold must exceed 1, got {self.superlevel_a}")
 
 
 @dataclass(frozen=True)
@@ -133,29 +135,6 @@ class RunResult:
     summary: RunSummary
 
 
-def apply_boundary(state: FlowState) -> FlowState:
-    """Enforce u(0) = 0 and the far-field values (1, 0, 1) on the last cell.
-
-    The zero-gradient temperature condition at x = 0 is imposed inside the
-    operators (mirror ghost), not on the stored data.
-    """
-    if (
-        state.u[0] == 0.0
-        and state.u[-1] == 0.0
-        and state.v[-1] == 1.0
-        and state.theta[-1] == 1.0
-    ):
-        return state
-    u = state.u.copy()
-    v = state.v.copy()
-    theta = state.theta.copy()
-    u[0] = 0.0
-    u[-1] = 0.0
-    v[-1] = 1.0
-    theta[-1] = 1.0
-    return state.with_fields(v=v, u=u, theta=theta)
-
-
 def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
     """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c).
 
@@ -170,13 +149,13 @@ def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
 
 
 def _solve_tridiag(sub, diag, sup, rhs):
-    """Direct tridiagonal solve; returns (solution, max-norm residual)."""
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    x = solve_banded((1, 1), ab, rhs)
+    """Direct tridiagonal solve by LAPACK ?gtsv; returns (solution, max-norm
+    residual).  Raises like ``solve_banded``, which calls the same routine."""
+    x, info = dgtsv(sub, diag, sup, rhs)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     resid = diag * x
     resid[:-1] += sup * x[1:]
     resid[1:] += sub * x[:-1]
@@ -258,7 +237,8 @@ def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=No
 
 
 def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None):
-    """One first-order IMEX update; returns (fields | None, bad_fields, resid)."""
+    """One first-order IMEX update; returns (fields | None, bad_fields, resid)
+    with fields = (v, u, theta, r)."""
     g = state.grid
     n = state.n
     w = edge_weight(state)
@@ -272,7 +252,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     if s_v is not None:
         v_new = v_new + dt * s_v
     v_new[-1] = 1.0
-    if np.any(v_new <= 0):
+    if not np.all(v_new > 0):
         return None, (v_new, u_new, None), res_u
     r_new = radius_from_volume(g, v_new, n)
 
@@ -282,7 +262,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     theta_new, res_t = _theta_solve(
         g, params, dt, state.theta, source, v_new, r_new, s_theta=s_t
     )
-    return (v_new, u_new, theta_new), None, max(res_u, res_t)
+    return (v_new, u_new, theta_new, r_new), None, max(res_u, res_t)
 
 
 def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=None):
@@ -293,11 +273,9 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
     half_fields, bad, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
     if half_fields is None:
         return None, bad, res0
-    if np.any(half_fields[2] <= 0):
+    if not np.all(half_fields[2] > 0):
         return None, half_fields, res0
-    half = state.with_fields(
-        t=state.t + 0.5 * dt, v=half_fields[0], u=half_fields[1], theta=half_fields[2]
-    )
+    half = FlowState._trusted(g, state.t + 0.5 * dt, *half_fields, n)
 
     s_v = s_u = s_t = None
     if sources is not None:
@@ -313,7 +291,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
     if s_v is not None:
         v_new = v_new + dt * s_v
     v_new[-1] = 1.0
-    if np.any(v_new <= 0):
+    if not np.all(v_new > 0):
         return None, (v_new, u_new, None), res_u
 
     sigma = (params.beta * G_mid - params.R * half.theta) / half.v
@@ -323,7 +301,8 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
         g, params, dt, state.theta, source, half.v, half.r, s_theta=s_t,
         implicit_weight=0.5,
     )
-    return (v_new, u_new, theta_new), None, max(res_u, res_t)
+    r_new = radius_from_volume(g, v_new, n)
+    return (v_new, u_new, theta_new, r_new), None, max(res_u, res_t)
 
 
 def step(state: FlowState, params: PhysParams, dt: float,
@@ -338,14 +317,12 @@ def step(state: FlowState, params: PhysParams, dt: float,
             fields, bad, resid = _substep_imex(state, params, dt, sources=sources)
         else:
             fields, bad, resid = _substep_midpoint(state, params, dt, sources=sources)
-        ok = fields is not None
-        if ok:
-            v_new, u_new, theta_new = fields
-            ok = (np.min(v_new) > cfg.v_floor) and (np.min(theta_new) > cfg.theta_floor)
-        if ok:
-            new_state = state.with_fields(
-                t=state.t + dt, v=v_new, u=u_new, theta=theta_new
-            )
+        if (
+            fields is not None
+            and np.min(fields[0]) > cfg.v_floor
+            and np.min(fields[2]) > cfg.theta_floor
+        ):
+            new_state = FlowState._trusted(state.grid, state.t + dt, *fields, state.n)
             return new_state, StepReport(dt=dt, rejections=rejections, max_residual=resid)
         rejections += 1
         if rejections > cfg.max_rejects:
@@ -360,8 +337,7 @@ def step(state: FlowState, params: PhysParams, dt: float,
         dt *= 0.5
 
 
-def run(config: RunConfig, params: PhysParams, sources=None,
-        keep_snapshots: bool = True) -> RunResult:
+def run(config: RunConfig, params: PhysParams, sources=None) -> RunResult:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     Samples are taken at step times: the state is recorded whenever t reaches
@@ -372,21 +348,14 @@ def run(config: RunConfig, params: PhysParams, sources=None,
     from .diagnostics import evaluate_series
 
     grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
-    state = apply_boundary(make_initial_data(grid, config.profile, params))
+    state = make_initial_data(grid, config.profile, params)
     summary = RunSummary()
-    summary.sup_norm_initial = _sup_norm(state)
+    scale, sup_norm = _track(summary, state)
+    summary.sup_norm_initial = sup_norm
 
     samples = [state]
     next_sample = config.cadence
     r_shadow = state.r.copy()
-
-    def track(st):
-        summary.min_v = min(summary.min_v, float(np.min(st.v)))
-        summary.max_v = max(summary.max_v, float(np.max(st.v)))
-        summary.min_theta = min(summary.min_theta, float(np.min(st.theta)))
-        summary.max_theta = max(summary.max_theta, float(np.max(st.theta)))
-
-    track(state)
     t_eps = 1e-12 * config.t_end
     while state.t < config.t_end - t_eps:
         dt = min(select_dt(state, params, config), config.t_end - state.t)
@@ -396,11 +365,6 @@ def run(config: RunConfig, params: PhysParams, sources=None,
         summary.r_shadow_max_dev = max(
             summary.r_shadow_max_dev, float(np.max(np.abs(r_shadow - new_state.r)))
         )
-        denom = max(
-            float(np.max(np.abs(state.v))),
-            float(np.max(np.abs(state.u))),
-            float(np.max(np.abs(state.theta))),
-        )
         change = max(
             float(np.max(np.abs(new_state.v - state.v))),
             float(np.max(np.abs(new_state.u - state.u))),
@@ -409,28 +373,34 @@ def run(config: RunConfig, params: PhysParams, sources=None,
         summary.n_steps += 1
         summary.n_rejections += report.rejections
         summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
-        summary.max_step_rel_change = max(summary.max_step_rel_change, change / denom)
+        summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
         state = new_state
-        track(state)
+        scale, sup_norm = _track(summary, state)
         if state.t >= min(next_sample, config.t_end) - t_eps:
             samples.append(state)
             next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
     if samples[-1] is not state:
         samples.append(state)
 
-    summary.sup_norm_final = _sup_norm(state)
+    summary.sup_norm_final = sup_norm
     series = evaluate_series(samples, params, config)
-    return RunResult(
-        series=series,
-        snapshots=samples if keep_snapshots else [samples[0], samples[-1]],
-        summary=summary,
-    )
+    return RunResult(series=series, snapshots=samples, summary=summary)
 
 
-def _sup_norm(state: FlowState) -> float:
-    """Max-norm distance of (v, u, theta) from the equilibrium (1, 0, 1)."""
-    return max(
-        float(np.max(np.abs(state.v - 1.0))),
-        float(np.max(np.abs(state.u))),
-        float(np.max(np.abs(state.theta - 1.0))),
-    )
+def _track(summary: RunSummary, state: FlowState) -> tuple[float, float]:
+    """Fold the extremes of one state into ``summary``.
+
+    Returns (max of |v|, |u|, |theta|; max-norm distance from (1, 0, 1)).
+    Both follow from the same five reductions because v and theta are
+    positive, and rounding is monotone: max|v - 1| = max(max v - 1, 1 - min v).
+    """
+    min_v, max_v = float(np.min(state.v)), float(np.max(state.v))
+    min_t, max_t = float(np.min(state.theta)), float(np.max(state.theta))
+    max_u = float(np.max(np.abs(state.u)))
+    summary.min_v = min(summary.min_v, min_v)
+    summary.max_v = max(summary.max_v, max_v)
+    summary.min_theta = min(summary.min_theta, min_t)
+    summary.max_theta = max(summary.max_theta, max_t)
+    scale = max(max_v, max_u, max_t)
+    sup_norm = max(max_v - 1.0, 1.0 - min_v, max_u, max_t - 1.0, 1.0 - min_t)
+    return scale, sup_norm

@@ -41,9 +41,15 @@ def _frozen(a) -> np.ndarray:
 class FlowState:
     """Immutable snapshot of (v, u, theta) at time t, with the cached radius.
 
-    v, theta are per-cell (positive), u per-edge with u[0] = 0.  ``n`` is the
-    spatial dimension; r is always reconstructed from v, never stored
-    independently, so the cache cannot drift out of coherence.
+    v, theta are per-cell (positive and finite), u per-edge (finite) with
+    u[0] = 0.  ``n`` is the spatial dimension; r is always reconstructed from
+    v, never stored independently, so the cache cannot drift out of coherence.
+
+    The public constructor checks all of this.  The solver builds its states
+    through :meth:`_trusted` instead, which skips the checks: it hands over
+    only fields that passed the step's positivity tests, a velocity whose
+    inner entry was never written (so u[0] = 0 exactly), and the radius that
+    ``radius_from_volume`` computed from that same v.
     """
 
     grid: MassGrid
@@ -64,16 +70,29 @@ class FlowState:
                 f"field shapes {v.shape}, {u.shape}, {theta.shape} do not match "
                 f"grid with {nc} cells"
             )
-        if np.any(v <= 0):
-            raise ValueError("specific volume must stay positive")
-        if np.any(theta <= 0):
-            raise ValueError("temperature must stay positive")
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ValueError("specific volume must stay positive and finite")
+        if not np.all((theta > 0) & (theta < np.inf)):
+            raise ValueError("temperature must stay positive and finite")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("velocity must stay finite")
         if u[0] != 0.0:
             raise ValueError("velocity at the inner boundary edge must vanish")
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "theta", _frozen(theta))
         object.__setattr__(self, "r", _frozen(radius_from_volume(self.grid, v, self.n)))
+
+    @classmethod
+    def _trusted(cls, grid, t, v, u, theta, r, n) -> "FlowState":
+        """A state from checked solver fields and their radius, unvalidated."""
+        state = object.__new__(cls)
+        for name, value in (
+            ("grid", grid), ("t", float(t)), ("v", _frozen(v)), ("u", _frozen(u)),
+            ("theta", _frozen(theta)), ("n", n), ("r", _frozen(r)),
+        ):
+            object.__setattr__(state, name, value)
+        return state
 
     def with_fields(self, t=None, v=None, u=None, theta=None) -> "FlowState":
         return FlowState(

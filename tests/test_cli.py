@@ -110,6 +110,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("override", ["superlevel.a=0.5", "t_end=inf"])
+    def test_bad_run_setting_exits_config_code_before_solving(
+        self, config_file, tmp_path, override
+    ):
+        out = str(tmp_path / "nothing")
+        code = main(["run", "--config", config_file, "--out", out,
+                     "--set", "N=16", "--set", override])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+
     def test_missing_config_rejected(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG

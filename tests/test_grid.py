@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgas import PhysParams, build_mass_grid, lagrangian_radius_of_mass, radius_from_volume
+from sphgas import PhysParams, build_mass_grid, radius_from_volume
 
 
 class TestPhysParams:
@@ -116,50 +116,15 @@ class TestRadiusFromVolume:
             b = radius_from_volume(grid, 2.0 * v, n) ** n - 1.0
             assert np.allclose(2.0 * a, b, rtol=1e-13, atol=1e-13)
 
-
-class TestLagrangianRadiusOfMass:
-    def test_unit_density_closed_form(self):
-        for x in (0.3, 1.0, 7.5):
-            r0 = lagrangian_radius_of_mass(lambda y: 1.0, x, 2)
-            assert r0 == pytest.approx(np.sqrt(1 + 2 * x), abs=1e-10)
-
-    def test_zero_mass(self):
-        assert lagrangian_radius_of_mass(lambda y: 1.0, 0.0, 3) == 1.0
-
-    def test_inverse_radius_density(self):
-        # integral_1^r0 y * (1/y) dy = r0 - 1 = 3  ->  r0 = 4
-        r0 = lagrangian_radius_of_mass(lambda y: 1.0 / y, 3.0, 2)
-        assert r0 == pytest.approx(4.0, abs=1e-10)
-
-    def test_nonpositive_density_rejected(self):
-        with pytest.raises(ValueError):
-            lagrangian_radius_of_mass(lambda y: -1.0, 2.0, 2, rho_min=0.5)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            lagrangian_radius_of_mass(lambda y: 1.0, -0.5, 2)
-
-    def test_linear_density_closed_form(self):
-        # rho0(y) = y, n = 2: integral_1^r0 y^2 dy = (r0^3 - 1)/3 = x
-        for x in (0.5, 2.0, 9.0):
-            r0 = lagrangian_radius_of_mass(lambda y: y, x, 2, rho_min=0.9)
-            assert r0 == pytest.approx((1 + 3 * x) ** (1 / 3), abs=1e-10)
-
-    def test_consistency_with_radius_from_volume(self):
-        """The mass->radius map through a smooth density agrees with the
-        quadrature radius of the corresponding volume field, and the gap
-        shrinks at second order under grid refinement."""
-        n = 2
-        rho0 = lambda y: y  # r(x) = (1+3x)^{1/3}, v(x) = (1+3x)^{-1/3}
+    def test_smooth_volume_refines_second_order(self):
+        """For v = (1+3x)^(-1/3) and n = 2 the exact radius is (1+3x)^(1/3)
+        (density rho0(y) = y); the midpoint quadrature converges to it at
+        second order."""
         gaps = []
         for n_cells in (25, 50, 100):
             g = build_mass_grid(5.0, n_cells)
             v = (1.0 + 3.0 * g.cell_centers) ** (-1.0 / 3.0)
-            r_edges = radius_from_volume(g, v, n)
-            r_exact = np.array(
-                [lagrangian_radius_of_mass(rho0, float(x), n, rho_min=0.9)
-                 for x in g.x_edges[1:]]
-            )
-            gaps.append(np.max(np.abs(r_edges[1:] - r_exact)))
+            r_exact = (1.0 + 3.0 * g.x_edges) ** (1.0 / 3.0)
+            gaps.append(np.max(np.abs(radius_from_volume(g, v, 2) - r_exact)))
         assert gaps[0] / gaps[1] > 3.0
         assert gaps[1] / gaps[2] > 3.0

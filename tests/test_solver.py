@@ -6,13 +6,16 @@ from sphgas import (
     PhysParams,
     PositivityError,
     RunConfig,
-    apply_boundary,
     build_mass_grid,
     make_initial_data,
     run,
     select_dt,
     step,
 )
+from scipy.linalg import LinAlgError
+
+from sphgas import radius_from_volume
+from sphgas.solver import _solve_tridiag
 from sphgas.state import div_ru
 
 from conftest import smooth_test_state
@@ -21,29 +24,6 @@ from conftest import smooth_test_state
 def equilibrium_state(x_max=10.0, n_cells=100, n=2):
     g = build_mass_grid(x_max, n_cells)
     return make_initial_data(g, InitProfile(kind="equilibrium"), PhysParams(n=n))
-
-
-class TestApplyBoundary:
-    def test_zeroes_inner_edge(self, grid, params):
-        st = smooth_test_state(grid, params.n)
-        u = st.u.copy()
-        u[0] = 0.0  # FlowState construction requires it; perturb afterwards
-        moved = st.with_fields(u=u)
-        out = apply_boundary(moved)
-        assert out.u[0] == 0.0
-
-    def test_equilibrium_unchanged(self, params):
-        st = equilibrium_state()
-        out = apply_boundary(st)
-        assert out is st
-
-    def test_only_boundary_entries_touched(self, grid, params):
-        st = smooth_test_state(grid, params.n)
-        out = apply_boundary(st)
-        assert np.array_equal(out.u[1:-1], st.u[1:-1])
-        assert np.array_equal(out.v[:-1], st.v[:-1])
-        assert np.array_equal(out.theta[:-1], st.theta[:-1])
-        assert out.u[-1] == 0.0 and out.v[-1] == 1.0 and out.theta[-1] == 1.0
 
 
 class TestSelectDt:
@@ -142,6 +122,37 @@ class TestStep:
         st = equilibrium_state()
         with pytest.raises(ValueError):
             step(st, params, 0.0)
+
+
+class TestSolverStates:
+    """States built by the solver skip revalidation; they must still carry
+    the radius of their own v and read-only fields."""
+
+    @staticmethod
+    def assert_coherent(st):
+        assert np.array_equal(st.r, radius_from_volume(st.grid, st.v, st.n))
+        for a in (st.v, st.u, st.theta, st.r):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_step_state(self, params, order):
+        st = smooth_test_state(build_mass_grid(10.0, 100), params.n)
+        new, _ = step(st, params, 1e-3, RunConfig(t_end=1.0, scheme_order=order))
+        self.assert_coherent(new)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_run_snapshots(self, params3, order):
+        prof = InitProfile(kind="gaussian_bump", amp_v=0.1, amp_u=0.1,
+                           amp_theta=0.1, center=4.0, width=1.0)
+        cfg = RunConfig(x_max=10.0, n_cells=60, profile=prof, t_end=0.2,
+                        cadence=0.05, scheme_order=order)
+        for st in run(cfg, params3).snapshots:
+            self.assert_coherent(st)
+
+    def test_tridiagonal_zero_pivot_raises(self):
+        off = np.zeros(2)
+        with pytest.raises(LinAlgError):
+            _solve_tridiag(off, np.array([1.0, 0.0, 1.0]), off, np.ones(3))
 
 
 class TestRun:

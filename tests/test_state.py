@@ -29,6 +29,15 @@ class TestFlowState:
         with pytest.raises(ValueError):
             FlowState(v=np.ones(nc), theta=-np.ones(nc), **ok)
 
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_fields(self, grid, field, bad):
+        nc = grid.n_cells
+        fields = dict(v=np.ones(nc), u=np.zeros(nc + 1), theta=np.ones(nc))
+        fields[field][3] = bad
+        with pytest.raises(ValueError):
+            FlowState(grid=grid, t=0.0, n=2, **fields)
+
     def test_rejects_moving_inner_edge(self, grid):
         nc = grid.n_cells
         u = np.zeros(nc + 1)
