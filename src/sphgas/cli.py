@@ -2,7 +2,7 @@
 
 Exit codes (documented, distinct):
     0   success
-    2   config parse or validation error
+    2   config parse or validation error, or unreadable run outputs (report)
     3   solver abort (positivity failure)
     4   invariant-ledger failure (run or report)
     5   convergence-order window failure (verify)
@@ -226,21 +226,21 @@ def _cmd_report(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     snap_dir = os.path.join(run_dir, "snapshots")
+    stored_path = os.path.join(run_dir, "diagnostics.csv")
     try:
         names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
-    except OSError as exc:
-        print(f"config error: cannot list snapshots: {exc}", file=sys.stderr)
+        states = [load_snapshot(os.path.join(snap_dir, name))[0] for name in names]
+        stored = DiagnosticsSeries.from_csv(stored_path) if os.path.exists(stored_path) else None
+    except (OSError, ValueError) as exc:
+        print(f"unreadable run output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    states = []
-    for name in names:
-        state, _ = load_snapshot(os.path.join(snap_dir, name))
-        states.append(state)
+    if not states:
+        print(f"unreadable run output: no snapshots in {snap_dir}", file=sys.stderr)
+        return EXIT_CONFIG
     series = evaluate_series(states, params, config)
 
-    stored_path = os.path.join(run_dir, "diagnostics.csv")
     max_dev = float("nan")
-    if os.path.exists(stored_path):
-        stored = DiagnosticsSeries.from_csv(stored_path)
+    if stored is not None:
         if stored.data.shape == series.data.shape:
             with np.errstate(invalid="ignore"):
                 dev = np.abs(stored.data - series.data)

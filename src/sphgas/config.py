@@ -79,35 +79,44 @@ def load_config(path, overrides=()) -> dict[str, str]:
     return raw
 
 
+def _finite(text, key: str) -> float:
+    """The float spelled by ``text``; every float a config sets passes here,
+    so NaN and infinities are rejected before anything is built."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
+
+
 def _floats(value: str, count: int, key: str) -> list[float]:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != count:
         raise ConfigError(f"{key} needs {count} comma-separated values, got {value!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    return [_finite(p, key) for p in parts]
 
 
 def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
     """Build the typed run configuration from raw strings."""
-    def get(key, default):
-        return raw.get(key, default)
+    def num(key, default):
+        return _finite(raw.get(key, default), key)
 
     try:
         params = PhysParams(
-            mu=float(get("mu", 1.0)),
-            lam=float(get("lambda", 0.0)),
-            R=float(get("R", 1.0)),
-            cv=float(get("cv", 1.5)),
-            kappa=float(get("kappa", 1.0)),
-            n=int(get("n", 2)),
+            mu=num("mu", 1.0),
+            lam=num("lambda", 0.0),
+            R=num("R", 1.0),
+            cv=num("cv", 1.5),
+            kappa=num("kappa", 1.0),
+            n=int(raw.get("n", 2)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    kind = get("profile.kind", "equilibrium")
-    amps = _floats(get("profile.amplitudes", "0,0,0"), 3, "profile.amplitudes")
+    kind = raw.get("profile.kind", "equilibrium")
+    amps = _floats(raw.get("profile.amplitudes", "0,0,0"), 3, "profile.amplitudes")
     table = None
     if kind == "table":
         path = raw.get("profile.table")
@@ -121,37 +130,37 @@ def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
         profile = InitProfile(
             kind=kind,
             amp_v=amps[0], amp_u=amps[1], amp_theta=amps[2],
-            center=float(get("profile.center", 4.0)),
-            width=float(get("profile.width", 1.0)),
+            center=num("profile.center", 4.0),
+            width=num("profile.width", 1.0),
             table=table,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grading_raw = get("grading", "uniform")
-    floors = _floats(get("floors", "1e-6,1e-6"), 2, "floors")
+    grading_raw = raw.get("grading", "uniform")
+    floors = _floats(raw.get("floors", "1e-6,1e-6"), 2, "floors")
     try:
-        grading = grading_raw if grading_raw == "uniform" else float(grading_raw)
+        grading = grading_raw if grading_raw == "uniform" else _finite(grading_raw, "grading")
         config = RunConfig(
-            x_max=float(get("X_max", 20.0)),
-            n_cells=int(get("N", 400)),
+            x_max=num("X_max", 20.0),
+            n_cells=int(raw.get("N", 400)),
             grading=grading,
             profile=profile,
-            t_end=float(get("t_end", 1.0)),
-            dt_initial=float(get("dt_initial", 1.0)),
-            cfl_fraction=float(get("cfl_fraction", 0.4)),
+            t_end=num("t_end", 1.0),
+            dt_initial=num("dt_initial", 1.0),
+            cfl_fraction=num("cfl_fraction", 0.4),
             v_floor=floors[0],
             theta_floor=floors[1],
-            scheme_order=int(get("scheme_order", 1)),
-            cadence=float(get("cadence", 0.1)),
-            probe_k=int(get("probe.k", 4)),
-            probe_x=float(get("probe.x", 3.0)),
-            superlevel_a=float(get("superlevel.a", 1.5)),
+            scheme_order=int(raw.get("scheme_order", 1)),
+            cadence=num("cadence", 0.1),
+            probe_k=int(raw.get("probe.k", 4)),
+            probe_x=num("probe.x", 3.0),
+            superlevel_a=num("superlevel.a", 1.5),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    extras = {"case": get("case", "smooth_bump")}
+    extras = {"case": raw.get("case", "smooth_bump")}
     return config, params, extras
 
 

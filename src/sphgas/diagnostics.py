@@ -40,7 +40,6 @@ __all__ = [
     "SERIES_COLUMNS",
     "energy_functional",
     "dissipation_rate",
-    "balance_integrand",
     "energy_balance_residual",
     "viscous_form_gap",
     "quadratic_form",
@@ -105,33 +104,38 @@ def _dissipation(state: FlowState, params: PhysParams, gr: Gradients) -> np.ndar
     return np.array([d1, d2, d3, _conduction_integral(state, params)])
 
 
-def balance_integrand(state: FlowState, params: PhysParams) -> float:
-    """Spatial integral of the three-term dissipation bracket in the exact
-    energy identity (its time integral balances the energy drop)."""
-    gr = discrete_gradients(state)
-    return _balance(state, params, gr, _dissipation(state, params, gr))
-
-
 def _balance(state: FlowState, params: PhysParams, gr: Gradients, D: np.ndarray) -> float:
-    """:func:`balance_integrand` from the bundle ``gr`` and the dissipation
-    integrals ``D``: beta D[2] - 2 mu (n-1) int (r^(n-2)u^2)_x/theta + kappa D[3]."""
+    """Spatial integral of the three-term dissipation bracket in the exact
+    energy identity, from the bundle ``gr`` and the dissipation integrals
+    ``D``: beta D[2] - 2 mu (n-1) int (r^(n-2)u^2)_x/theta + kappa D[3]."""
     h = state.grid.cell_widths
     term_cross = 2.0 * params.mu * (params.n - 1) * np.sum(gr.div_ru2 / state.theta * h)
     return float(params.beta * D[2] - term_cross + params.kappa * D[3])
 
 
+def _cumtrapz(f, t):
+    """Running trapezoid integral of the samples ``f`` over the times ``t``,
+    starting from 0 at t[0]."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))))
+
+
+def _balance_residual(t, E, phi):
+    """|E(t) + int_0^t (dissipation bracket phi) - E(0)| at every sample."""
+    return np.abs(E + _cumtrapz(phi, t) - E[0])
+
+
 def energy_balance_residual(history, params: PhysParams) -> float:
     """|E(t_end) + int_0^t_end (dissipation bracket) - E(0)| over a history of
     states at increasing times; the time integral is a trapezoid over the
-    samples."""
+    samples, exactly as in the ``balance_residual`` series column."""
     states = list(history)
     if len(states) < 2:
         raise ValueError("need at least two states to form a balance residual")
+    reports = [norm_report(s, params) for s in states]
     t = np.array([s.t for s in states])
-    E = np.array([energy_functional(s, params) for s in states])
-    phi = np.array([balance_integrand(s, params) for s in states])
-    integral = np.sum(0.5 * (phi[1:] + phi[:-1]) * np.diff(t))
-    return float(abs(E[-1] + integral - E[0]))
+    E = np.array([rep["E"] for rep in reports])
+    phi = np.array([rep["balance_phi"] for rep in reports])
+    return float(_balance_residual(t, E, phi)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,13 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
 
     The tail integral in Y depends on the probe point through the localizer;
     it is evaluated at ``x_probe`` throughout (Y is really Y(x_probe, t)).
+
+    With Z = B Y, the represented v is Z(t_i) + (R/beta) c_i, where c_i is the
+    integral over [0, t_i] of theta(s) Z(t_i)/Z(s) at the probe.  Each segment
+    [t_j, t_{j+1}] is integrated once, exactly for linear theta and ln Z, with
+    its exponent measured from the right end; the correction is then carried
+    forward by c_0 = 0 and c_i = (Z_i/Z_{i-1}) c_{i-1} + seg_{i-1}, so the cost
+    is linear in the number of samples.
     """
     first = states[0]
     g = first.grid
@@ -311,8 +322,6 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
         raise ValueError(
             f"probe {x_probe} must lie in ({max(k - 2, 0)}, {k}) for cut-off level {k}"
         )
-    if len(states) < 1:
-        raise ValueError("empty history")
 
     xe, xc = g.x_edges, g.cell_centers
     phi_e = cutoff_phi(xe, k)
@@ -333,28 +342,22 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
     for j, st in enumerate(states):
         tail = phi_e * (r0_pow * u0 - st.r ** (1 - n) * st.u)
         ln_B[j] = np.log(v0_probe) + _trapz_tail(xe, tail, x_probe) / beta
-        sigma = stress_sigma(st, params)
-        S[j] = float(np.dot(w_unit, sigma))
+        S[j] = float(np.dot(w_unit, stress_sigma(st, params)))
         W[j] = _trapz_tail(xe, phi_e * st.r ** (-n) * st.u**2, x_probe)
         theta_probe[j] = np.interp(x_probe, xc, st.theta)
         v_actual[j] = np.interp(x_probe, xc, st.v)
 
-    dt = np.diff(times)
-    cum_S = np.concatenate(([0.0], np.cumsum(0.5 * (S[1:] + S[:-1]) * dt)))
-    cum_W = np.concatenate(([0.0], np.cumsum(0.5 * (W[1:] + W[:-1]) * dt)))
-    ln_Y = (cum_S - (n - 1) * cum_W) / beta
+    ln_Y = (_cumtrapz(S, times) - (n - 1) * _cumtrapz(W, times)) / beta
     ln_Z = ln_B + ln_Y
 
-    v_repr = np.empty(m)
-    v_repr[0] = np.exp(ln_Z[0])
+    segs = _integral_linear_exp(
+        theta_probe[:-1], theta_probe[1:], ln_Z[:-1] - ln_Z[1:], 0.0, np.diff(times)
+    )
+    growth = np.exp(np.diff(ln_Z))
+    corr = np.zeros(m)
     for i in range(1, m):
-        # exponent measured relative to the evaluation time keeps it bounded
-        # and already carries the B(t)Y(t) factor of the correction integrand
-        ell = ln_Z[:i + 1] - ln_Z[i]
-        segs = _integral_linear_exp(
-            theta_probe[:i], theta_probe[1:i + 1], ell[:-1], ell[1:], dt[:i]
-        )
-        v_repr[i] = np.exp(ln_Z[i]) + (R / beta) * float(np.sum(segs))
+        corr[i] = growth[i - 1] * corr[i - 1] + segs[i - 1]
+    v_repr = np.exp(ln_Z) + (R / beta) * corr
     return times, ln_B, ln_Y, v_repr, v_actual
 
 
@@ -531,61 +534,45 @@ class DiagnosticsSeries:
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     """Assemble the full diagnostics series from sampled states.
 
-    ``config`` provides the superlevel threshold and the representation probe;
-    an out-of-range probe just leaves the representation column at NaN.
+    The instantaneous functionals are taken sample by sample; the time
+    integrals (balance residual and accumulators) are then formed over whole
+    columns.  ``config`` provides the superlevel threshold and the
+    representation probe; an out-of-range probe just leaves the
+    representation column at NaN.
     """
     states = list(samples)
     if not states:
         raise ValueError("no samples to evaluate")
     g = states[0].grid
-    ks = np.arange(0, int(np.floor(g.x_max + 1e-12)))
-    unit_w = [_clipped_weights(g, float(k), float(k + 1)) for k in ks]
+    unit_w = [_clipped_weights(g, float(k), float(k + 1)) for k in range(int(g.x_max + 1e-12))]
+    unit_total = np.array([w.sum() for w in unit_w])
+
+    reports = [norm_report(st, params, prev) for prev, st in zip([None] + states[:-1], states)]
+    col = {key: np.array([rep[key] for rep in reports]) for key in reports[0]}
+    t = col["t"] = np.array([st.t for st in states])
+    a = config.superlevel_a
+    col["omega_measure"] = np.array([superlevel_measure(st, a) for st in states])
+    col["omega_bound"] = np.array([superlevel_bound(E, a, params) for E in col["E"]])
+    vbars = np.array([[np.dot(w, st.v) for w in unit_w] for st in states]) / unit_total
+    thbars = np.array([[np.dot(w, st.theta) for w in unit_w] for st in states]) / unit_total
+    col["vbar_min"], col["vbar_max"] = vbars.min(axis=1), vbars.max(axis=1)
+    col["thbar_min"], col["thbar_max"] = thbars.min(axis=1), thbars.max(axis=1)
+
+    dt = np.diff(t)
+    col["balance_residual"] = _balance_residual(t, col["E"], col["balance_phi"])
+    col["acc_theta_vx2"] = _cumtrapz(col["int_theta_vx2"], t)
+    col["acc_uxx"] = _cumtrapz(col["int_r_uxx2"], t)
+    col["acc_thxx"] = _cumtrapz(col["int_r_thxx2"], t)
+    col["acc_ut"] = np.concatenate(([0.0], np.cumsum(col["int_ut2"][1:] * dt)))
+    col["acc_tht"] = np.concatenate(([0.0], np.cumsum(col["int_tht2"][1:] * dt)))
+    tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
+    col["acc_tv_grad"] = np.concatenate(([0.0], np.cumsum(tv)))
 
     try:
         _, _, _, v_repr, v_actual = _representation_trajectory(
             states, params, config.probe_k, config.probe_x
         )
-        repr_rel = np.abs(v_repr - v_actual) / np.abs(v_actual)
+        col["repr_residual"] = np.abs(v_repr - v_actual) / np.abs(v_actual)
     except ValueError:
-        repr_rel = np.full(len(states), np.nan)
-
-    E0 = energy_functional(states[0], params)
-    rows = np.empty((len(states), len(SERIES_COLUMNS)))
-    acc = {"acc_theta_vx2": 0.0, "acc_uxx": 0.0, "acc_thxx": 0.0,
-           "acc_ut": 0.0, "acc_tht": 0.0, "acc_tv_grad": 0.0}
-    prev = None
-    prev_report = None
-    cum_phi = 0.0
-    for i, st in enumerate(states):
-        rep = norm_report(st, params, prev)
-        if prev is not None:
-            dtau = st.t - prev.t
-            cum_phi += 0.5 * (rep["balance_phi"] + prev_report["balance_phi"]) * dtau
-            acc["acc_theta_vx2"] += 0.5 * (rep["int_theta_vx2"] + prev_report["int_theta_vx2"]) * dtau
-            acc["acc_uxx"] += 0.5 * (rep["int_r_uxx2"] + prev_report["int_r_uxx2"]) * dtau
-            acc["acc_thxx"] += 0.5 * (rep["int_r_thxx2"] + prev_report["int_r_thxx2"]) * dtau
-            acc["acc_ut"] += rep["int_ut2"] * dtau
-            acc["acc_tht"] += rep["int_tht2"] * dtau
-            acc["acc_tv_grad"] += (
-                abs(rep["grad2_v"] - prev_report["grad2_v"])
-                + abs(rep["grad2_u"] - prev_report["grad2_u"])
-                + abs(rep["grad2_theta"] - prev_report["grad2_theta"])
-            )
-        vbars = np.array([np.dot(w, st.v) / w.sum() for w in unit_w])
-        thbars = np.array([np.dot(w, st.theta) / w.sum() for w in unit_w])
-        values = {
-            "t": st.t,
-            "balance_residual": abs(rep["E"] + cum_phi - E0),
-            "omega_measure": superlevel_measure(st, config.superlevel_a),
-            "omega_bound": superlevel_bound(rep["E"], config.superlevel_a, params),
-            "vbar_min": vbars.min(),
-            "vbar_max": vbars.max(),
-            "thbar_min": thbars.min(),
-            "thbar_max": thbars.max(),
-            "repr_residual": repr_rel[i],
-            **acc,
-            **rep,
-        }
-        rows[i] = [values[c] for c in SERIES_COLUMNS]
-        prev, prev_report = st, rep
-    return DiagnosticsSeries(data=rows)
+        col["repr_residual"] = np.full(len(states), np.nan)
+    return DiagnosticsSeries(data=np.column_stack([col[c] for c in SERIES_COLUMNS]))

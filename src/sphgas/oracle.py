@@ -277,7 +277,7 @@ class ConvergenceReport:
 
 def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
                       t_end: float = 0.25, mode: str = "spatial",
-                      base_dt: float | None = None, n_cells_fixed: int = 512,
+                      n_cells_fixed: int = 512,
                       scheme_order: int = 1) -> ConvergenceReport:
     """Observed convergence orders of the sourced solver on a case.
 
@@ -295,8 +295,7 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
     scales = []
     if mode == "spatial":
         n0 = int(resolutions[0])
-        if base_dt is None:
-            base_dt = 0.5 * (case.x_max / n0) ** 2
+        base_dt = 0.5 * (case.x_max / n0) ** 2
         for n_cells in resolutions:
             n_cells = int(n_cells)
             dt = base_dt * (n0 / n_cells) ** 2

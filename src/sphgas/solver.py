@@ -81,8 +81,12 @@ class RunConfig:
     def __post_init__(self):
         if not (0 < self.t_end < np.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.v_floor > 0 and self.theta_floor > 0):
-            raise ValueError("positivity floors must be positive")
+        if not (self.x_max >= 1):  # the diagnostics average over unit mass intervals
+            raise ValueError(f"X_max must be at least 1, got {self.x_max}")
+        if not (self.n_cells >= 4):
+            raise ValueError(f"need at least 4 cells, got N={self.n_cells}")
+        if not (0 < self.v_floor < 1 and 0 < self.theta_floor < 1):  # far field: v = theta = 1
+            raise ValueError("positivity floors must lie in (0, 1)")
         if not (0 < self.cfl_fraction <= 1):
             raise ValueError(f"cfl_fraction must lie in (0, 1], got {self.cfl_fraction}")
         if not (self.cadence > 0):
@@ -102,10 +106,6 @@ class StepReport:
     dt: float
     rejections: int
     max_residual: float  # worst residual of the two tridiagonal solves
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("step used a non-positive dt")
 
 
 @dataclass
@@ -337,7 +337,7 @@ def step(state: FlowState, params: PhysParams, dt: float,
         dt *= 0.5
 
 
-def run(config: RunConfig, params: PhysParams, sources=None) -> RunResult:
+def run(config: RunConfig, params: PhysParams) -> RunResult:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     Samples are taken at step times: the state is recorded whenever t reaches
@@ -359,7 +359,7 @@ def run(config: RunConfig, params: PhysParams, sources=None) -> RunResult:
     t_eps = 1e-12 * config.t_end
     while state.t < config.t_end - t_eps:
         dt = min(select_dt(state, params, config), config.t_end - state.t)
-        new_state, report = step(state, params, dt, config, sources=sources)
+        new_state, report = step(state, params, dt, config)
         r_shadow = r_shadow + report.dt * new_state.u
         r_shadow[0] = 1.0
         summary.r_shadow_max_dev = max(

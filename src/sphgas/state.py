@@ -280,26 +280,30 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
 
 
 def load_snapshot(path) -> tuple[FlowState, PhysParams]:
-    """Read a snapshot written by :func:`save_snapshot`."""
+    """Read a snapshot written by :func:`save_snapshot`; a malformed file
+    raises ValueError naming ``path``."""
     with open(path) as fh:
         header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing metadata header")
-        meta = {}
-        for tok in header[1:].split():
-            k, _, val = tok.partition("=")
-            meta[k] = float(val)
         cols = fh.readline().strip()
-        if cols != _SNAP_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {cols!r}")
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    params = PhysParams(
-        mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
-        cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
-    )
-    xe = np.array([float(r[0]) for r in rows])
-    u = np.array([float(r[2]) for r in rows])
-    v = np.array([float(r[1]) for r in rows[:-1]])
-    theta = np.array([float(r[3]) for r in rows[:-1]])
-    grid = MassGrid(x_edges=xe)
-    return FlowState(grid=grid, t=meta["t"], v=v, u=u, theta=theta, n=params.n), params
+    if not header.startswith("#"):
+        raise ValueError(f"{path}: missing metadata header")
+    if cols != _SNAP_COLUMNS:
+        raise ValueError(f"{path}: unexpected columns {cols!r}")
+    try:
+        if any(len(r) != 5 for r in rows) or rows[-1][1] or rows[-1][3]:
+            raise ValueError("truncated: short rows or no outer edge row")
+        meta = {k: float(val) for k, _, val in (tok.partition("=") for tok in header[1:].split())}
+        params = PhysParams(
+            mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
+            cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
+        )
+        xe = np.array([float(r[0]) for r in rows])
+        u = np.array([float(r[2]) for r in rows])
+        v = np.array([float(r[1]) for r in rows[:-1]])
+        theta = np.array([float(r[3]) for r in rows[:-1]])
+        grid = MassGrid(x_edges=xe)
+        state = FlowState(grid=grid, t=meta["t"], v=v, u=u, theta=theta, n=params.n)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed snapshot: {exc}") from exc
+    return state, params

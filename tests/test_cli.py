@@ -34,6 +34,30 @@ def config_file(tmp_path):
     return str(path)
 
 
+def _truncate_snapshot(snap_dir):
+    path = os.path.join(snap_dir, "snap_000001.csv")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+def _garble_snapshot(snap_dir):
+    path = os.path.join(snap_dir, "snap_000002.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    cells = lines[4].split(",")
+    cells[1] = "abc"
+    lines[4] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _empty_snapshot_dir(snap_dir):
+    for name in os.listdir(snap_dir):
+        os.remove(os.path.join(snap_dir, name))
+
+
 class TestConfigParsing:
     def test_round_trip_keys(self):
         raw = parse_config_text(BASE_CONFIG)
@@ -110,15 +134,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("override", ["superlevel.a=0.5", "t_end=inf"])
+    @pytest.mark.parametrize("override", [
+        "superlevel.a=0.5",
+        "t_end=inf",
+        "profile.center=nan",
+        "profile.amplitudes=nan,0,0",
+        "X_max=inf",
+        "X_max=0.5",
+        "N=2",
+        "floors=inf,1e-6",
+        "mu=inf",
+    ])
     def test_bad_run_setting_exits_config_code_before_solving(
-        self, config_file, tmp_path, override
+        self, config_file, tmp_path, capsys, override
     ):
         out = str(tmp_path / "nothing")
         code = main(["run", "--config", config_file, "--out", out,
                      "--set", "N=16", "--set", override])
         assert code == EXIT_CONFIG
         assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_missing_config_rejected(self, tmp_path):
         out = str(tmp_path / "out")
@@ -183,6 +219,24 @@ class TestReportCommand:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "ghost")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spoil, expect", [
+        (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),
+        (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
+        (_empty_snapshot_dir, "no snapshots"),
+    ], ids=["truncated", "non_numeric", "empty_dir"])
+    def test_report_unreadable_outputs_exit_config_code(
+        self, config_file, tmp_path, capsys, spoil, expect
+    ):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
+        spoil(os.path.join(out, "snapshots"))
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("unreadable run output: ") and err.count("\n") == 1
+        assert expect in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
 
 
 class TestSweepCommand:

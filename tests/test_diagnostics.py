@@ -23,6 +23,8 @@ from sphgas import (
     viscous_form_gap,
 )
 from sphgas.diagnostics import (
+    _integral_linear_exp,
+    _representation_trajectory,
     pointwise_form_gap,
     quadratic_form,
     superlevel_bound,
@@ -124,6 +126,10 @@ class TestEnergyBalance:
     def test_equilibrium_residual_zero(self, params):
         states = [equilibrium().with_fields(t=t) for t in (0.0, 0.5, 1.0)]
         assert energy_balance_residual(states, params) == 0.0
+
+    def test_matches_series_column_exactly(self, bump_run):
+        res, _, p = bump_run
+        assert energy_balance_residual(res.snapshots, p) == res.series["balance_residual"][-1]
 
     def test_needs_two_states(self, params):
         with pytest.raises(ValueError):
@@ -364,6 +370,34 @@ class TestLocalRepresentation:
             rep = local_representation(res.snapshots, params, 4, 3.0)
             resid.append(rep.residual)
         assert resid[1] < 0.6 * resid[0]
+
+
+    @pytest.mark.parametrize("history", ["bump_run", "every_step"])
+    def test_linear_recurrence_matches_quadratic_reference(self, history, bump_run):
+        """The correction carried forward sample by sample equals the one
+        integrated again from t = 0 at every sample."""
+        if history == "bump_run":
+            res, _, p = bump_run
+        else:
+            p = PhysParams()
+            prof = InitProfile(kind="gaussian_bump", amp_v=0.15, amp_u=0.15,
+                               amp_theta=0.15, center=4.0, width=1.0)
+            res = run(RunConfig(x_max=8.0, n_cells=40, profile=prof, t_end=4.0,
+                                cadence=1e-9), p)
+            assert len(res.snapshots) > 200
+        states = res.snapshots
+        times, ln_B, ln_Y, v_repr, _ = _representation_trajectory(states, p, 4, 3.0)
+        xc = states[0].grid.cell_centers
+        theta = np.array([np.interp(3.0, xc, s.theta) for s in states])
+        ln_Z = ln_B + ln_Y
+        dt = np.diff(times)
+        reference = np.empty(len(states))
+        reference[0] = np.exp(ln_Z[0])
+        for i in range(1, len(states)):
+            ell = ln_Z[: i + 1] - ln_Z[i]
+            segs = _integral_linear_exp(theta[:i], theta[1 : i + 1], ell[:-1], ell[1:], dt[:i])
+            reference[i] = np.exp(ln_Z[i]) + (p.R / p.beta) * np.sum(segs)
+        assert np.max(np.abs(v_repr - reference)) <= 1e-13
 
 
 class TestNormReport:
