@@ -231,13 +231,12 @@ def _cmd_report(args) -> int:
         names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
         states = [load_snapshot(os.path.join(snap_dir, name))[0] for name in names]
         stored = DiagnosticsSeries.from_csv(stored_path) if os.path.exists(stored_path) else None
+        if not states:
+            raise ValueError(f"no snapshots in {snap_dir}")
+        series = evaluate_series(states, params, config)  # mixed grids raise ValueError
     except (OSError, ValueError) as exc:
         print(f"unreadable run output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not states:
-        print(f"unreadable run output: no snapshots in {snap_dir}", file=sys.stderr)
-        return EXIT_CONFIG
-    series = evaluate_series(states, params, config)
 
     max_dev = float("nan")
     if stored is not None:

@@ -123,7 +123,7 @@ def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
         if path is None:
             raise ConfigError("profile.kind=table requires profile.table=PATH")
         try:
-            table = np.loadtxt(path, delimiter=",", comments="#")
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read profile table: {exc}") from exc
     try:

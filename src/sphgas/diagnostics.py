@@ -27,7 +27,7 @@ derivative accumulators use backward difference quotients between samples.
 
 from __future__ import annotations
 
-import io
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,59 +58,60 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # pointwise building blocks
+#
+# Every kernel below runs along the last axis: one FlowState has 1-D fields,
+# a block of samples (``_Samples``) one sample per row of each field.
 
-def _u_sq_centers(state: FlowState) -> np.ndarray:
+def _u_sq_centers(u):
     """u^2 averaged onto centers (average of squares keeps positivity)."""
-    return 0.5 * (state.u[:-1] ** 2 + state.u[1:] ** 2)
+    return 0.5 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
 
 
-def _conduction_integral(state: FlowState, params: PhysParams) -> float:
+def _derived(state, params: PhysParams):
+    """What every functional of a state reads, formed once: the gradient
+    bundle, u^2 at centers, and the weights r^(2(n-1)) at centers and at
+    interior edges."""
+    gr = discrete_gradients(state)
+    p = 2 * (params.n - 1)
+    return gr, _u_sq_centers(state.u), gr.r_centers**p, state.r[..., 1:-1] ** p
+
+
+def _conduction_integral(state, w_edges):
     """int r^(2(n-1)) theta_x^2/(v theta^2) on the native interior-edge
     values of theta_x, with the center gaps as quadrature weights."""
     he = state.grid.edge_gaps
-    theta_x = np.diff(state.theta) / he
-    v_e = 0.5 * (state.v[:-1] + state.v[1:])
-    th_e = 0.5 * (state.theta[:-1] + state.theta[1:])
-    w2 = state.r[1:-1] ** (2 * (params.n - 1))
-    return np.sum(w2 * theta_x**2 / (v_e * th_e**2) * he)
+    theta_x = (state.theta[..., 1:] - state.theta[..., :-1]) / he
+    v_e = 0.5 * (state.v[..., :-1] + state.v[..., 1:])
+    th_e = 0.5 * (state.theta[..., :-1] + state.theta[..., 1:])
+    return (w_edges * theta_x**2 / (v_e * th_e**2) * he).sum(axis=-1)
+
+
+def _energy(state, params: PhysParams, u2):
+    v, th = state.v, state.theta
+    U = params.R * (v - np.log(v) - 1.0) + 0.5 * u2 + params.cv * (th - np.log(th) - 1.0)
+    return (U * state.grid.cell_widths).sum(axis=-1)
 
 
 def energy_functional(state: FlowState, params: PhysParams) -> float:
     """Entropy-type energy, zero exactly at the equilibrium (1, 0, 1)."""
-    v, th = state.v, state.theta
-    U = (
-        params.R * (v - np.log(v) - 1.0)
-        + 0.5 * _u_sq_centers(state)
-        + params.cv * (th - np.log(th) - 1.0)
-    )
-    return float(np.sum(U * state.grid.cell_widths))
+    return float(_energy(state, params, _u_sq_centers(state.u)))
 
 
 def dissipation_rate(state: FlowState, params: PhysParams) -> np.ndarray:
     """The four nonnegative dissipation integrals, in the order
     (v u^2/(r^2 theta), r^(2(n-1)) u_x^2/(v theta), (r^(n-1)u)_x^2/(v theta),
     r^(2(n-1)) theta_x^2/(v theta^2))."""
-    return _dissipation(state, params, discrete_gradients(state))
+    return _dissipation(state, *_derived(state, params))
 
 
-def _dissipation(state: FlowState, params: PhysParams, gr: Gradients) -> np.ndarray:
-    """:func:`dissipation_rate` from the state's gradient bundle ``gr``."""
+def _dissipation(state, gr: Gradients, u2, w_centers, w_edges) -> np.ndarray:
+    """:func:`dissipation_rate` from the derived fields of :func:`_derived`."""
     h = state.grid.cell_widths
     v, th = state.v, state.theta
-    r_c = gr.r_centers
-    d1 = np.sum(v * _u_sq_centers(state) / (r_c**2 * th) * h)
-    d2 = np.sum(r_c ** (2 * (params.n - 1)) * gr.u_x**2 / (v * th) * h)
-    d3 = np.sum(gr.div_ru**2 / (v * th) * h)
-    return np.array([d1, d2, d3, _conduction_integral(state, params)])
-
-
-def _balance(state: FlowState, params: PhysParams, gr: Gradients, D: np.ndarray) -> float:
-    """Spatial integral of the three-term dissipation bracket in the exact
-    energy identity, from the bundle ``gr`` and the dissipation integrals
-    ``D``: beta D[2] - 2 mu (n-1) int (r^(n-2)u^2)_x/theta + kappa D[3]."""
-    h = state.grid.cell_widths
-    term_cross = 2.0 * params.mu * (params.n - 1) * np.sum(gr.div_ru2 / state.theta * h)
-    return float(params.beta * D[2] - term_cross + params.kappa * D[3])
+    d1 = (v * u2 / (gr.r_centers**2 * th) * h).sum(axis=-1)
+    d2 = (w_centers * gr.u_x**2 / (v * th) * h).sum(axis=-1)
+    d3 = (gr.div_ru**2 / (v * th) * h).sum(axis=-1)
+    return np.array([d1, d2, d3, _conduction_integral(state, w_edges)])
 
 
 def _cumtrapz(f, t):
@@ -131,11 +132,8 @@ def energy_balance_residual(history, params: PhysParams) -> float:
     states = list(history)
     if len(states) < 2:
         raise ValueError("need at least two states to form a balance residual")
-    reports = [norm_report(s, params) for s in states]
-    t = np.array([s.t for s in states])
-    E = np.array([rep["E"] for rep in reports])
-    phi = np.array([rep["balance_phi"] for rep in reports])
-    return float(_balance_residual(t, E, phi)[-1])
+    col = _sample_columns(states, params)
+    return float(_balance_residual(col["t"], col["E"], col["balance_phi"])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +167,15 @@ def quadratic_form(a, b, params: PhysParams):
 def pointwise_form_gap(state: FlowState, params: PhysParams) -> float:
     """min over centers of Q(a, b) - C_min (a^2 + b^2); nonnegative up to
     floating-point rounding."""
-    return _form_gap(params, discrete_gradients(state))
+    return float(_form_gap(params, discrete_gradients(state)))
 
 
-def _form_gap(params: PhysParams, gr: Gradients) -> float:
+def _form_gap(params: PhysParams, gr: Gradients):
     """:func:`pointwise_form_gap` from the state's gradient bundle ``gr``."""
     a = gr.r_pow_ux
     b = gr.geom_vu / (params.n - 1)
     gap = quadratic_form(a, b, params) - viscous_form_gap(params) * (a**2 + b**2)
-    return float(np.min(gap))
+    return gap.min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,69 +386,108 @@ def _second_derivative(x, f):
     dm = x[1:-1] - x[:-2]
     dp = x[2:] - x[1:-1]
     return 2.0 * (
-        f[:-2] / (dm * (dm + dp)) - f[1:-1] / (dm * dp) + f[2:] / (dp * (dm + dp))
+        f[..., :-2] / (dm * (dm + dp)) - f[..., 1:-1] / (dm * dp) + f[..., 2:] / (dp * (dm + dp))
     )
+
+
+def _report(state, params: PhysParams, prev=None) -> dict:
+    """The body of :func:`norm_report`, along the last axis: scalars for one
+    state, one entry per row for a block of samples (``prev`` then holds the
+    rows one sample earlier)."""
+    g = state.grid
+    h = g.cell_widths
+    v, th = state.v, state.theta
+    gr, u2, w_centers, w_edges = _derived(state, params)
+    rpow = gr.r_centers ** (params.n - 1)
+
+    def integral(f, weights=h):
+        return (f * weights).sum(axis=-1)
+
+    D = _dissipation(state, gr, u2, w_centers, w_edges)
+    out = {
+        "E": _energy(state, params, u2),
+        "D_vu2": D[0],
+        "D_ux": D[1],
+        "D_divru": D[2],
+        "D_thx": D[3],
+        "l2_v": np.sqrt(integral((v - 1.0) ** 2)),
+        "l2_u": np.sqrt(integral(u2)),
+        "l2_theta": np.sqrt(integral((th - 1.0) ** 2)),
+        "l2_rvx": np.sqrt(integral((rpow * gr.v_x) ** 2)),
+        "l2_rux": np.sqrt(integral(gr.r_pow_ux**2)),
+        "l2_rthx": np.sqrt(integral((rpow * gr.theta_x) ** 2)),
+        "sup_v": np.abs(v - 1.0).max(axis=-1),
+        "sup_u": np.abs(state.u).max(axis=-1),
+        "sup_theta": np.abs(th - 1.0).max(axis=-1),
+        "min_v": v.min(axis=-1),
+        "max_v": v.max(axis=-1),
+        "min_theta": th.min(axis=-1),
+        "max_theta": th.max(axis=-1),
+        "f_thx": D[3],
+        "g_u": D[0] + D[1],
+        "grad2_v": integral(gr.v_x**2),
+        "grad2_u": integral(gr.u_x**2),
+        "grad2_theta": integral(gr.theta_x**2),
+        # the three-term dissipation bracket of the exact energy identity
+        "balance_phi": params.beta * D[2]
+        - 2.0 * params.mu * (params.n - 1) * integral(gr.div_ru2 / th)
+        + params.kappa * D[3],
+        "b6_gap_min": _form_gap(params, gr),
+        # second-derivative integrands (standard three-point stencils)
+        "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, g.edge_gaps),
+        "int_r_thxx2": integral(
+            w_centers[..., 1:-1] * _second_derivative(g.cell_centers, th) ** 2, h[1:-1]
+        ),
+        "int_theta_vx2": integral((1.0 + th) * gr.v_x**2),
+    }
+    if prev is None:
+        out["int_ut2"] = out["int_tht2"] = np.zeros(np.shape(out["E"]))
+    else:
+        dtau = np.asarray(state.t - prev.t)[..., None]
+        du = (state.u - prev.u) / dtau
+        out["int_ut2"] = integral(_u_sq_centers(du))
+        out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
+    return out
 
 
 def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = None) -> dict:
     """Instantaneous functionals of one state (plus difference-quotient
     integrals against ``prev`` when given)."""
-    g = state.grid
-    h = g.cell_widths
-    n = params.n
-    v, th = state.v, state.theta
-    gr = discrete_gradients(state)
-    r_c = gr.r_centers
-    rpow = r_c ** (n - 1)
-    u2 = _u_sq_centers(state)
+    return {key: float(val) for key, val in _report(state, params, prev).items()}
 
-    E = energy_functional(state, params)
-    D = _dissipation(state, params, gr)
-    out = {
-        "E": E,
-        "D_vu2": D[0],
-        "D_ux": D[1],
-        "D_divru": D[2],
-        "D_thx": D[3],
-        "l2_v": np.sqrt(np.sum((v - 1.0) ** 2 * h)),
-        "l2_u": np.sqrt(np.sum(u2 * h)),
-        "l2_theta": np.sqrt(np.sum((th - 1.0) ** 2 * h)),
-        "l2_rvx": np.sqrt(np.sum((rpow * gr.v_x) ** 2 * h)),
-        "l2_rux": np.sqrt(np.sum((rpow * gr.u_x) ** 2 * h)),
-        "l2_rthx": np.sqrt(np.sum((rpow * gr.theta_x) ** 2 * h)),
-        "sup_v": np.max(np.abs(v - 1.0)),
-        "sup_u": np.max(np.abs(state.u)),
-        "sup_theta": np.max(np.abs(th - 1.0)),
-        "min_v": np.min(v),
-        "max_v": np.max(v),
-        "min_theta": np.min(th),
-        "max_theta": np.max(th),
-        "f_thx": D[3],
-        "g_u": D[0] + D[1],
-        "grad2_v": np.sum(gr.v_x**2 * h),
-        "grad2_u": np.sum(gr.u_x**2 * h),
-        "grad2_theta": np.sum(gr.theta_x**2 * h),
-        "balance_phi": _balance(state, params, gr, D),
-        "b6_gap_min": _form_gap(params, gr),
-    }
 
-    # second-derivative integrands (standard three-point stencils)
-    uxx = _second_derivative(g.x_edges, state.u)
-    out["int_r_uxx2"] = np.sum(state.r[1:-1] ** (2 * (n - 1)) * uxx**2 * g.edge_gaps)
-    thxx = _second_derivative(g.cell_centers, th)
-    out["int_r_thxx2"] = np.sum(r_c[1:-1] ** (2 * (n - 1)) * thxx**2 * h[1:-1])
-    out["int_theta_vx2"] = np.sum((1.0 + th) * gr.v_x**2 * h)
+# Consecutive samples on one grid, stacked: FlowState's attributes with t of
+# shape (rows,) and one sample per row of each field.
+_Samples = namedtuple("_Samples", "grid t v u theta r n")
 
-    if prev is not None:
-        dtau = state.t - prev.t
-        du = (state.u - prev.u) / dtau
-        dth = (state.theta - prev.theta) / dtau
-        out["int_ut2"] = np.sum(0.5 * (du[:-1] ** 2 + du[1:] ** 2) * h)
-        out["int_tht2"] = np.sum(dth**2 * h)
-    else:
-        out["int_ut2"] = 0.0
-        out["int_tht2"] = 0.0
-    return {key: float(val) for key, val in out.items()}
+
+# Rows per block: rows * (N + 1) stays near this, which bounds the temporaries.
+_BLOCK_ELEMENTS = 4096
+
+
+def _sample_columns(states, params: PhysParams) -> dict:
+    """Every :func:`norm_report` entry (each sample against the one before
+    it) and the times ``t`` as columns.  After the first sample alone, blocks
+    of samples go through :func:`_report`, each stacked with the sample
+    before it, whose rows serve as ``prev``."""
+    g, n = states[0].grid, states[0].n
+    if any(st.grid is not g and not np.array_equal(st.grid.x_edges, g.x_edges) for st in states):
+        raise ValueError("samples on different grids")
+    rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
+    reports = [_report(_Samples(g, *_stack(states[:1]), n), params)]
+    for lo in range(0, len(states) - 1, rows):
+        t, v, u, theta, r = _stack(states[lo : lo + rows + 1])
+        cur = _Samples(g, t[1:], v[1:], u[1:], theta[1:], r[1:], n)
+        prev = _Samples(g, t[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
+        reports.append(_report(cur, params, prev))
+    col = {key: np.concatenate([rep[key] for rep in reports]) for key in reports[0]}
+    col["t"] = np.array([st.t for st in states])
+    return col
+
+
+def _stack(states):
+    """t, v, u, theta and r of ``states``, one row per state."""
+    return [np.array([getattr(st, name) for st in states]) for name in ("t", "v", "u", "theta", "r")]
 
 
 SERIES_COLUMNS = [
@@ -510,12 +547,9 @@ class DiagnosticsSeries:
         return self.data[:, SERIES_COLUMNS.index(name)]
 
     def to_csv(self, path) -> None:
-        buf = io.StringIO()
-        buf.write(",".join(SERIES_COLUMNS) + "\n")
-        for row in self.data:
-            buf.write(",".join(repr(float(x)) for x in row) + "\n")
+        rows = [",".join(map(repr, row)) + "\n" for row in self.data.tolist()]
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(",".join(SERIES_COLUMNS) + "\n" + "".join(rows))
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
@@ -534,22 +568,21 @@ class DiagnosticsSeries:
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     """Assemble the full diagnostics series from sampled states.
 
-    The instantaneous functionals are taken sample by sample; the time
-    integrals (balance residual and accumulators) are then formed over whole
-    columns.  ``config`` provides the superlevel threshold and the
+    The instantaneous functionals are taken over blocks of samples, which
+    must share one grid (ValueError otherwise); the time integrals (balance
+    residual and accumulators) are then formed over whole columns.
+    ``config`` provides the superlevel threshold and the
     representation probe; an out-of-range probe just leaves the
     representation column at NaN.
     """
     states = list(samples)
     if not states:
         raise ValueError("no samples to evaluate")
+    col = _sample_columns(states, params)
+    t = col["t"]
     g = states[0].grid
     unit_w = [_clipped_weights(g, float(k), float(k + 1)) for k in range(int(g.x_max + 1e-12))]
     unit_total = np.array([w.sum() for w in unit_w])
-
-    reports = [norm_report(st, params, prev) for prev, st in zip([None] + states[:-1], states)]
-    col = {key: np.array([rep[key] for rep in reports]) for key in reports[0]}
-    t = col["t"] = np.array([st.t for st in states])
     a = config.superlevel_a
     col["omega_measure"] = np.array([superlevel_measure(st, a) for st in states])
     col["omega_bound"] = np.array([superlevel_bound(E, a, params) for E in col["E"]])

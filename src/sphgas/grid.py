@@ -165,9 +165,12 @@ def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def radius_at_centers(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
-    """Radius at cell centers, by the same midpoint quadrature as the edges."""
+    """Radius at cell centers, by the same midpoint quadrature as the edges;
+    cells run along the last axis of ``v``, so each row of a 2-D ``v`` gets
+    its own radii."""
     v = np.asarray(v, dtype=float)
-    rn_left = np.empty(grid.n_cells)
-    rn_left[0] = 1.0
-    rn_left[1:] = 1.0 + n * np.cumsum(v[:-1] * grid.cell_widths[:-1])
-    return (rn_left + n * v * (0.5 * grid.cell_widths)) ** (1.0 / n)
+    h = grid.cell_widths
+    rn_left = np.empty_like(v)
+    rn_left[..., 0] = 1.0
+    rn_left[..., 1:] = 1.0 + n * np.cumsum(v[..., :-1] * h[:-1], axis=-1)
+    return (rn_left + n * v * (0.5 * h)) ** (1.0 / n)

@@ -12,7 +12,6 @@ ghost (zero heat flux); the outermost cell is pinned to the far-field state
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +136,16 @@ class InitProfile:
                 raise ValueError(
                     f"theta amplitude {self.amp_theta} reaches zero at the bump peak"
                 )
-        if self.kind == "table" and self.table is None:
-            raise ValueError("table profile requires table data")
+        if self.kind == "table":
+            tab = np.asarray(self.table if self.table is not None else [], dtype=float)
+            if tab.ndim != 2 or tab.shape[1] != 4:
+                raise ValueError("table profile requires rows of x, v, u, theta")
+            if not np.all(np.isfinite(tab)):
+                raise ValueError("table entries must be finite")
+            if not np.all(tab[1:, 0] > tab[:-1, 0]):
+                raise ValueError("table x must be strictly increasing")
+            if not (np.all(tab[:, 1] > 0) and np.all(tab[:, 3] > 0)):
+                raise ValueError("table v and theta must be positive on every row")
 
 
 def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -161,8 +168,6 @@ def make_initial_data(grid: MassGrid, profile: InitProfile, params: PhysParams) 
         u = profile.amp_u * _bump(xe, profile.center, profile.width)
     else:
         tab = np.asarray(profile.table, dtype=float)
-        if tab.ndim != 2 or tab.shape[1] != 4:
-            raise ValueError("table must have columns x, v, u, theta")
         tx = tab[:, 0]
         v = np.interp(xc, tx, tab[:, 1])
         u = np.interp(xe, tx, tab[:, 2])
@@ -184,9 +189,14 @@ def edge_weight(state: FlowState) -> np.ndarray:
     return state.r ** (state.n - 1)
 
 
+def _diff(f: np.ndarray) -> np.ndarray:
+    """Differences of neighbours along the last axis."""
+    return f[..., 1:] - f[..., :-1]
+
+
 def div_ru(state: FlowState) -> np.ndarray:
     """(r^(n-1) u)_x at cell centers (the native staggered difference)."""
-    return np.diff(edge_weight(state) * state.u) / state.grid.cell_widths
+    return _diff(edge_weight(state) * state.u) / state.grid.cell_widths
 
 
 def stress_sigma(state: FlowState, params: PhysParams) -> np.ndarray:
@@ -221,33 +231,31 @@ def _center_gradient(xc: np.ndarray, f: np.ndarray, mirror_left: bool = False) -
     boundary), matching the temperature condition.
     """
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (xc[2:] - xc[:-2])
-    if mirror_left:
-        g[0] = (f[1] - f[0]) / (xc[1] + xc[0])
-    else:
-        g[0] = (f[1] - f[0]) / (xc[1] - xc[0])
-    g[-1] = (f[-1] - f[-2]) / (xc[-1] - xc[-2])
+    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (xc[2:] - xc[:-2])
+    g[..., 0] = (f[..., 1] - f[..., 0]) / (xc[1] + xc[0] if mirror_left else xc[1] - xc[0])
+    g[..., -1] = (f[..., -1] - f[..., -2]) / (xc[-1] - xc[-2])
     return g
 
 
 def discrete_gradients(state: FlowState) -> Gradients:
-    """All first-derivative fields used by the solver and the diagnostics."""
+    """All first-derivative fields used by the diagnostics.  Space is the
+    last axis: an object with FlowState's attributes and one sample per row
+    of each field gets each row's bundle, bit for bit the per-state one."""
     g = state.grid
     xc, h = g.cell_centers, g.cell_widths
     n = state.n
-    w = edge_weight(state)
-    u_c = 0.5 * (state.u[:-1] + state.u[1:])
+    u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
     r_c = radius_at_centers(g, state.v, n)
-    u_x = np.diff(state.u) / h
+    u_x = _diff(state.u) / h
     ru2 = state.r ** (n - 2) * state.u**2
     return Gradients(
         v_x=_center_gradient(xc, state.v),
         u_x=u_x,
         theta_x=_center_gradient(xc, state.theta, mirror_left=True),
-        div_ru=np.diff(w * state.u) / h,
+        div_ru=div_ru(state),
         r_pow_ux=r_c ** (n - 1) * u_x,
         geom_vu=(n - 1) * state.v * u_c / r_c,
-        div_ru2=np.diff(ru2) / h,
+        div_ru2=_diff(ru2) / h,
         r_centers=r_c,
     )
 
@@ -263,20 +271,16 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
     comment carries t and the physical parameters; floats are written with
     repr so the file round-trips losslessly.
     """
-    g = state.grid
-    buf = io.StringIO()
     meta = {"t": state.t, **params.as_dict()}
-    buf.write("# " + " ".join(f"{k}={float(v)!r}" for k, v in meta.items()) + "\n")
-    buf.write(_SNAP_COLUMNS + "\n")
-    for j in range(g.n_cells):
-        buf.write(
-            f"{float(g.x_edges[j])!r},{float(state.v[j])!r},{float(state.u[j])!r},"
-            f"{float(state.theta[j])!r},{float(state.r[j])!r}\n"
-        )
-    j = g.n_cells
-    buf.write(f"{float(g.x_edges[j])!r},,{float(state.u[j])!r},,{float(state.r[j])!r}\n")
+    x, u, r = state.grid.x_edges.tolist(), state.u.tolist(), state.r.tolist()
+    rows = [
+        f"{xj!r},{vj!r},{uj!r},{thj!r},{rj!r}\n"
+        for xj, vj, uj, thj, rj in zip(x, state.v.tolist(), u, state.theta.tolist(), r)
+    ]
+    rows.append(f"{x[-1]!r},,{u[-1]!r},,{r[-1]!r}\n")
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("# " + " ".join(f"{k}={float(v)!r}" for k, v in meta.items()) + "\n")
+        fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
 def load_snapshot(path) -> tuple[FlowState, PhysParams]:

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
 from sphgas.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
 from sphgas.config import ConfigError, parse_config_text, resolve
+from sphgas.state import save_snapshot
 
 
 BASE_CONFIG = """\
@@ -56,6 +58,12 @@ def _garble_snapshot(snap_dir):
 def _empty_snapshot_dir(snap_dir):
     for name in os.listdir(snap_dir):
         os.remove(os.path.join(snap_dir, name))
+
+
+def _snapshot_from_other_grid(snap_dir):
+    params = PhysParams()
+    state = make_initial_data(build_mass_grid(12.0, 20), InitProfile(), params)
+    save_snapshot(state, params, os.path.join(snap_dir, "snap_000001.csv"))
 
 
 class TestConfigParsing:
@@ -156,6 +164,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rows", [
+        "0,1,0,1\n5,-1,0,1\n12,1,0,1\n",
+        "0,1,0,1\n5,1,0,0\n12,1,0,1\n",
+        "0,1,0,1\n5,nan,0,1\n12,1,0,1\n",
+        "0,1,0,1,0\n5,1,0,1,0\n12,1,0,1,0\n",
+        "0,1,0,1\n12,1,0,1\n5,1,0,1\n",
+    ], ids=["negative_v", "zero_theta", "nan_entry", "five_columns", "x_not_increasing"])
+    def test_bad_table_exits_config_code_before_solving(
+        self, config_file, tmp_path, capsys, rows
+    ):
+        table = tmp_path / "init.csv"
+        table.write_text(rows)
+        out = str(tmp_path / "nothing")
+        code = main(["run", "--config", config_file, "--out", out, "--set", "N=16",
+                     "--set", "profile.kind=table", "--set", f"profile.table={table}"])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_one_row_table_is_a_constant_profile(self, config_file, tmp_path):
+        table = tmp_path / "init.csv"
+        table.write_text("3,1.1,0,0.9\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16",
+                     "--set", "profile.kind=table", "--set", f"profile.table={table}"]) == EXIT_OK
+
     def test_missing_config_rejected(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG
@@ -224,7 +259,8 @@ class TestReportCommand:
         (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
         (_empty_snapshot_dir, "no snapshots"),
-    ], ids=["truncated", "non_numeric", "empty_dir"])
+        (_snapshot_from_other_grid, "samples on different grids"),
+    ], ids=["truncated", "non_numeric", "empty_dir", "mixed_grids"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):

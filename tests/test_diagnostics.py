@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,19 @@ from sphgas import (
     viscous_form_gap,
 )
 from sphgas.diagnostics import (
+    _BLOCK_ELEMENTS,
+    SERIES_COLUMNS,
     _integral_linear_exp,
     _representation_trajectory,
+    _sample_columns,
+    _Samples,
+    _stack,
+    evaluate_series,
     pointwise_form_gap,
     quadratic_form,
     superlevel_bound,
 )
+from sphgas.state import Gradients, discrete_gradients
 
 from conftest import smooth_test_state
 
@@ -438,6 +447,61 @@ class TestNormReport:
         prev = st.with_fields(t=-0.1)
         rep = norm_report(st, params, prev=prev)
         assert rep["int_ut2"] == 0.0  # same fields, zero quotient
+
+
+def _block_rows(states):
+    return max(1, _BLOCK_ELEMENTS // (states[0].grid.n_cells + 1))
+
+
+def _synthetic_history(n, count):
+    """``count`` distinct smooth states at increasing times on one grid."""
+    g = build_mass_grid(10.0, 120)
+    return [
+        smooth_test_state(g, n, amp=0.1 + 0.002 * k).with_fields(t=0.05 * k)
+        for k in range(count)
+    ]
+
+
+class TestSampleBlocks:
+    """The series evaluates the per-state kernels over blocks of samples;
+    every row must equal the per-state value exactly, across block edges."""
+
+    @pytest.mark.parametrize("length", ["1", "B", "B+1", "B+2", "all"])
+    @pytest.mark.parametrize("history", ["bump_run", "n3"])
+    def test_columns_equal_norm_report_row_by_row(self, bump_run, history, length):
+        if history == "bump_run":
+            res, config, params = bump_run
+            states = list(res.snapshots)
+        else:
+            _, config, _ = bump_run
+            params = PhysParams(n=3)
+            states = _synthetic_history(3, 40)
+        B = _block_rows(states)
+        m = {"1": 1, "B": B, "B+1": B + 1, "B+2": B + 2, "all": len(states)}[length]
+        assert m <= len(states)
+        states = states[:m]
+        col = _sample_columns(states, params)
+        series = evaluate_series(states, params, config)
+        for i, (prev, st) in enumerate(zip([None] + states[:-1], states)):
+            for key, val in norm_report(st, params, prev).items():
+                assert col[key][i] == val, (key, i)
+                if key in SERIES_COLUMNS:
+                    assert series[key][i] == val, (key, i)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gradients_of_a_stacked_block_equal_per_state_bundles(self, n):
+        a, b = _synthetic_history(n, 2)
+        bundle = discrete_gradients(_Samples(a.grid, *_stack([a, b]), n))
+        for row, st in enumerate((a, b)):
+            single = discrete_gradients(st)
+            for f in fields(Gradients):
+                assert np.array_equal(getattr(bundle, f.name)[row], getattr(single, f.name))
+
+    def test_samples_on_different_grids_rejected(self, bump_run):
+        res, config, params = bump_run
+        other = make_initial_data(build_mass_grid(16.0, 80), InitProfile(), params)
+        with pytest.raises(ValueError, match="different grids"):
+            evaluate_series([res.snapshots[0], other], params, config)
 
 
 class TestSeriesInvariants:
