@@ -20,6 +20,7 @@ from .solver import (
     PositivityError,
     RunConfig,
     RunResult,
+    SolverAbort,
     StepReport,
     run,
     select_dt,
@@ -54,6 +55,7 @@ __all__ = [
     "PositivityError",
     "RunConfig",
     "RunResult",
+    "SolverAbort",
     "StepReport",
     "run",
     "select_dt",

@@ -2,8 +2,9 @@
 
 Exit codes (documented, distinct):
     0   success
-    2   config parse or validation error, or unreadable run outputs (report)
-    3   solver abort (positivity failure)
+    2   config parse or validation error (the representation probe included),
+        or unreadable run outputs (report)
+    3   solver abort (positivity failure, or a step too small to reach t_end)
     4   invariant-ledger failure (run or report)
     5   convergence-order window failure (verify)
 """
@@ -26,7 +27,7 @@ from .diagnostics import (
     evaluate_series,
 )
 from .oracle import FIXTURE_CASES, convergence_order
-from .solver import PositivityError, run
+from .solver import SolverAbort, run
 from .state import load_snapshot, save_snapshot
 
 EXIT_OK = 0
@@ -74,6 +75,7 @@ def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
             and np.all(series["thbar_min"] >= alpha1 - tol)
             and np.all(series["thbar_max"] <= alpha2 + tol)
         ),
+        "series_finite": bool(np.all(np.isfinite(series.data))),
     }
     return checks
 
@@ -110,7 +112,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         result = run(config, params)
-    except PositivityError as exc:
+    except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     checks = _write_run_outputs(args.out, raw, result, params, config)

@@ -298,6 +298,16 @@ def _trapz_tail(x_nodes, f_nodes, lo):
     return float(np.trapezoid(fs, xs))
 
 
+def _check_probe(k, x_probe, x_max):
+    """Raise ValueError unless [k, k+1] lies in [0, x_max] and max(k-2, 0) < x_probe < k."""
+    if not (k >= 1 and k + 1 <= x_max + 1e-12):
+        raise ValueError(f"cut-off interval [{k}, {k + 1}] outside the grid [0, {x_max}]")
+    if not (max(k - 2, 0.0) < x_probe < k):
+        raise ValueError(
+            f"probe {x_probe} must lie in ({max(k - 2, 0)}, {k}) for cut-off level {k}"
+        )
+
+
 def _representation_trajectory(states, params: PhysParams, k: int, x_probe: float):
     """ln B, ln Y, the represented v and the solved v at the probe point.
 
@@ -314,12 +324,7 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
     first = states[0]
     g = first.grid
     n = params.n
-    if not (k >= 1 and k + 1 <= g.x_max + 1e-12):
-        raise ValueError(f"cut-off interval [{k}, {k + 1}] outside the grid")
-    if not (max(k - 2, 0.0) < x_probe < k):
-        raise ValueError(
-            f"probe {x_probe} must lie in ({max(k - 2, 0)}, {k}) for cut-off level {k}"
-        )
+    _check_probe(k, x_probe, g.x_max)
 
     xe, xc = g.x_edges, g.cell_centers
     phi_e = cutoff_phi(xe, k)
@@ -571,9 +576,8 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     The instantaneous functionals are taken over blocks of samples, which
     must share one grid (ValueError otherwise); the time integrals (balance
     residual and accumulators) are then formed over whole columns.
-    ``config`` provides the superlevel threshold and the
-    representation probe; an out-of-range probe just leaves the
-    representation column at NaN.
+    ``config`` provides the superlevel threshold and the representation
+    probe, which must fit the grid (ValueError otherwise).
     """
     states = list(samples)
     if not states:
@@ -601,11 +605,8 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
     col["acc_tv_grad"] = np.concatenate(([0.0], np.cumsum(tv)))
 
-    try:
-        _, _, _, v_repr, v_actual = _representation_trajectory(
-            states, params, config.probe_k, config.probe_x
-        )
-        col["repr_residual"] = np.abs(v_repr - v_actual) / np.abs(v_actual)
-    except ValueError:
-        col["repr_residual"] = np.full(len(states), np.nan)
+    _, _, _, v_repr, v_actual = _representation_trajectory(
+        states, params, config.probe_k, config.probe_x
+    )
+    col["repr_residual"] = np.abs(v_repr - v_actual) / np.abs(v_actual)
     return DiagnosticsSeries(data=np.column_stack([col[c] for c in SERIES_COLUMNS]))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PhysParams, build_mass_grid
-from .solver import RunConfig, step
+from .solver import RunConfig, _march
+from .solver import step  # noqa: F401  (perfbench/spans.py wraps step in this namespace)
 from .state import FlowState
 
 __all__ = [
@@ -208,22 +209,15 @@ def solve_case(case: ManufacturedCase, params: PhysParams, n_cells: int, dt: flo
     step; returns (final_state, exact_final, max-norm errors per field)."""
     grid = build_mass_grid(case.x_max, n_cells, "uniform")
     state = case.exact_state(grid, params, 0.0)
-    config = RunConfig(
-        x_max=case.x_max, n_cells=n_cells, t_end=t_end, cadence=t_end,
-        scheme_order=scheme_order,
-    )
-    hook = case.source_fn(params)
-    t_eps = 1e-12 * t_end
-    while state.t < t_end - t_eps:
-        h = min(dt, t_end - state.t)
-        state, _ = step(state, params, h, config, sources=hook)
+    config = RunConfig(t_end=t_end, scheme_order=scheme_order)
+    for state, _ in _march(state, params, config, dt=dt, sources=case.source_fn(params)):
+        pass
     exact = case.exact_state(grid, params, state.t)
-    errors = {
-        "v": float(np.max(np.abs(state.v - exact.v))),
-        "u": float(np.max(np.abs(state.u - exact.u))),
-        "theta": float(np.max(np.abs(state.theta - exact.theta))),
-    }
-    return state, exact, errors
+    return state, exact, _max_errors(state, exact)
+
+
+def _max_errors(state: FlowState, ref: FlowState) -> dict:
+    return {f: float(np.max(np.abs(getattr(state, f) - getattr(ref, f)))) for f in ("v", "u", "theta")}
 
 
 ERROR_FLOOR = 1e-12
@@ -308,9 +302,8 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
         ref, _, _ = solve_case(case, params, n_cells_fixed, dt_ref, t_end, scheme_order)
         for dt in resolutions:
             state, _, _ = solve_case(case, params, n_cells_fixed, float(dt), t_end, scheme_order)
-            errors["v"].append(float(np.max(np.abs(state.v - ref.v))))
-            errors["u"].append(float(np.max(np.abs(state.u - ref.u))))
-            errors["theta"].append(float(np.max(np.abs(state.theta - ref.theta))))
+            for f, e in _max_errors(state, ref).items():
+                errors[f].append(e)
             scales.append(float(dt))
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -32,6 +32,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
+from .diagnostics import _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
 from .state import FlowState, InitProfile, edge_weight, make_initial_data
 
@@ -40,6 +41,7 @@ __all__ = [
     "StepReport",
     "RunSummary",
     "RunResult",
+    "SolverAbort",
     "PositivityError",
     "select_dt",
     "step",
@@ -47,15 +49,17 @@ __all__ = [
 ]
 
 
-class PositivityError(RuntimeError):
-    """A step could not keep v and theta above their floors."""
+_T_TOL = 1e-12  # a time within this fraction of t_end has reached t_end
+_MAX_REJECTS = 12  # halvings of one step before a positivity failure
+_MAX_STEPS = 10**8  # abort on a step that needs more repeats than this to reach t_end
 
-    def __init__(self, message, t, dt, min_v, min_theta):
-        super().__init__(message)
-        self.t = t
-        self.dt = dt
-        self.min_v = min_v
-        self.min_theta = min_theta
+
+class SolverAbort(RuntimeError):
+    """The time march cannot go on to t_end."""
+
+
+class PositivityError(SolverAbort):
+    """A step could not keep v and theta above their floors."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ class RunConfig:
     theta_floor: float = 1e-6
     scheme_order: int = 1
     cadence: float = 0.1
-    max_rejects: int = 12
     probe_k: int = 4
     probe_x: float = 3.0
     superlevel_a: float = 1.5
@@ -81,10 +84,10 @@ class RunConfig:
     def __post_init__(self):
         if not (0 < self.t_end < np.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.x_max >= 1):  # the diagnostics average over unit mass intervals
-            raise ValueError(f"X_max must be at least 1, got {self.x_max}")
         if not (self.n_cells >= 4):
             raise ValueError(f"need at least 4 cells, got N={self.n_cells}")
+        if not (1 <= self.x_max <= self.n_cells):  # the diagnostics visit every unit mass interval
+            raise ValueError(f"X_max must lie in [1, N={self.n_cells}], got {self.x_max}")
         if not (0 < self.v_floor < 1 and 0 < self.theta_floor < 1):  # far field: v = theta = 1
             raise ValueError("positivity floors must lie in (0, 1)")
         if not (0 < self.cfl_fraction <= 1):
@@ -99,6 +102,7 @@ class RunConfig:
             raise ValueError(f"geometric ratio must lie in [1, 1.2], got {self.grading}")
         if not (self.superlevel_a > 1.0):
             raise ValueError(f"superlevel threshold must exceed 1, got {self.superlevel_a}")
+        _check_probe(self.probe_k, self.probe_x, self.x_max)
 
 
 @dataclass(frozen=True)
@@ -237,8 +241,8 @@ def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=No
 
 
 def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None):
-    """One first-order IMEX update; returns (fields | None, bad_fields, resid)
-    with fields = (v, u, theta, r)."""
+    """One first-order IMEX update; returns ((v, u, theta, r), resid), with
+    theta = r = None once v leaves the positive cone."""
     g = state.grid
     n = state.n
     w = edge_weight(state)
@@ -253,7 +257,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
         v_new = v_new + dt * s_v
     v_new[-1] = 1.0
     if not np.all(v_new > 0):
-        return None, (v_new, u_new, None), res_u
+        return (v_new, u_new, None, None), res_u
     r_new = radius_from_volume(g, v_new, n)
 
     sigma = (params.beta * G_new - params.R * state.theta) / state.v
@@ -262,7 +266,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     theta_new, res_t = _theta_solve(
         g, params, dt, state.theta, source, v_new, r_new, s_theta=s_t
     )
-    return (v_new, u_new, theta_new, r_new), None, max(res_u, res_t)
+    return (v_new, u_new, theta_new, r_new), max(res_u, res_t)
 
 
 def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=None):
@@ -270,11 +274,9 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
     midpoint coefficients and sources over the full step."""
     g = state.grid
     n = state.n
-    half_fields, bad, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
-    if half_fields is None:
-        return None, bad, res0
-    if not np.all(half_fields[2] > 0):
-        return None, half_fields, res0
+    half_fields, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
+    if half_fields[2] is None or not np.all(half_fields[2] > 0):
+        return half_fields, res0  # rejected by the floor test in step
     half = FlowState._trusted(g, state.t + 0.5 * dt, *half_fields, n)
 
     s_v = s_u = s_t = None
@@ -292,7 +294,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
         v_new = v_new + dt * s_v
     v_new[-1] = 1.0
     if not np.all(v_new > 0):
-        return None, (v_new, u_new, None), res_u
+        return (v_new, u_new, None, None), res_u
 
     sigma = (params.beta * G_mid - params.R * half.theta) / half.v
     ru2 = half.r ** (n - 2) * u_mid**2
@@ -302,39 +304,43 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
         implicit_weight=0.5,
     )
     r_new = radius_from_volume(g, v_new, n)
-    return (v_new, u_new, theta_new, r_new), None, max(res_u, res_t)
+    return (v_new, u_new, theta_new, r_new), max(res_u, res_t)
 
 
 def step(state: FlowState, params: PhysParams, dt: float,
-         config: RunConfig | None = None, sources=None) -> tuple[FlowState, StepReport]:
+         config: RunConfig = RunConfig(), sources=None) -> tuple[FlowState, StepReport]:
     """Advance one time step, rejecting and halving dt on floor violations."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    cfg = config if config is not None else RunConfig(t_end=dt, cadence=dt)
-    rejections = 0
-    while True:
-        if cfg.scheme_order == 1:
-            fields, bad, resid = _substep_imex(state, params, dt, sources=sources)
-        else:
-            fields, bad, resid = _substep_midpoint(state, params, dt, sources=sources)
-        if (
-            fields is not None
-            and np.min(fields[0]) > cfg.v_floor
-            and np.min(fields[2]) > cfg.theta_floor
-        ):
-            new_state = FlowState._trusted(state.grid, state.t + dt, *fields, state.n)
+    substep = _substep_imex if config.scheme_order == 1 else _substep_midpoint
+    for rejections in range(_MAX_REJECTS + 1):
+        (v, u, theta, r), resid = substep(state, params, dt, sources=sources)
+        if theta is not None and np.min(v) > config.v_floor and np.min(theta) > config.theta_floor:
+            new_state = FlowState._trusted(state.grid, state.t + dt, v, u, theta, r, state.n)
             return new_state, StepReport(dt=dt, rejections=rejections, max_residual=resid)
-        rejections += 1
-        if rejections > cfg.max_rejects:
-            probe = fields if fields is not None else bad
-            mv = float(np.min(probe[0])) if probe[0] is not None else np.nan
-            mt = float(np.min(probe[2])) if probe[2] is not None else np.nan
-            raise PositivityError(
-                f"positivity failure at t={state.t}: dt halved {rejections} times "
-                f"(min v={mv:.3e}, min theta={mt:.3e})",
-                t=state.t, dt=dt, min_v=mv, min_theta=mt,
-            )
         dt *= 0.5
+    mt = float(np.min(theta)) if theta is not None else np.nan
+    raise PositivityError(
+        f"positivity failure at t={state.t}: dt halved {_MAX_REJECTS + 1} times "
+        f"(min v={float(np.min(v)):.3e}, min theta={mt:.3e})"
+    )
+
+
+def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sources=None):
+    """Yield (state, StepReport) for every accepted step up to config.t_end.
+
+    Steps are ``select_dt`` long, or ``dt`` when given; the last one is
+    clipped to t_end.  A step too small (or 0, or NaN) to reach t_end within
+    _MAX_STEPS steps raises SolverAbort before it is taken.
+    """
+    t_end = config.t_end
+    while state.t < t_end - _T_TOL * t_end:
+        h = min(select_dt(state, params, config) if dt is None else dt, t_end - state.t)
+        if not (h * _MAX_STEPS >= t_end - state.t):
+            raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
+                              f"in {_MAX_STEPS} steps")
+        state, report = step(state, params, h, config, sources=sources)
+        yield state, report
 
 
 def run(config: RunConfig, params: PhysParams) -> RunResult:
@@ -356,10 +362,8 @@ def run(config: RunConfig, params: PhysParams) -> RunResult:
     samples = [state]
     next_sample = config.cadence
     r_shadow = state.r.copy()
-    t_eps = 1e-12 * config.t_end
-    while state.t < config.t_end - t_eps:
-        dt = min(select_dt(state, params, config), config.t_end - state.t)
-        new_state, report = step(state, params, dt, config)
+    t_eps = _T_TOL * config.t_end
+    for new_state, report in _march(state, params, config):
         r_shadow = r_shadow + report.dt * new_state.u
         r_shadow[0] = 1.0
         summary.r_shadow_max_dev = max(
@@ -379,8 +383,6 @@ def run(config: RunConfig, params: PhysParams) -> RunResult:
         if state.t >= min(next_sample, config.t_end) - t_eps:
             samples.append(state)
             next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
-    if samples[-1] is not state:
-        samples.append(state)
 
     summary.sup_norm_final = sup_norm
     series = evaluate_series(samples, params, config)

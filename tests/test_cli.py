@@ -3,10 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
-from sphgas.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
+from sphgas.cli import (
+    EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _check_invariants, main,
+)
 from sphgas.config import ConfigError, parse_config_text, resolve
+from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from sphgas.state import save_snapshot
 
 
@@ -149,9 +154,16 @@ class TestRunCommand:
         "profile.amplitudes=nan,0,0",
         "X_max=inf",
         "X_max=0.5",
+        "X_max=17",
+        "X_max=1e300",
         "N=2",
         "floors=inf,1e-6",
         "mu=inf",
+        "probe.x=9",
+        "probe.x=2",
+        "probe.x=4",
+        "probe.k=0",
+        "probe.k=12",
     ])
     def test_bad_run_setting_exits_config_code_before_solving(
         self, config_file, tmp_path, capsys, override
@@ -228,15 +240,87 @@ class TestRunCommand:
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_OK
 
-    def test_positivity_abort_exit_code(self, tmp_path):
-        cfg = tmp_path / "abort.cfg"
+    @pytest.mark.parametrize("overrides", [
         # floors impossibly high: the first accepted step is already below
-        cfg.write_text(
-            "profile.kind=gaussian_bump\nprofile.amplitudes=-0.5,0,0\n"
-            "X_max=10\nN=50\nt_end=0.5\nfloors=0.9,0.9\n"
-        )
+        ["profile.amplitudes=-0.5,0,0", "X_max=10", "N=50", "t_end=0.5", "floors=0.9,0.9"],
+        # a step too small to reach t_end
+        ["N=16", "dt_initial=1e-300"],
+        ["N=16", "cfl_fraction=1e-300"],
+        ["N=16", "profile.amplitudes=1e308,0,0"],  # the step underflows to 0
+        ["N=16", "R=1e300"],  # the sound speed overflows, so the step is 0
+        ["N=16", "cv=1e-300"],
+    ], ids=["floors", "dt_initial", "cfl_fraction", "amplitude_1e308", "R", "cv"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_positivity_abort_exit_code(self, config_file, tmp_path, capsys, overrides):
         out = str(tmp_path / "out")
-        assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_ABORT
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_ABORT
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("solver abort: ") and err.count("\n") == 1
+
+
+class TestInvariantLedger:
+    def test_series_finite_fails_on_nan_or_inf(self, bump_run):
+        result, config, params = bump_run
+        e0 = float(result.series["E"][0])
+        assert _check_invariants(result.series, config, e0)["series_finite"]
+        col = SERIES_COLUMNS.index("repr_residual")
+        for bad in (np.nan, np.inf):
+            data = result.series.data.copy()
+            data[3, col] = bad
+            checks = _check_invariants(DiagnosticsSeries(data=data), config, e0)
+            assert not checks["series_finite"]
+            assert sum(not ok for ok in checks.values()) == 1
+
+
+# Per key a default, boundary values and extremes; the base config keeps the
+# grid at N <= 16 and t_end <= 0.2, so no drawn value allocates a large grid.
+_PROPERTY_VALUES = {
+    "n": ["2", "3", "1", "2.5", "1e300"],
+    "mu": ["1.0", "1e-300", "1e300", "0", "-1"],
+    "lambda": ["0.0", "-1", "1e300", "-1e300"],
+    "R": ["1.0", "1e-300", "1e300", "0", "-1"],
+    "cv": ["1.5", "1e-300", "1e300", "0"],
+    "kappa": ["1.0", "1e-300", "1e300", "0"],
+    "X_max": ["12", "1", "0", "-1", "1e300", "1e-300"],
+    "N": ["16", "4", "3", "8.5", "0", "-1"],
+    "grading": ["uniform", "1", "1.2", "1.3", "0"],
+    "profile.amplitudes": ["0.1,0.1,0.1", "0,0,0", "-1,0,0", "-0.999,0,0",
+                           "1e308,0,0", "0,1e300,0", "0,0,1e300", "0,0,-1"],
+    "profile.center": ["4.0", "0", "-1e300", "1e300"],
+    "profile.width": ["1.0", "1e-300", "1e300", "0", "-1"],
+    "t_end": ["0.2", "1e-300", "0", "-1", "1e300"],
+    "dt_initial": ["1.0", "1e-300", "1e300", "0", "-1"],
+    "cfl_fraction": ["0.4", "1", "1e-300", "0", "1.5"],
+    "floors": ["1e-6,1e-6", "1e-300,1e-300", "0.999,0.999", "0,0", "1,1"],
+    "cadence": ["0.1", "1e-300", "1e300", "0", "-1"],
+    "scheme_order": ["1", "2", "3", "1.5"],
+    "probe.k": ["4", "1", "0", "12", "2.5"],
+    "probe.x": ["3.0", "0", "2", "4", "-1", "1e300"],
+    "superlevel.a": ["1.5", "1", "1e300", "1e-300"],
+}
+_OVERRIDES = st.lists(
+    st.one_of([st.tuples(st.just(k), st.sampled_from(v)) for k, v in _PROPERTY_VALUES.items()]),
+    min_size=1, max_size=3, unique_by=lambda kv: kv[0],
+)
+
+
+class TestConfigProperty:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(overrides=_OVERRIDES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_any_setting_ends_in_a_documented_exit_code(self, tmp_path_factory, overrides):
+        """Every config either exits 2 before solving or reaches 0, 3 or 4;
+        none raises or runs without end."""
+        cfg = tmp_path_factory.mktemp("prop") / "run.cfg"
+        cfg.write_text(BASE_CONFIG.replace("N=96", "N=16").replace("t_end=0.4", "t_end=0.2"))
+        argv = ["run", "--config", str(cfg), "--out", str(cfg.parent / "out")]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_INVARIANT)
 
 
 class TestReportCommand:

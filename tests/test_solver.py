@@ -6,6 +6,7 @@ from sphgas import (
     PhysParams,
     PositivityError,
     RunConfig,
+    SolverAbort,
     build_mass_grid,
     make_initial_data,
     run,
@@ -15,7 +16,7 @@ from sphgas import (
 from scipy.linalg import LinAlgError
 
 from sphgas import radius_from_volume
-from sphgas.solver import _solve_tridiag
+from sphgas.solver import _march, _solve_tridiag
 from sphgas.state import div_ru
 
 from conftest import smooth_test_state
@@ -101,7 +102,7 @@ class TestStep:
         from sphgas import FlowState
 
         st = FlowState(grid=g, t=0.0, v=v, u=u, theta=theta, n=2)
-        cfg = RunConfig(t_end=1.0, v_floor=1e-3, theta_floor=1e-6, max_rejects=3)
+        cfg = RunConfig(t_end=1.0, v_floor=1e-3, theta_floor=1e-6)
         with pytest.raises(PositivityError):
             step(st, params, 1.0, cfg)
 
@@ -112,7 +113,7 @@ class TestStep:
         theta = 1.0 + 8.0 * np.exp(-((xc - 5.0) ** 2) * 4.0)  # strong pressure kick
         theta[-1] = 1.0
         st = make_initial_data(g, InitProfile(kind="equilibrium"), params).with_fields(theta=theta)
-        cfg = RunConfig(t_end=1.0, v_floor=0.9, max_rejects=40)
+        cfg = RunConfig(t_end=1.0, v_floor=0.9)
         new, report = step(st, params, 0.5, cfg)
         assert report.rejections > 0
         assert report.dt < 0.5
@@ -122,6 +123,29 @@ class TestStep:
         st = equilibrium_state()
         with pytest.raises(ValueError):
             step(st, params, 0.0)
+
+
+class TestMarch:
+    def test_fixed_dt_matches_step_and_clips_last_step(self, params):
+        start = smooth_test_state(build_mass_grid(10.0, 40), 2)
+        cfg = RunConfig(t_end=0.025, scheme_order=2)
+        marched = list(_march(start, params, cfg, dt=0.01))
+        assert [report.dt for _, report in marched] == [0.01, 0.01, 0.025 - 0.02]
+        assert marched[-1][0].t == cfg.t_end
+        state = start
+        for new, _ in marched:
+            state, _ = step(state, params, min(0.01, cfg.t_end - state.t), cfg)
+            for name in ("t", "v", "u", "theta", "r"):
+                assert np.array_equal(getattr(new, name), getattr(state, name))
+
+    @pytest.mark.parametrize("dt, dt_initial", [
+        (1e-300, 1.0), (0.0, 1.0), (np.nan, 1.0), (None, 1e-300),
+    ])
+    def test_step_too_small_aborts_before_stepping(self, params, dt, dt_initial):
+        st = equilibrium_state()
+        march = _march(st, params, RunConfig(t_end=1.0, dt_initial=dt_initial), dt=dt)
+        with pytest.raises(SolverAbort, match="cannot reach t_end"):
+            next(march)
 
 
 class TestSolverStates:
