@@ -154,13 +154,14 @@ def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
     (exact for cellwise-constant v), so r(0) = 1 and r is strictly increasing.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_cells,):
+    h = grid.cell_widths
+    if v.shape != h.shape:
         raise ValueError(f"v must have one value per cell, got shape {v.shape}")
-    if np.any(v <= 0):
+    if (v <= 0).any():
         raise ValueError("specific volume must be positive everywhere")
-    rn = np.empty(grid.n_cells + 1)
+    rn = np.empty(h.size + 1)
     rn[0] = 1.0
-    rn[1:] = 1.0 + n * np.cumsum(v * grid.cell_widths)
+    rn[1:] = 1.0 + n * (v * h).cumsum()
     return rn ** (1.0 / n)
 
 

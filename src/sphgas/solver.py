@@ -22,6 +22,9 @@ configured floors is rejected and retried with half the step.
 scheme_order=1 is the plain IMEX Euler update; scheme_order=2 replaces it by
 a midpoint variant (half-step predictor, trapezoidal diffusion, midpoint
 coefficients and sources).
+
+Outputs are bit-reproducible, so an edit to the step kernel must keep the
+order of every floating-point operation.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
-from .state import FlowState, InitProfile, edge_weight, make_initial_data
+from .state import FlowState, InitProfile, _diff, edge_weight, make_initial_data
 
 __all__ = [
     "RunConfig",
@@ -51,7 +54,8 @@ __all__ = [
 
 _T_TOL = 1e-12  # a time within this fraction of t_end has reached t_end
 _MAX_REJECTS = 12  # halvings of one step before a positivity failure
-_MAX_STEPS = 10**8  # abort on a step that needs more repeats than this to reach t_end
+_MAX_STEPS = 10**8  # a step that needs more repeats than this to reach t_end is small
+_MAX_SMALL_STEPS = 1000  # consecutive small steps before the march aborts
 
 
 class SolverAbort(RuntimeError):
@@ -148,7 +152,7 @@ def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
     w = edge_weight(state)
     w_cell = np.maximum(w[:-1], w[1:])
     c = np.sqrt(params.R * state.theta * (1.0 + params.R / params.cv))
-    dt = config.cfl_fraction * float(np.min(state.grid.cell_widths * state.v / (w_cell * c)))
+    dt = config.cfl_fraction * float((state.grid.cell_widths * state.v / (w_cell * c)).min())
     return min(dt, config.dt_initial)
 
 
@@ -163,7 +167,8 @@ def _solve_tridiag(sub, diag, sup, rhs):
     resid = diag * x
     resid[:-1] += sup * x[1:]
     resid[1:] += sub * x[:-1]
-    return x, float(np.max(np.abs(resid - rhs)))
+    resid -= rhs
+    return x, float(np.abs(resid, out=resid).max())
 
 
 def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.0):
@@ -177,24 +182,23 @@ def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.
     """
     g = state.grid
     h, he = g.cell_widths, g.edge_gaps
-    beta, R = params.beta, params.R
 
-    cl = beta / (h * v)  # cellwise viscous conductance
+    cl = params.beta / (h * v)  # cellwise viscous conductance
     scale = dt * w[1:-1] / he  # per interior edge
-    kw = implicit_weight
-    sub = -kw * scale * cl[:-1] * w[:-2]
-    sup = -kw * scale * cl[1:] * w[2:]
-    diag = 1.0 + kw * scale * (cl[:-1] + cl[1:]) * w[1:-1]
+    ks = implicit_weight * scale
+    # the bands leave out the couplings to the boundary edges' zero deltas
+    sub = -ks[1:] * cl[1:-1] * w[1:-2]
+    sup = -ks[:-1] * cl[1:-1] * w[2:-1]
+    diag = 1.0 + ks * (cl[:-1] + cl[1:]) * w[1:-1]
 
-    flux_old = cl * np.diff(w * state.u)  # beta * (w u)_x / v per cell
-    p = R * theta / v
-    rhs = scale * (np.diff(flux_old) - np.diff(p))
+    flux_old = cl * _diff(w * state.u)  # beta * (w u)_x / v per cell
+    p = params.R * theta / v
+    rhs = scale * (_diff(flux_old) - _diff(p))
     if s_u is not None:
-        rhs = rhs + dt * s_u[1:-1]
+        rhs += dt * s_u[1:-1]
 
-    # the couplings to the boundary edges multiply known zero deltas
-    delta, resid = _solve_tridiag(sub[1:], diag, sup[:-1], rhs)
-    u_new = np.zeros_like(state.u)
+    delta, resid = _solve_tridiag(sub, diag, sup, rhs)
+    u_new = np.zeros(state.u.shape)
     u_new[1:-1] = state.u[1:-1] + delta
     return u_new, resid
 
@@ -208,36 +212,41 @@ def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=No
     to theta = 1.
     """
     h, he = grid.cell_widths, grid.edge_gaps
-    n_cells = grid.n_cells
-    kappa, cv = params.kappa, params.cv
 
     w2 = r_cond[1:-1] ** (2 * (params.n - 1))
     v_edge = 0.5 * (v_cond[:-1] + v_cond[1:])
-    K = kappa * w2 / (v_edge * he)  # conductance per interior edge
+    K = params.kappa * w2 / (v_edge * he)  # conductance per interior edge
 
-    kw = implicit_weight
-    sub = np.zeros(n_cells)
-    sup = np.zeros(n_cells)
-    diag = np.full(n_cells, cv / dt)
-    diag[:-1] += kw * K / h[:-1]
-    sup[:-1] -= kw * K / h[:-1]
-    diag[1:] += kw * K / h[1:]
-    sub[1:] -= kw * K / h[1:]
+    kK = implicit_weight * K
+    left, right = kK / h[:-1], kK / h[1:]  # per edge, into its left / right cell
+    sub, sup = -right, -left
+    diag = np.empty(h.size)
+    diag[:-1] = params.cv / dt + left
+    diag[1:-1] += right[:-1]
 
-    flux_old = K * np.diff(theta_old)
-    div_old = np.zeros(n_cells)
-    div_old[:-1] += flux_old / h[:-1]
-    div_old[1:] -= flux_old / h[1:]
-    rhs = div_old + source
+    flux_old = K * _diff(theta_old)
+    rhs = np.zeros(h.size)
+    rhs[:-1] += flux_old / h[:-1]
+    rhs[1:] -= flux_old / h[1:]
+    rhs += source
     if s_theta is not None:
-        rhs = rhs + s_theta
+        rhs += s_theta
     # far-field pin on the last cell: theta_new = 1 exactly
     diag[-1] = 1.0
     sub[-1] = 0.0
     rhs[-1] = 1.0 - theta_old[-1]
 
-    delta, resid = _solve_tridiag(sub[1:], diag, sup[:-1], rhs)
+    delta, resid = _solve_tridiag(sub, diag, sup, rhs)
     return theta_old + delta, resid
+
+
+def _heat_source(params, coef: FlowState, G, u):
+    """Heat source sigma G - 2 mu (n-1) (r^(n-2) u^2)_x, sigma = (beta G - R theta) / v,
+    with v, theta, r from ``coef``; at n = 2, r^0 is exactly 1 and is skipped."""
+    n = coef.n
+    sigma = (params.beta * G - params.R * coef.theta) / coef.v
+    ru2 = u**2 if n == 2 else coef.r ** (n - 2) * u**2
+    return sigma * G - 2.0 * params.mu * (n - 1) * _diff(ru2) / coef.grid.cell_widths
 
 
 def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None):
@@ -251,18 +260,16 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
         s_v, s_u, s_t = sources(g.cell_centers, g.x_edges, state.t)
 
     u_new, res_u = _velocity_solve(state, params, dt, w, state.v, state.theta, s_u=s_u)
-    G_new = np.diff(w * u_new) / g.cell_widths
+    G_new = _diff(w * u_new) / g.cell_widths
     v_new = state.v + dt * G_new
     if s_v is not None:
-        v_new = v_new + dt * s_v
+        v_new += dt * s_v
     v_new[-1] = 1.0
-    if not np.all(v_new > 0):
+    if not (v_new > 0).all():
         return (v_new, u_new, None, None), res_u
     r_new = radius_from_volume(g, v_new, n)
 
-    sigma = (params.beta * G_new - params.R * state.theta) / state.v
-    ru2 = state.r ** (n - 2) * u_new**2
-    source = sigma * G_new - 2.0 * params.mu * (n - 1) * np.diff(ru2) / g.cell_widths
+    source = _heat_source(params, state, G_new, u_new)
     theta_new, res_t = _theta_solve(
         g, params, dt, state.theta, source, v_new, r_new, s_theta=s_t
     )
@@ -275,7 +282,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
     g = state.grid
     n = state.n
     half_fields, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
-    if half_fields[2] is None or not np.all(half_fields[2] > 0):
+    if half_fields[2] is None or not (half_fields[2] > 0).all():
         return half_fields, res0  # rejected by the floor test in step
     half = FlowState._trusted(g, state.t + 0.5 * dt, *half_fields, n)
 
@@ -288,17 +295,15 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
         state, params, dt, w_h, half.v, half.theta, s_u=s_u, implicit_weight=0.5
     )
     u_mid = 0.5 * (state.u + u_new)
-    G_mid = np.diff(w_h * u_mid) / g.cell_widths
+    G_mid = _diff(w_h * u_mid) / g.cell_widths
     v_new = state.v + dt * G_mid
     if s_v is not None:
-        v_new = v_new + dt * s_v
+        v_new += dt * s_v
     v_new[-1] = 1.0
-    if not np.all(v_new > 0):
+    if not (v_new > 0).all():
         return (v_new, u_new, None, None), res_u
 
-    sigma = (params.beta * G_mid - params.R * half.theta) / half.v
-    ru2 = half.r ** (n - 2) * u_mid**2
-    source = sigma * G_mid - 2.0 * params.mu * (n - 1) * np.diff(ru2) / g.cell_widths
+    source = _heat_source(params, half, G_mid, u_mid)
     theta_new, res_t = _theta_solve(
         g, params, dt, state.theta, source, half.v, half.r, s_theta=s_t,
         implicit_weight=0.5,
@@ -315,14 +320,14 @@ def step(state: FlowState, params: PhysParams, dt: float,
     substep = _substep_imex if config.scheme_order == 1 else _substep_midpoint
     for rejections in range(_MAX_REJECTS + 1):
         (v, u, theta, r), resid = substep(state, params, dt, sources=sources)
-        if theta is not None and np.min(v) > config.v_floor and np.min(theta) > config.theta_floor:
+        if theta is not None and v.min() > config.v_floor and theta.min() > config.theta_floor:
             new_state = FlowState._trusted(state.grid, state.t + dt, v, u, theta, r, state.n)
             return new_state, StepReport(dt=dt, rejections=rejections, max_residual=resid)
         dt *= 0.5
-    mt = float(np.min(theta)) if theta is not None else np.nan
+    mt = float(theta.min()) if theta is not None else np.nan
     raise PositivityError(
         f"positivity failure at t={state.t}: dt halved {_MAX_REJECTS + 1} times "
-        f"(min v={float(np.min(v)):.3e}, min theta={mt:.3e})"
+        f"(min v={float(v.min()):.3e}, min theta={mt:.3e})"
     )
 
 
@@ -330,15 +335,23 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     """Yield (state, StepReport) for every accepted step up to config.t_end.
 
     Steps are ``select_dt`` long, or ``dt`` when given; the last one is
-    clipped to t_end.  A step too small (or 0, or NaN) to reach t_end within
-    _MAX_STEPS steps raises SolverAbort before it is taken.
+    clipped to t_end.  A step is small when _MAX_STEPS of it fall short of
+    the time left.  SolverAbort is raised before a step that does not
+    advance t (0, NaN, or lost in rounding), and before the _MAX_SMALL_STEPS-th
+    small step in a row, so a violent transient may pass but a stall may not.
     """
     t_end = config.t_end
+    small = 0
     while state.t < t_end - _T_TOL * t_end:
-        h = min(select_dt(state, params, config) if dt is None else dt, t_end - state.t)
-        if not (h * _MAX_STEPS >= t_end - state.t):
+        left = t_end - state.t
+        h = min(select_dt(state, params, config) if dt is None else dt, left)
+        if not (state.t + h > state.t):
+            raise SolverAbort(f"step {h:.3e} at t={state.t} does not advance t, so it "
+                              f"cannot reach t_end={t_end}")
+        small = small + 1 if h * _MAX_STEPS < left else 0
+        if small == _MAX_SMALL_STEPS:
             raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
-                              f"in {_MAX_STEPS} steps")
+                              f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
         state, report = step(state, params, h, config, sources=sources)
         yield state, report
 
@@ -353,36 +366,35 @@ def run(config: RunConfig, params: PhysParams) -> RunResult:
     """
     from .diagnostics import evaluate_series
 
-    grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
-    state = make_initial_data(grid, config.profile, params)
-    summary = RunSummary()
-    scale, sup_norm = _track(summary, state)
-    summary.sup_norm_initial = sup_norm
-
-    samples = [state]
-    next_sample = config.cadence
-    r_shadow = state.r.copy()
-    t_eps = _T_TOL * config.t_end
-    for new_state, report in _march(state, params, config):
-        r_shadow = r_shadow + report.dt * new_state.u
-        r_shadow[0] = 1.0
-        summary.r_shadow_max_dev = max(
-            summary.r_shadow_max_dev, float(np.max(np.abs(r_shadow - new_state.r)))
-        )
-        change = max(
-            float(np.max(np.abs(new_state.v - state.v))),
-            float(np.max(np.abs(new_state.u - state.u))),
-            float(np.max(np.abs(new_state.theta - state.theta))),
-        )
-        summary.n_steps += 1
-        summary.n_rejections += report.rejections
-        summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
-        summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
-        state = new_state
+    with np.errstate(over="ignore"):  # an overflow makes the step 0 or NaN: the march aborts
+        grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
+        state = make_initial_data(grid, config.profile, params)
+        summary = RunSummary()
         scale, sup_norm = _track(summary, state)
-        if state.t >= min(next_sample, config.t_end) - t_eps:
-            samples.append(state)
-            next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
+        summary.sup_norm_initial = sup_norm
+
+        samples = [state]
+        next_sample = config.cadence
+        r_shadow = state.r.copy()
+        t_eps = _T_TOL * config.t_end
+        for new_state, report in _march(state, params, config):
+            r_shadow += report.dt * new_state.u
+            r_shadow[0] = 1.0
+            summary.r_shadow_max_dev = max(summary.r_shadow_max_dev, _max_abs(r_shadow - new_state.r))
+            change = max(
+                _max_abs(new_state.v - state.v),
+                _max_abs(new_state.u - state.u),
+                _max_abs(new_state.theta - state.theta),
+            )
+            summary.n_steps += 1
+            summary.n_rejections += report.rejections
+            summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
+            summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
+            state = new_state
+            scale, sup_norm = _track(summary, state)
+            if state.t >= min(next_sample, config.t_end) - t_eps:
+                samples.append(state)
+                next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
 
     summary.sup_norm_final = sup_norm
     series = evaluate_series(samples, params, config)
@@ -396,9 +408,9 @@ def _track(summary: RunSummary, state: FlowState) -> tuple[float, float]:
     Both follow from the same five reductions because v and theta are
     positive, and rounding is monotone: max|v - 1| = max(max v - 1, 1 - min v).
     """
-    min_v, max_v = float(np.min(state.v)), float(np.max(state.v))
-    min_t, max_t = float(np.min(state.theta)), float(np.max(state.theta))
-    max_u = float(np.max(np.abs(state.u)))
+    min_v, max_v = float(state.v.min()), float(state.v.max())
+    min_t, max_t = float(state.theta.min()), float(state.theta.max())
+    max_u = float(np.abs(state.u).max())
     summary.min_v = min(summary.min_v, min_v)
     summary.max_v = max(summary.max_v, max_v)
     summary.min_theta = min(summary.min_theta, min_t)
@@ -406,3 +418,8 @@ def _track(summary: RunSummary, state: FlowState) -> tuple[float, float]:
     scale = max(max_v, max_u, max_t)
     sup_norm = max(max_v - 1.0, 1.0 - min_v, max_u, max_t - 1.0, 1.0 - min_t)
     return scale, sup_norm
+
+
+def _max_abs(d: np.ndarray) -> float:
+    """max |d|, taking the absolute values in place in the temporary d."""
+    return float(np.abs(d, out=d).max())

@@ -48,7 +48,8 @@ class FlowState:
     through :meth:`_trusted` instead, which skips the checks: it hands over
     only fields that passed the step's positivity tests, a velocity whose
     inner entry was never written (so u[0] = 0 exactly), and the radius that
-    ``radius_from_volume`` computed from that same v.
+    ``radius_from_volume`` computed from that same v, each a fresh contiguous
+    float array that the state then owns.
     """
 
     grid: MassGrid
@@ -84,13 +85,12 @@ class FlowState:
 
     @classmethod
     def _trusted(cls, grid, t, v, u, theta, r, n) -> "FlowState":
-        """A state from checked solver fields and their radius, unvalidated."""
+        """A state from checked solver fields and their radius, unvalidated;
+        the arrays are made read-only in place, not copied."""
+        for a in (v, u, theta, r):
+            a.flags.writeable = False
         state = object.__new__(cls)
-        for name, value in (
-            ("grid", grid), ("t", float(t)), ("v", _frozen(v)), ("u", _frozen(u)),
-            ("theta", _frozen(theta)), ("n", n), ("r", _frozen(r)),
-        ):
-            object.__setattr__(state, name, value)
+        state.__dict__.update(grid=grid, t=float(t), v=v, u=u, theta=theta, n=n, r=r)
         return state
 
     def with_fields(self, t=None, v=None, u=None, theta=None) -> "FlowState":
@@ -185,8 +185,9 @@ def make_initial_data(grid: MassGrid, profile: InitProfile, params: PhysParams) 
 
 
 def edge_weight(state: FlowState) -> np.ndarray:
-    """r^(n-1) at edges — the geometric weight of the reduced equations."""
-    return state.r ** (state.n - 1)
+    """r^(n-1) at edges — the geometric weight of the reduced equations;
+    at n = 2 r itself, which r ** 1 returns exactly."""
+    return state.r if state.n == 2 else state.r ** (state.n - 1)
 
 
 def _diff(f: np.ndarray) -> np.ndarray:

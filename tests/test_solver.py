@@ -16,8 +16,8 @@ from sphgas import (
 from scipy.linalg import LinAlgError
 
 from sphgas import radius_from_volume
-from sphgas.solver import _march, _solve_tridiag
-from sphgas.state import div_ru
+from sphgas.solver import _MAX_SMALL_STEPS, _march, _solve_tridiag
+from sphgas.state import div_ru, edge_weight
 
 from conftest import smooth_test_state
 
@@ -142,35 +142,59 @@ class TestMarch:
         (1e-300, 1.0), (0.0, 1.0), (np.nan, 1.0), (None, 1e-300),
     ])
     def test_step_too_small_aborts_before_stepping(self, params, dt, dt_initial):
-        st = equilibrium_state()
+        """A step of 0 or NaN aborts before it is taken; steps that advance t
+        but could not reach t_end in 10^8 steps abort before the
+        _MAX_SMALL_STEPS-th of them in a row."""
+        st = equilibrium_state(n_cells=16)
         march = _march(st, params, RunConfig(t_end=1.0, dt_initial=dt_initial), dt=dt)
+        taken = []
         with pytest.raises(SolverAbort, match="cannot reach t_end"):
+            for new, _ in march:
+                taken.append(new.t)
+        h = dt_initial if dt is None else dt
+        assert len(taken) == (_MAX_SMALL_STEPS - 1 if h > 0 else 0)
+        assert taken == sorted(set(taken))
+
+    def test_step_lost_in_rounding_aborts_before_stepping(self, params):
+        st = equilibrium_state(n_cells=16).with_fields(t=0.5)
+        march = _march(st, params, RunConfig(t_end=1.0), dt=1e-20)
+        with pytest.raises(SolverAbort, match="does not advance t"):
             next(march)
+
+
+_DIMS = pytest.mark.parametrize("n", [2, 3, 4], ids=["n2", "n3", "n4"])
+_SCHEMES = pytest.mark.parametrize("order", [1, 2], ids=["scheme1", "scheme2"])
 
 
 class TestSolverStates:
     """States built by the solver skip revalidation; they must still carry
-    the radius of their own v and read-only fields."""
+    the radius of their own v and read-only fields.  The kernel takes r^(n-1)
+    and r^(n-2) without a power at n = 2; both shortcuts must be exact."""
 
     @staticmethod
     def assert_coherent(st):
         assert np.array_equal(st.r, radius_from_volume(st.grid, st.v, st.n))
+        assert np.array_equal(edge_weight(st), st.r ** (st.n - 1))
+        if st.n == 2:
+            assert np.all(st.r ** (st.n - 2) == 1.0)
         for a in (st.v, st.u, st.theta, st.r):
             assert not a.flags.writeable
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_step_state(self, params, order):
-        st = smooth_test_state(build_mass_grid(10.0, 100), params.n)
-        new, _ = step(st, params, 1e-3, RunConfig(t_end=1.0, scheme_order=order))
+    @_SCHEMES
+    @_DIMS
+    def test_step_state(self, n, order):
+        st = smooth_test_state(build_mass_grid(10.0, 100), n)
+        new, _ = step(st, PhysParams(n=n), 1e-3, RunConfig(t_end=1.0, scheme_order=order))
         self.assert_coherent(new)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_run_snapshots(self, params3, order):
+    @_SCHEMES
+    @_DIMS
+    def test_run_snapshots(self, n, order):
         prof = InitProfile(kind="gaussian_bump", amp_v=0.1, amp_u=0.1,
                            amp_theta=0.1, center=4.0, width=1.0)
         cfg = RunConfig(x_max=10.0, n_cells=60, profile=prof, t_end=0.2,
                         cadence=0.05, scheme_order=order)
-        for st in run(cfg, params3).snapshots:
+        for st in run(cfg, PhysParams(n=n)).snapshots:
             self.assert_coherent(st)
 
     def test_tridiagonal_zero_pivot_raises(self):
