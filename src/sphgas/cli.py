@@ -17,10 +17,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
-from .config import ConfigError, format_config, load_config, resolve
+from .config import SCHEMA, ConfigError, format_config, load_config, parse_setting, resolve
 from .diagnostics import (
     DiagnosticsSeries,
     anchor_roots,
@@ -104,12 +105,8 @@ def _write_run_outputs(out_dir, raw, result, params, config) -> dict:
 
 
 def _cmd_run(args) -> int:
-    try:
-        raw = load_config(args.config, args.set)
-        config, params, _ = resolve(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    raw = load_config(args.config, args.set)
+    config, params, _ = resolve(raw)
     try:
         result = run(config, params)
     except SolverAbort as exc:
@@ -124,17 +121,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        raw = load_config(args.config, args.set) if args.config else {}
-        _, params, extras = resolve(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    case_name = extras.get("case", "smooth_bump")
-    if case_name not in FIXTURE_CASES:
-        print(f"config error: unknown case {case_name!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    case = FIXTURE_CASES[case_name]
+    _, params, extras = resolve(load_config(args.config, args.set))
+    case = FIXTURE_CASES[extras["case"]]
 
     spatial = convergence_order(case, params, [64, 128, 256], t_end=0.25, mode="spatial")
     temporal = convergence_order(
@@ -174,59 +162,40 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_ORDER
 
 
-def _sweep_point(job) -> tuple[str, int]:
-    args_config, out_dir, overrides = job
-    ns = argparse.Namespace(config=args_config, out=out_dir, set=overrides)
-    return out_dir, _cmd_run(ns)
-
-
 def _cmd_sweep(args) -> int:
     axes = []
     fixed = []
     for item in args.set:
-        key, _, value = item.partition("=")
-        values = value.split(",")
-        if len(values) > 1:
-            axes.append([(key, v) for v in values])
+        key, value = parse_setting(item, f"override {item!r}")
+        arity = len(SCHEMA[key].fields)
+        parts = value.split(",")
+        if len(parts) % arity:
+            raise ConfigError(f"{key} takes {arity} values per sweep point, got {value!r}")
+        if len(parts) > arity:
+            axes.append([(key, ",".join(parts[i:i + arity])) for i in range(0, len(parts), arity)])
         else:
             fixed.append(item)
-    if not axes:
-        axes = [[("", "")]]
-    points = []
-    for combo in itertools.product(*axes):
-        overrides = fixed + [f"{k}={v}" for k, v in combo if k]
-        tag = "_".join(f"{k.replace('.', '-')}={v}" for k, v in combo if k) or "point"
-        points.append((overrides, tag))
     os.makedirs(args.out, exist_ok=True)
-    jobs = [
-        (args.config, os.path.join(args.out, f"{i:03d}_{tag}"), overrides)
-        for i, (overrides, tag) in enumerate(points)
-    ]
-    manifest = {os.path.basename(out): overrides for _, out, overrides in jobs}
+    manifest, argvs = {}, []  # each point is one `run`
+    for i, combo in enumerate(itertools.product(*axes)):
+        tag = "_".join(f"{k.replace('.', '-')}={v}" for k, v in combo) or "point"
+        name = f"{i:03d}_{tag}"
+        manifest[name] = fixed + [f"{k}={v}" for k, v in combo]
+        argvs.append(["run", "--config", args.config, "--out", os.path.join(args.out, name)]
+                     + [arg for item in manifest[name] for arg in ("--set", item)])
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     worst = EXIT_OK
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for out_dir, code in pool.map(_sweep_point, jobs):
-                print(f"point {os.path.basename(out_dir)}: exit {code}")
-                worst = max(worst, code)
-    else:
-        for job in jobs:
-            out_dir, code = _sweep_point(job)
-            print(f"point {os.path.basename(out_dir)}: exit {code}")
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        for name, code in zip(manifest, pool.map(main, argvs) if pool else map(main, argvs)):
+            print(f"point {name}: exit {code}")
             worst = max(worst, code)
     return worst
 
 
 def _cmd_report(args) -> int:
     run_dir = args.out
-    try:
-        raw = load_config(os.path.join(run_dir, "config.resolved"), args.set)
-        config, params, _ = resolve(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved"), args.set))
     snap_dir = os.path.join(run_dir, "snapshots")
     stored_path = os.path.join(run_dir, "diagnostics.csv")
     try:
@@ -276,16 +245,20 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="override a config key (repeatable; comma lists make sweep axes)",
+            help="override a config key (repeatable; in sweep, a key of k values "
+            "given m*k comma-separated values is an axis of m points)",
         )
         if verb == "sweep":
             p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    if args.verb in ("run", "sweep") and args.config is None:
-        print("config error: --config is required", file=sys.stderr)
+    try:
+        if args.verb in ("run", "sweep") and args.config is None:
+            raise ConfigError("--config is required")
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.fn(args)
 
 
 if __name__ == "__main__":

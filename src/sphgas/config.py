@@ -1,45 +1,122 @@
 """Flat key=value config files mapping to (RunConfig, PhysParams).
 
-One ``key=value`` pair per line, ``#`` starts a comment.  Documented keys:
-
-    n, mu, lambda, R, cv, kappa          physical constants
-    X_max, N, grading                    grid (grading: "uniform" or a ratio)
-    profile.kind                         equilibrium | gaussian_bump | table
-    profile.amplitudes                   three comma floats for (v-1, u, theta-1)
-    profile.center, profile.width        bump location in mass coordinate
-    profile.table                        path to a CSV of x,v,u,theta rows
-    t_end, dt_initial, cfl_fraction      time integration
-    floors                               two comma floats (v, theta)
-    cadence                              sampling interval in time units
-    scheme_order                         1 (IMEX Euler) or 2 (midpoint variant)
-    probe.k, probe.x                     representation probe
-    superlevel.a                         temperature threshold (> 1)
-    case                                 manufactured-case name (verify)
+One ``key=value`` pair per line, ``#`` starts a comment.  The documented keys
+are the rows of :data:`SCHEMA`: each names the object it sets, its field(s)
+and the parser of each value, and a key with k fields takes exactly k
+comma-separated values.  A key left out takes its dataclass default.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .grid import PhysParams
+from .oracle import FIXTURE_CASES
 from .solver import RunConfig
 from .state import InitProfile
 
-__all__ = ["ConfigError", "parse_config_text", "load_config", "resolve", "format_config"]
+__all__ = [
+    "ConfigError",
+    "SCHEMA",
+    "parse_setting",
+    "parse_config_text",
+    "load_config",
+    "resolve",
+    "format_config",
+]
+
+DEFAULT_CASE = "smooth_bump"  # the manufactured case `verify` runs when none is set
 
 
 class ConfigError(ValueError):
     """Malformed or inadmissible configuration."""
 
 
-_KNOWN_KEYS = {
-    "n", "mu", "lambda", "R", "cv", "kappa",
-    "X_max", "N", "grading",
-    "profile.kind", "profile.amplitudes", "profile.center", "profile.width",
-    "profile.table",
-    "t_end", "dt_initial", "cfl_fraction", "floors", "cadence", "scheme_order",
-    "probe.k", "probe.x", "superlevel.a", "case",
+def _finite(text: str, key: str) -> float:
+    """The float spelled by ``text``; every float a config sets passes here,
+    so NaN and infinities are rejected before anything is built."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _grading(text: str, key: str) -> str | float:
+    return text if text == "uniform" else _finite(text, key)
+
+
+def _word(text: str, key: str) -> str:
+    return text
+
+
+def _table(path: str, key: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read profile table: {exc}") from exc
+
+
+def _case(text: str, key: str) -> str:
+    if text not in FIXTURE_CASES:
+        raise ValueError(f"unknown case {text!r}; choose from {', '.join(FIXTURE_CASES)}")
+    return text
+
+
+class Setting(NamedTuple):
+    target: str  # "params", "profile", "config" or "extras"
+    fields: tuple[str, ...]  # one comma-separated value per field
+    parse: Callable[[str, str], object]  # (value, key) -> field value
+
+
+SCHEMA = {
+    "n": Setting("params", ("n",), _int),  # spatial dimension (integer >= 2)
+    "mu": Setting("params", ("mu",), _finite),  # shear viscosity
+    "lambda": Setting("params", ("lam",), _finite),  # second viscosity
+    "R": Setting("params", ("R",), _finite),  # gas constant
+    "cv": Setting("params", ("cv",), _finite),  # specific heat
+    "kappa": Setting("params", ("kappa",), _finite),  # heat conductivity
+    "X_max": Setting("config", ("x_max",), _finite),  # domain truncation in mass coordinate
+    "N": Setting("config", ("n_cells",), _int),  # cell count
+    "grading": Setting("config", ("grading",), _grading),  # "uniform" or a width ratio
+    "profile.kind": Setting("profile", ("kind",), _word),  # equilibrium | gaussian_bump | table
+    "profile.amplitudes": Setting("profile", ("amp_v", "amp_u", "amp_theta"), _finite),  # (v-1, u, theta-1)
+    "profile.center": Setting("profile", ("center",), _finite),  # bump location in mass coordinate
+    "profile.width": Setting("profile", ("width",), _finite),  # bump width in mass coordinate
+    "profile.table": Setting("profile", ("table",), _table),  # CSV of x,v,u,theta rows (kind=table only)
+    "t_end": Setting("config", ("t_end",), _finite),  # end time
+    "dt_initial": Setting("config", ("dt_initial",), _finite),  # cap on the step
+    "cfl_fraction": Setting("config", ("cfl_fraction",), _finite),  # fraction of the CFL step taken
+    "floors": Setting("config", ("v_floor", "theta_floor"), _finite),  # positivity floors (v, theta)
+    "cadence": Setting("config", ("cadence",), _finite),  # sampling interval in time units
+    "scheme_order": Setting("config", ("scheme_order",), _int),  # 1 (IMEX Euler) or 2 (midpoint)
+    "probe.k": Setting("config", ("probe_k",), _int),  # representation cut-off level
+    "probe.x": Setting("config", ("probe_x",), _finite),  # representation probe point
+    "superlevel.a": Setting("config", ("superlevel_a",), _finite),  # temperature threshold (> 1)
+    "case": Setting("extras", ("case",), _case),  # manufactured case for `verify`
 }
+
+
+def parse_setting(line: str, where: str) -> tuple[str, str]:
+    """The (key, value) of one ``key=value`` setting of a documented key."""
+    if "=" not in line:
+        raise ConfigError(f"{where}: expected key=value, got {line!r}")
+    key, _, value = line.partition("=")
+    key, value = key.strip(), value.strip()
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -49,12 +126,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        key, value = parse_setting(line, f"line {lineno}")
         if key in out:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         out[key] = value
@@ -62,106 +134,44 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path, overrides=()) -> dict[str, str]:
-    """Parse a config file and apply ``KEY=VALUE`` override strings."""
-    try:
-        with open(path) as fh:
-            raw = parse_config_text(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    """Parse a config file (none given: no settings) and apply ``KEY=VALUE``
+    override strings, the later of two for one key winning."""
+    raw: dict[str, str] = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                raw = parse_config_text(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not KEY=VALUE")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"override uses unknown key {key!r}")
+        key, value = parse_setting(item, f"override {item!r}")
         raw[key] = value
     return raw
 
 
-def _finite(text, key: str) -> float:
-    """The float spelled by ``text``; every float a config sets passes here,
-    so NaN and infinities are rejected before anything is built."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
-    return value
-
-
-def _floats(value: str, count: int, key: str) -> list[float]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != count:
-        raise ConfigError(f"{key} needs {count} comma-separated values, got {value!r}")
-    return [_finite(p, key) for p in parts]
-
-
 def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
     """Build the typed run configuration from raw strings."""
-    def num(key, default):
-        return _finite(raw.get(key, default), key)
-
+    kwargs = {"params": {}, "profile": {}, "config": {}, "extras": {"case": DEFAULT_CASE}}
+    table_profile = raw.get("profile.kind") == "table"
     try:
-        params = PhysParams(
-            mu=num("mu", 1.0),
-            lam=num("lambda", 0.0),
-            R=num("R", 1.0),
-            cv=num("cv", 1.5),
-            kappa=num("kappa", 1.0),
-            n=int(raw.get("n", 2)),
-        )
+        for key, text in raw.items():
+            if key == "profile.table" and not table_profile:
+                continue
+            setting = SCHEMA[key]
+            parts = text.split(",") if len(setting.fields) > 1 else [text]
+            if len(parts) != len(setting.fields):
+                raise ValueError(
+                    f"{key} needs {len(setting.fields)} comma-separated values, got {text!r}"
+                )
+            for name, part in zip(setting.fields, parts):
+                kwargs[setting.target][name] = setting.parse(part.strip(), key)
+        if table_profile and "table" not in kwargs["profile"]:
+            raise ValueError("profile.kind=table requires profile.table=PATH")
+        params = PhysParams(**kwargs["params"])
+        config = RunConfig(profile=InitProfile(**kwargs["profile"]), **kwargs["config"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    kind = raw.get("profile.kind", "equilibrium")
-    amps = _floats(raw.get("profile.amplitudes", "0,0,0"), 3, "profile.amplitudes")
-    table = None
-    if kind == "table":
-        path = raw.get("profile.table")
-        if path is None:
-            raise ConfigError("profile.kind=table requires profile.table=PATH")
-        try:
-            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read profile table: {exc}") from exc
-    try:
-        profile = InitProfile(
-            kind=kind,
-            amp_v=amps[0], amp_u=amps[1], amp_theta=amps[2],
-            center=num("profile.center", 4.0),
-            width=num("profile.width", 1.0),
-            table=table,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    grading_raw = raw.get("grading", "uniform")
-    floors = _floats(raw.get("floors", "1e-6,1e-6"), 2, "floors")
-    try:
-        grading = grading_raw if grading_raw == "uniform" else _finite(grading_raw, "grading")
-        config = RunConfig(
-            x_max=num("X_max", 20.0),
-            n_cells=int(raw.get("N", 400)),
-            grading=grading,
-            profile=profile,
-            t_end=num("t_end", 1.0),
-            dt_initial=num("dt_initial", 1.0),
-            cfl_fraction=num("cfl_fraction", 0.4),
-            v_floor=floors[0],
-            theta_floor=floors[1],
-            scheme_order=int(raw.get("scheme_order", 1)),
-            cadence=num("cadence", 0.1),
-            probe_k=int(raw.get("probe.k", 4)),
-            probe_x=num("probe.x", 3.0),
-            superlevel_a=num("superlevel.a", 1.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    extras = {"case": raw.get("case", "smooth_bump")}
-    return config, params, extras
+    return config, params, kwargs["extras"]
 
 
 def format_config(raw: dict[str, str]) -> str:

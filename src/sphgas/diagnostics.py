@@ -226,7 +226,8 @@ def anchor_roots(cbar: float, tol: float = 1e-12) -> tuple[float, float]:
         return 0.5 * (lo + hi)
 
     lower_bracket = min(0.5, np.exp(-(cbar + 1.0)))
-    alpha1 = bisect(lower_bracket, 1.0)
+    # once the bracket underflows to 0 the root lies below the smallest double
+    alpha1 = bisect(lower_bracket, 1.0) if lower_bracket > 0.0 else 0.0
     alpha2 = bisect(1.0, 2.0 * cbar + 2.0)
     return float(alpha1), float(alpha2)
 
@@ -266,6 +267,9 @@ class RepresentationResult:
     residual: float  # max relative deviation over the sampled times
 
 
+_EXP_SAFE = 708.0  # exp(x) and exp(-x) are normal doubles for |x| up to this
+
+
 def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
     """Exact integral of (linear h) * exp(-(linear ell)) over a segment.
 
@@ -275,7 +279,10 @@ def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
     """
     z = ell1 - ell0
     small = np.abs(z) < 1e-6
-    z_safe = np.where(small, 1.0, z)
+    # where exp(-z) would overflow or exp(-ell0) underflow, their product is
+    # formed in one exponent, exp(-ell1), below
+    fold = ~small & ((z < -_EXP_SAFE) | (ell0 > _EXP_SAFE))
+    z_safe = np.where(small | fold, 1.0, z)
     em = np.exp(-z_safe)
     a0 = np.where(small, 1.0 - z / 2 + z**2 / 6 - z**3 / 24, -np.expm1(-z_safe) / z_safe)
     a1 = np.where(
@@ -283,7 +290,14 @@ def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
         0.5 - z / 3 + z**2 / 8 - z**3 / 30,
         (1.0 - (1.0 + z_safe) * em) / z_safe**2,
     )
-    return dtau * np.exp(-ell0) * (h0 * a0 + (h1 - h0) * a1)
+    out = dtau * np.exp(-ell0) * (h0 * a0 + (h1 - h0) * a1)
+    if fold.any():
+        h0, h1, ell0, ell1, dtau, z = (
+            np.broadcast_to(a, fold.shape)[fold] for a in (h0, h1, ell0, ell1, dtau, z)
+        )
+        e0, e1 = np.exp(-ell0), np.exp(-ell1)
+        out[fold] = dtau * (h0 * (e0 - e1) / z + (h1 - h0) * (e0 - (1.0 + z) * e1) / z**2)
+    return out
 
 
 def _trapz_tail(x_nodes, f_nodes, lo):

@@ -56,6 +56,7 @@ _T_TOL = 1e-12  # a time within this fraction of t_end has reached t_end
 _MAX_REJECTS = 12  # halvings of one step before a positivity failure
 _MAX_STEPS = 10**8  # a step that needs more repeats than this to reach t_end is small
 _MAX_SMALL_STEPS = 1000  # consecutive small steps before the march aborts
+_MAX_CELLS = 10**6  # largest N a config may ask for
 
 
 class SolverAbort(RuntimeError):
@@ -88,8 +89,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0 < self.t_end < np.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.n_cells >= 4):
-            raise ValueError(f"need at least 4 cells, got N={self.n_cells}")
+        if not (4 <= self.n_cells <= _MAX_CELLS):
+            raise ValueError(f"N must lie in [4, {_MAX_CELLS}], got N={self.n_cells}")
         if not (1 <= self.x_max <= self.n_cells):  # the diagnostics visit every unit mass interval
             raise ValueError(f"X_max must lie in [1, N={self.n_cells}], got {self.x_max}")
         if not (0 < self.v_floor < 1 and 0 < self.theta_floor < 1):  # far field: v = theta = 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MassGrid, PhysParams, radius_at_centers, radius_from_volume
+from .grid import MassGrid, PhysParams, _readonly, radius_at_centers, radius_from_volume
 
 __all__ = [
     "FlowState",
@@ -28,12 +28,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
 ]
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,10 @@ class FlowState:
             raise ValueError("velocity must stay finite")
         if u[0] != 0.0:
             raise ValueError("velocity at the inner boundary edge must vanish")
-        object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "u", _frozen(u))
-        object.__setattr__(self, "theta", _frozen(theta))
-        object.__setattr__(self, "r", _frozen(radius_from_volume(self.grid, v, self.n)))
+        object.__setattr__(self, "v", _readonly(v))
+        object.__setattr__(self, "u", _readonly(u))
+        object.__setattr__(self, "theta", _readonly(theta))
+        object.__setattr__(self, "r", _readonly(radius_from_volume(self.grid, v, self.n)))
 
     @classmethod
     def _trusted(cls, grid, t, v, u, theta, r, n) -> "FlowState":

@@ -10,7 +10,7 @@ from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
 from sphgas.cli import (
     EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _check_invariants, main,
 )
-from sphgas.config import ConfigError, parse_config_text, resolve
+from sphgas.config import SCHEMA, ConfigError, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from sphgas.state import save_snapshot
 
@@ -157,6 +157,8 @@ class TestRunCommand:
         "X_max=17",
         "X_max=1e300",
         "N=2",
+        "N=10000000000000",
+        "case=no_such_case",
         "floors=inf,1e-6",
         "mu=inf",
         "probe.x=9",
@@ -261,17 +263,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("solver abort: ") and err.count("\n") == 1
 
-    # the representation columns overflow to NaN on this run, with warnings
-    # on the way, and the ledger's series_finite fails it (exit 4)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # ln Z falls by about 2,600 between samples and E(0) = 6.3e5, so the
+    # representation and the anchor roots work at the ends of the double range
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_violent_transient_is_not_aborted(self, config_file, tmp_path):
         """The CFL step dips below the small-step bound for a few steps in a
-        row and recovers; the march gets through."""
+        row and recovers; the march gets through, and every diagnostics entry
+        stays finite."""
         out = str(tmp_path / "out")
         argv = ["run", "--config", config_file, "--out", out]
         for item in ["N=16", "X_max=10", "t_end=0.2", "profile.amplitudes=0,1e3,0"]:
             argv += ["--set", item]
-        assert main(argv) in (EXIT_OK, EXIT_INVARIANT)
+        assert main(argv) == EXIT_INVARIANT
+        with open(os.path.join(out, "summary.json")) as fh:
+            checks = json.load(fh)["invariants"]
+        # the absolute -1e-12 gap tolerance is below the rounding of this run
+        assert [name for name, ok in checks.items() if not ok] == ["quadratic_form_pointwise"]
 
 
 class TestInvariantLedger:
@@ -289,7 +296,8 @@ class TestInvariantLedger:
 
 
 # Per key a default, boundary values and extremes; the base config keeps the
-# grid at N <= 16 and t_end <= 0.2, so no drawn value allocates a large grid.
+# grid at N <= 16 and t_end <= 0.2, and the one larger N is above the bound
+# that RunConfig rejects, so no drawn value allocates a large grid.
 _PROPERTY_VALUES = {
     "n": ["2", "3", "1", "2.5", "1e300"],
     "mu": ["1.0", "1e-300", "1e300", "0", "-1"],
@@ -298,8 +306,9 @@ _PROPERTY_VALUES = {
     "cv": ["1.5", "1e-300", "1e300", "0"],
     "kappa": ["1.0", "1e-300", "1e300", "0"],
     "X_max": ["12", "1", "0", "-1", "1e300", "1e-300"],
-    "N": ["16", "4", "3", "8.5", "0", "-1"],
+    "N": ["16", "4", "3", "8.5", "0", "-1", "10000000000000"],
     "grading": ["uniform", "1", "1.2", "1.3", "0"],
+    "profile.kind": ["gaussian_bump", "equilibrium", "table", "spline"],
     "profile.amplitudes": ["0.1,0.1,0.1", "0,0,0", "-1,0,0", "-0.999,0,0",
                            "1e308,0,0", "0,1e300,0", "0,0,1e300", "0,0,-1"],
     "profile.center": ["4.0", "0", "-1e300", "1e300"],
@@ -313,6 +322,11 @@ _PROPERTY_VALUES = {
     "probe.k": ["4", "1", "0", "12", "2.5"],
     "probe.x": ["3.0", "0", "2", "4", "-1", "1e300"],
     "superlevel.a": ["1.5", "1", "1e300", "1e-300"],
+    "case": ["smooth_bump", "equilibrium", "no_such_case"],
+}
+# keys the property test does not draw, each with the test that covers it
+_NOT_DRAWN = {
+    "profile.table": "a path to a file; test_bad_table_exits_config_code_before_solving",
 }
 _OVERRIDES = st.lists(
     st.one_of([st.tuples(st.just(k), st.sampled_from(v)) for k, v in _PROPERTY_VALUES.items()]),
@@ -321,6 +335,10 @@ _OVERRIDES = st.lists(
 
 
 class TestConfigProperty:
+    def test_every_key_drawn_or_exempt(self):
+        assert set(SCHEMA) - set(_PROPERTY_VALUES) == set(_NOT_DRAWN)
+        assert set(_PROPERTY_VALUES) <= set(SCHEMA)
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(overrides=_OVERRIDES)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -387,6 +405,44 @@ class TestSweepCommand:
         for d in dirs:
             assert os.path.exists(os.path.join(out, d, "diagnostics.csv"))
 
+    def test_list_key_fixed_beside_an_axis(self, config_file, tmp_path):
+        out = str(tmp_path / "sweep")
+        code = main([
+            "sweep", "--config", config_file, "--out", out,
+            "--set", "profile.amplitudes=0.1,0.1,0.1", "--set", "N=16,32", "--set", "t_end=0.2",
+        ])
+        assert code == EXIT_OK
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert sorted(manifest) == ["000_N=16", "001_N=32"]
+
+    def test_list_key_with_two_points_is_an_axis(self, config_file, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        code = main([
+            "sweep", "--config", config_file, "--out", out, "--set", "N=16", "--set", "t_end=0.2",
+            "--set", "profile.amplitudes=0.1,0.1,0.1,0.2,0,0",
+        ])
+        assert code == EXIT_OK
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert sorted(manifest) == [
+            "000_profile-amplitudes=0.1,0.1,0.1", "001_profile-amplitudes=0.2,0,0",
+        ]
+        assert capsys.readouterr().out.count(": exit 0") == 2
+
+    def test_value_count_not_a_multiple_of_arity_exits_config_code(
+        self, config_file, tmp_path, capsys
+    ):
+        out = str(tmp_path / "sweep")
+        code = main([
+            "sweep", "--config", config_file, "--out", out, "--set", "N=16,32",
+            "--set", "profile.amplitudes=0.1,0.1,0.1,0.2",
+        ])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_verify_fixture_passes_windows(self, tmp_path, capsys):
@@ -406,3 +462,25 @@ class TestVerifyCommand:
         cfg = tmp_path / "v.cfg"
         cfg.write_text("case=unknown_case\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", ["case=no_such_case", "gravity=1"])
+    def test_verify_set_without_config_is_applied(self, tmp_path, capsys, override):
+        out = str(tmp_path / "o")
+        assert main(["verify", "--out", out, "--set", override]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_readme_config_block_lists_every_key():
+    """The README's config block sets each documented key exactly once."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("Config files are flat", 1)[1].split("```", 2)[1]
+    keys = [
+        setting.split("=", 1)[0]
+        for line in block.splitlines()
+        for setting in line.split("#", 1)[0].split()
+    ]
+    assert sorted(keys) == sorted(SCHEMA)

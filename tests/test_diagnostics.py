@@ -276,6 +276,13 @@ class TestAnchorRoots:
         with pytest.raises(ValueError):
             anchor_roots(-0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lower_root_below_the_double_range(self):
+        """Past cbar ~ 745 the lower root underflows; it is returned as 0."""
+        a1, a2 = anchor_roots(6.3e5)
+        assert a1 == 0.0
+        assert a2 - np.log(a2) - 1 == pytest.approx(6.3e5, rel=1e-12)
+
     @given(c1=st.floats(1e-6, 10.0), c2=st.floats(1e-6, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_bound(self, c1, c2):
@@ -404,6 +411,17 @@ class TestLocalRepresentation:
             segs = _integral_linear_exp(theta[:i], theta[1 : i + 1], ell[:-1], ell[1:], dt[:i])
             reference[i] = np.exp(ln_Z[i]) + (p.R / p.beta) * np.sum(segs)
         assert np.max(np.abs(v_repr - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("ell0, ell1", [(2600.0, 0.0), (720.0, 700.0), (-3.0, 2600.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_segment_integral_at_the_ends_of_the_double_range(self, ell0, ell1):
+        """exp(-z) overflows or exp(-ell0) underflows on their own; the
+        segment integral stays finite and matches a fine trapezoid rule."""
+        h0, h1, dtau = np.array([2.0]), np.array([0.5]), np.array([0.1])
+        s = np.linspace(0.0, dtau[0], 2_000_001)
+        f = (h0 + (h1 - h0) * s / dtau) * np.exp(-(ell0 + (ell1 - ell0) * s / dtau))
+        seg = _integral_linear_exp(h0, h1, np.array([ell0]), ell1, dtau)
+        assert seg[0] == pytest.approx(np.trapezoid(f, s), rel=1e-6)
 
 
 class TestNormReport:
