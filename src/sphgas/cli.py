@@ -5,7 +5,8 @@ Exit codes (documented, distinct):
     2   config parse or validation error (the representation probe included),
         or unreadable run outputs (report)
     3   solver abort (positivity failure, or a step too small to reach t_end)
-    4   invariant-ledger failure (run or report)
+    4   invariant-ledger failure (run or report), or stored diagnostics that
+        the snapshots do not reproduce, in value or in shape (report)
     5   convergence-order window failure (verify)
 """
 
@@ -163,6 +164,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     axes = []
     fixed = []
     for item in args.set:
@@ -186,7 +189,10 @@ def _cmd_sweep(args) -> int:
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     worst = EXIT_OK
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    # the fork start method starts every worker at the first submit, so the
+    # pool is no larger than the points and the CPUs can use
+    workers = min(args.jobs, len(argvs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for name, code in zip(manifest, pool.map(main, argvs) if pool else map(main, argvs)):
             print(f"point {name}: exit {code}")
             worst = max(worst, code)
@@ -209,18 +215,24 @@ def _cmd_report(args) -> int:
         print(f"unreadable run output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    max_dev = float("nan")
+    max_dev = None  # stays None when no deviation can be measured
+    reproduced = True
     if stored is not None:
-        if stored.data.shape == series.data.shape:
+        if stored.data.shape != series.data.shape:
+            reproduced = False
+            print(f"reproduction failed: stored diagnostics have shape {stored.data.shape}, "
+                  f"the snapshots give {series.data.shape}; the shapes differ")
+        else:
             with np.errstate(invalid="ignore"):
                 dev = np.abs(stored.data - series.data)
             dev[np.isnan(stored.data) & np.isnan(series.data)] = 0.0
             max_dev = float(np.max(dev))
-        print(f"reproduction max deviation vs stored diagnostics: {max_dev!r}")
+            reproduced = max_dev == 0.0
+            print(f"reproduction max deviation vs stored diagnostics: {max_dev!r}")
 
     e0 = float(series["E"][0])
     checks = _check_invariants(series, config, e0)
-    checks["diagnostics_reproduced"] = bool(max_dev == 0.0) if not np.isnan(max_dev) else True
+    checks["diagnostics_reproduced"] = reproduced
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
@@ -249,7 +261,9 @@ def main(argv=None) -> int:
             "given m*k comma-separated values is an axis of m points)",
         )
         if verb == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel sweep points (at least 1; the pool is capped "
+                           "at the point count and the CPU count)")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

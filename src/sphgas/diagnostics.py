@@ -417,7 +417,6 @@ def _report(state, params: PhysParams, prev=None) -> dict:
     h = g.cell_widths
     v, th = state.v, state.theta
     gr, u2, w_centers, w_edges = _derived(state, params)
-    rpow = gr.r_centers ** (params.n - 1)
 
     def integral(f, weights=h):
         return (f * weights).sum(axis=-1)
@@ -432,9 +431,9 @@ def _report(state, params: PhysParams, prev=None) -> dict:
         "l2_v": np.sqrt(integral((v - 1.0) ** 2)),
         "l2_u": np.sqrt(integral(u2)),
         "l2_theta": np.sqrt(integral((th - 1.0) ** 2)),
-        "l2_rvx": np.sqrt(integral((rpow * gr.v_x) ** 2)),
+        "l2_rvx": np.sqrt(integral((gr.r_pow * gr.v_x) ** 2)),
         "l2_rux": np.sqrt(integral(gr.r_pow_ux**2)),
-        "l2_rthx": np.sqrt(integral((rpow * gr.theta_x) ** 2)),
+        "l2_rthx": np.sqrt(integral((gr.r_pow * gr.theta_x) ** 2)),
         "sup_v": np.abs(v - 1.0).max(axis=-1),
         "sup_u": np.abs(state.u).max(axis=-1),
         "sup_theta": np.abs(th - 1.0).max(axis=-1),

@@ -49,23 +49,17 @@ class _Window:
     b: float
     w: float
 
-    def value(self, x):
-        return 0.5 * (np.tanh((x - self.a) / self.w) - np.tanh((x - self.b) / self.w))
-
-    def dx(self, x):
+    def __call__(self, x):
+        """(psi, psi_x, psi_xx, int_0^x psi) at the points x."""
         za, zb = (x - self.a) / self.w, (x - self.b) / self.w
-        return 0.5 * (1.0 / np.cosh(za) ** 2 - 1.0 / np.cosh(zb) ** 2) / self.w
-
-    def dxx(self, x):
-        za, zb = (x - self.a) / self.w, (x - self.b) / self.w
+        ta, tb = np.tanh(za), np.tanh(zb)
         sa, sb = 1.0 / np.cosh(za) ** 2, 1.0 / np.cosh(zb) ** 2
-        return (np.tanh(zb) * sb - np.tanh(za) * sa) / self.w**2
-
-    def antideriv(self, x):
-        za, zb = (x - self.a) / self.w, (x - self.b) / self.w
         z0a, z0b = -self.a / self.w, -self.b / self.w
-        return 0.5 * self.w * (
-            (_logcosh(za) - _logcosh(zb)) - (_logcosh(z0a) - _logcosh(z0b))
+        return (
+            0.5 * (ta - tb),
+            0.5 * (sa - sb) / self.w,
+            (tb * sb - ta * sa) / self.w**2,
+            0.5 * self.w * ((_logcosh(za) - _logcosh(zb)) - (_logcosh(z0a) - _logcosh(z0b))),
         )
 
 
@@ -102,7 +96,7 @@ class ManufacturedCase:
     # -- exact fields -------------------------------------------------------
 
     def fields(self, x, t):
-        s = self._shape.value(x)
+        s = self._shape(x)[0]
         return (
             1.0 + self.amp_v * np.cos(self.freq_v * t) * s,
             self.amp_u * np.cos(self.freq_u * t) * s,
@@ -116,10 +110,10 @@ class ManufacturedCase:
 
     # -- analytic derivative bundle -----------------------------------------
 
-    def _bundle(self, x, t, n):
-        """All pointwise quantities entering the sources at (x, t)."""
-        sh = self._shape
-        s, sx, sxx, S = sh.value(x), sh.dx(x), sh.dxx(x), sh.antideriv(x)
+    def _bundle(self, x, window, t, n):
+        """All pointwise quantities entering the sources at (x, t), from the
+        window ``self._shape(x)``."""
+        s, sx, sxx, S = window
         cv_, cu, ct = np.cos(self.freq_v * t), np.cos(self.freq_u * t), np.cos(self.freq_theta * t)
         sv, su, st = np.sin(self.freq_v * t), np.sin(self.freq_u * t), np.sin(self.freq_theta * t)
 
@@ -146,53 +140,63 @@ class ManufacturedCase:
     def exact_stress(self, x, t, params: PhysParams):
         """The reduced normal stress of the exact fields at (x, t)."""
         n = params.n
-        v, v_x, _, u, u_x, _, _, th, _, _, _, r = self._bundle(np.asarray(x, float), t, n)
+        x = np.asarray(x, float)
+        v, v_x, _, u, u_x, _, _, th, _, _, _, r = self._bundle(x, self._shape(x), t, n)
         A = r ** (n - 1) * u_x + (n - 1) * v * u / r
         return (params.beta * A - params.R * th) / v
 
-    def source_fn(self, params: PhysParams):
-        """Solver hook: (x_centers, x_edges, t) -> (S_v, S_u, S_theta)."""
+    def source_fn(self, params: PhysParams, grid):
+        """Solver hook on ``grid``: t -> (S_v at centers, S_u at edges,
+        S_theta at centers).  The window is evaluated here, once."""
+        m = grid.cell_centers.size
+        x = np.concatenate((grid.cell_centers, grid.x_edges))
+        window = self._shape(x)
 
-        def hook(xc, xe, t):
-            s_v, s_u, s_t = manufactured_source(self, params, np.concatenate((xc, xe)), t)
-            m = len(xc)
+        def hook(t):
+            s_v, s_u, s_t = manufactured_source(self, params, x, t, window)
             return s_v[:m], s_u[m:], s_t[:m]
 
         return hook
 
 
-def manufactured_source(case: ManufacturedCase, params: PhysParams, x, t):
+def manufactured_source(case: ManufacturedCase, params: PhysParams, x, t, window=None):
     """Defect of the exact fields in the reduced system at points ``x``.
 
     S_v = v_t - (r^(n-1)u)_x,
     S_u = u_t - r^(n-1) sigma_x,
     S_theta = cv theta_t - kappa (r^(2(n-1)) theta_x / v)_x
               - (r^(n-1)u)_x sigma + 2 mu (n-1) (r^(n-2) u^2)_x.
+
+    ``window`` is ``case._shape(x)``, which does not depend on t; it is
+    evaluated here when not given.
     """
     n, beta, R = params.n, params.beta, params.R
     x = np.asarray(x, dtype=float)
-    v, v_x, v_t, u, u_x, u_xx, u_t, th, th_x, th_xx, th_t, r = case._bundle(x, t, n)
+    if window is None:
+        window = case._shape(x)
+    v, v_x, v_t, u, u_x, u_xx, u_t, th, th_x, th_xx, th_t, r = case._bundle(x, window, t, n)
 
-    rp = r ** (n - 1)
+    rp, r_n2, r_2n2, v2 = r ** (n - 1), r ** (n - 2), r ** (2 * (n - 1)), v**2
     # A = (r^(n-1) u)_x and its x-derivative, using r_x = v r^(1-n)
     A = rp * u_x + (n - 1) * v * u / r
     A_x = (
         (n - 1) * v * u_x / r
         + rp * u_xx
         + (n - 1) * (v_x * u + v * u_x) / r
-        - (n - 1) * v**2 * u / r ** (n + 1)
+        - (n - 1) * v2 * u / r ** (n + 1)
     )
-    sigma = (beta * A - R * th) / v
-    sigma_x = (beta * A_x - R * th_x) / v - (beta * A - R * th) * v_x / v**2
+    stress = beta * A - R * th  # sigma * v
+    sigma = stress / v
+    sigma_x = (beta * A_x - R * th_x) / v - stress * v_x / v2
 
     # conduction flux divergence (r^(2(n-1)) theta_x / v)_x
     flux_x = (
-        2.0 * (n - 1) * r ** (n - 2) * th_x
-        + r ** (2 * (n - 1)) * th_xx / v
-        - r ** (2 * (n - 1)) * th_x * v_x / v**2
+        2.0 * (n - 1) * r_n2 * th_x
+        + r_2n2 * th_xx / v
+        - r_2n2 * th_x * v_x / v2
     )
 
-    ru2_x = (n - 2) * v * u**2 / r**2 + 2.0 * r ** (n - 2) * u * u_x
+    ru2_x = (n - 2) * v * u**2 / r**2 + 2.0 * r_n2 * u * u_x
 
     s_v = v_t - A
     s_u = u_t - rp * sigma_x
@@ -210,7 +214,7 @@ def solve_case(case: ManufacturedCase, params: PhysParams, n_cells: int, dt: flo
     grid = build_mass_grid(case.x_max, n_cells, "uniform")
     state = case.exact_state(grid, params, 0.0)
     config = RunConfig(t_end=t_end, scheme_order=scheme_order)
-    for state, _ in _march(state, params, config, dt=dt, sources=case.source_fn(params)):
+    for state, _ in _march(state, params, config, dt=dt, sources=case.source_fn(params, grid)):
         pass
     exact = case.exact_state(grid, params, state.t)
     return state, exact, _max_errors(state, exact)

@@ -258,7 +258,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     w = edge_weight(state)
     s_v = s_u = s_t = None
     if sources is not None:
-        s_v, s_u, s_t = sources(g.cell_centers, g.x_edges, state.t)
+        s_v, s_u, s_t = sources(state.t)
 
     u_new, res_u = _velocity_solve(state, params, dt, w, state.v, state.theta, s_u=s_u)
     G_new = _diff(w * u_new) / g.cell_widths
@@ -289,7 +289,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
 
     s_v = s_u = s_t = None
     if sources is not None:
-        s_v, s_u, s_t = sources(g.cell_centers, g.x_edges, half.t)
+        s_v, s_u, s_t = sources(half.t)
 
     w_h = edge_weight(half)
     u_new, res_u = _velocity_solve(
@@ -315,7 +315,11 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
 
 def step(state: FlowState, params: PhysParams, dt: float,
          config: RunConfig = RunConfig(), sources=None) -> tuple[FlowState, StepReport]:
-    """Advance one time step, rejecting and halving dt on floor violations."""
+    """Advance one time step, rejecting and halving dt on floor violations.
+
+    ``sources``, when given, maps t to (S_v at centers, S_u at edges,
+    S_theta at centers) on the state's grid.
+    """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     substep = _substep_imex if config.scheme_order == 1 else _substep_midpoint

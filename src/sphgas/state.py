@@ -207,6 +207,7 @@ class Gradients:
     ``geom_vu`` are the two terms of the identity
     (r^(n-1)u)_x = r^(n-1) u_x + (n-1) v u / r, and ``div_ru2`` is the
     staggered derivative of r^(n-2) u^2 feeding the heat equation.
+    ``r_centers`` is r at the centers and ``r_pow`` is r^(n-1) there.
     """
 
     v_x: np.ndarray
@@ -217,6 +218,7 @@ class Gradients:
     geom_vu: np.ndarray
     div_ru2: np.ndarray
     r_centers: np.ndarray
+    r_pow: np.ndarray
 
 
 def _center_gradient(xc: np.ndarray, f: np.ndarray, mirror_left: bool = False) -> np.ndarray:
@@ -241,6 +243,7 @@ def discrete_gradients(state: FlowState) -> Gradients:
     n = state.n
     u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
     r_c = radius_at_centers(g, state.v, n)
+    r_pow = r_c ** (n - 1)
     u_x = _diff(state.u) / h
     ru2 = state.r ** (n - 2) * state.u**2
     return Gradients(
@@ -248,10 +251,11 @@ def discrete_gradients(state: FlowState) -> Gradients:
         u_x=u_x,
         theta_x=_center_gradient(xc, state.theta, mirror_left=True),
         div_ru=div_ru(state),
-        r_pow_ux=r_c ** (n - 1) * u_x,
+        r_pow_ux=r_pow * u_x,
         geom_vu=(n - 1) * state.v * u_c / r_c,
         div_ru2=_diff(ru2) / h,
         r_centers=r_c,
+        r_pow=r_pow,
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
+from sphgas import cli
 from sphgas.cli import (
     EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _check_invariants, main,
 )
@@ -69,6 +70,20 @@ def _snapshot_from_other_grid(snap_dir):
     params = PhysParams()
     state = make_initial_data(build_mass_grid(12.0, 20), InitProfile(), params)
     save_snapshot(state, params, os.path.join(snap_dir, "snap_000001.csv"))
+
+
+def _drop_last_diagnostics_row(out):
+    path = os.path.join(out, "diagnostics.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:-1])
+
+
+def _delete_middle_snapshot(out):
+    snap_dir = os.path.join(out, "snapshots")
+    names = sorted(os.listdir(snap_dir))
+    os.remove(os.path.join(snap_dir, names[len(names) // 2]))
 
 
 class TestConfigParsing:
@@ -388,6 +403,45 @@ class TestReportCommand:
         assert expect in err
         assert not os.path.exists(os.path.join(out, "report.json"))
 
+    @pytest.mark.parametrize("spoil", [_drop_last_diagnostics_row, _delete_middle_snapshot],
+                             ids=["short_diagnostics", "missing_snapshot"])
+    def test_report_fails_when_series_shapes_differ(self, config_file, tmp_path, capsys, spoil):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
+        spoil(out)
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_INVARIANT
+        captured = capsys.readouterr().out
+        assert "the shapes differ" in captured
+        assert "FAIL diagnostics_reproduced" in captured
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        assert report["reproduction_max_dev"] is None
+        assert report["invariants"]["diagnostics_reproduced"] is False
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts an in-process stand-in for sweep's ProcessPoolExecutor in place;
+    returns the list of pool sizes that sweep asks for."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return sizes
+
 
 class TestSweepCommand:
     def test_two_point_sweep_parallel(self, config_file, tmp_path):
@@ -404,6 +458,39 @@ class TestSweepCommand:
         assert len(dirs) == 2
         for d in dirs:
             assert os.path.exists(os.path.join(out, d, "diagnostics.csv"))
+
+    @pytest.mark.parametrize("jobs, points, cpus, size", [
+        (64, 2, 3, 2),  # capped at the point count
+        (64, 4, 3, 3),  # capped at the CPU count
+        (2, 4, 3, 2),
+        (8, 4, 1, None),  # one CPU: no pool, the points run in this process
+        (1, 4, 3, None),
+    ])
+    def test_pool_is_no_larger_than_points_and_cpus(
+        self, config_file, tmp_path, monkeypatch, pool_sizes, jobs, points, cpus, size
+    ):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = str(tmp_path / "sweep")
+        n_values = ",".join(str(16 + 4 * i) for i in range(points))
+        code = main([
+            "sweep", "--config", config_file, "--out", out, "--jobs", str(jobs),
+            "--set", f"N={n_values}", "--set", "t_end=0.1",
+        ])
+        assert code == EXIT_OK
+        assert pool_sizes == ([] if size is None else [size])
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert len(json.load(fh)) == points
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_config_code(self, config_file, tmp_path, capsys, pool_sizes, jobs):
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "--config", config_file, "--out", out, "--jobs", jobs,
+                     "--set", "N=16,32"])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert pool_sizes == []
+        err = capsys.readouterr().err
+        assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
 
     def test_list_key_fixed_beside_an_axis(self, config_file, tmp_path):
         out = str(tmp_path / "sweep")

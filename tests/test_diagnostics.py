@@ -168,7 +168,7 @@ class TestEnergyBalance:
             g = build_mass_grid(case.x_max, n_cells)
             state = case.exact_state(g, params, 0.0)
             cfg = RunConfig(x_max=case.x_max, n_cells=n_cells, t_end=0.2, cadence=1.0)
-            hook = case.source_fn(params)
+            hook = case.source_fn(params, g)
             states = [state] + [s for s, _ in _march(state, params, cfg, dt=dt, sources=hook)]
             resid = energy_balance_residual(states, params)
 

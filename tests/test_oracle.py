@@ -45,17 +45,57 @@ class TestCaseDefinition:
 
     def test_antiderivative_consistent(self, case):
         """The coded antiderivative of the window matches dense quadrature."""
-        sh = case._shape
         x = np.linspace(0.0, case.x_max, 200001)
+        value, _, _, antideriv = case._shape(x)
         dense = np.concatenate(([0.0], np.cumsum(
-            0.5 * (sh.value(x[1:]) + sh.value(x[:-1])) * np.diff(x)
+            0.5 * (value[1:] + value[:-1]) * np.diff(x)
         )))
         probe = np.array([2.0, 4.5, 5.0, 7.0, 10.0])
         idx = np.searchsorted(x, probe)
-        assert np.allclose(sh.antideriv(x[idx]), dense[idx], atol=1e-10)
+        assert np.allclose(antideriv[idx], dense[idx], atol=1e-10)
+
+
+class TestWindow:
+    def test_evaluator_matches_written_out_formulas(self, case):
+        """The one evaluator gives the window terms bit for bit as each is
+        written out on its own."""
+        a, b, w = case.window_lo, case.window_hi, case.width
+
+        def logcosh(z):
+            z = np.abs(z)
+            return z + np.log1p(np.exp(-2.0 * z)) - np.log(2.0)
+
+        x = np.concatenate((np.linspace(0.0, case.x_max, 1001), [4.0, 5.0, 6.0]))
+        za, zb = (x - a) / w, (x - b) / w
+        value, dx, dxx, antideriv = case._shape(x)
+        assert np.array_equal(value, 0.5 * (np.tanh((x - a) / w) - np.tanh((x - b) / w)))
+        assert np.array_equal(dx, 0.5 * (1.0 / np.cosh(za) ** 2 - 1.0 / np.cosh(zb) ** 2) / w)
+        assert np.array_equal(
+            dxx, (np.tanh(zb) * (1.0 / np.cosh(zb) ** 2) - np.tanh(za) * (1.0 / np.cosh(za) ** 2)) / w**2
+        )
+        assert np.array_equal(
+            antideriv,
+            0.5 * w * ((logcosh(za) - logcosh(zb)) - (logcosh(-a / w) - logcosh(-b / w))),
+        )
 
 
 class TestManufacturedSource:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grid_bound_hook_equals_fresh_source(self, case, n):
+        """The hook's once-per-grid window changes no bit of the sources, at
+        t = 0, a generic t and a midpoint half-step t."""
+        p = PhysParams(n=n)
+        g = build_mass_grid(case.x_max, 177)
+        hook = case.source_fn(p, g)
+        t, dt = 0.37, 1.6e-3
+        for tt in (0.0, t, t + 0.5 * dt):
+            s_v, s_u, s_t = hook(tt)
+            at_centers = manufactured_source(case, p, g.cell_centers, tt)
+            at_edges = manufactured_source(case, p, g.x_edges, tt)
+            assert np.array_equal(s_v, at_centers[0])
+            assert np.array_equal(s_u, at_edges[1])
+            assert np.array_equal(s_t, at_centers[2])
+
     def test_equilibrium_case_sources_vanish(self, params):
         eq = FIXTURE_CASES["equilibrium"]
         x = np.linspace(0, eq.x_max, 301)
@@ -74,11 +114,11 @@ class TestManufacturedSource:
         assert np.max(np.abs(sv)) == 0.0
         assert np.max(np.abs(st)) < 1e-13
 
-        sh = case._shape
-        v = 1.0 + case.amp_v * sh.value(x)
-        v_x = case.amp_v * sh.dx(x)
+        value, dx, _, antideriv = case._shape(x)
+        v = 1.0 + case.amp_v * value
+        v_x = case.amp_v * dx
         n = params.n
-        r = (1.0 + n * (x + case.amp_v * sh.antideriv(x))) ** (1.0 / n)
+        r = (1.0 + n * (x + case.amp_v * antideriv)) ** (1.0 / n)
         expect = -r ** (n - 1) * params.R * v_x / v**2  # = -r^{n-1} sigma_x
         assert np.allclose(su, expect, rtol=1e-12, atol=1e-14)
 

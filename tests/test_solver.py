@@ -273,8 +273,8 @@ class TestSourcedStep:
         st = smooth_test_state(g, params.n)
         cfg = RunConfig(t_end=1.0)
 
-        def zeros(xc, xe, t):
-            return np.zeros(xc.size), np.zeros(xe.size), np.zeros(xc.size)
+        def zeros(t):
+            return np.zeros(g.n_cells), np.zeros(g.n_cells + 1), np.zeros(g.n_cells)
 
         plain, _ = step(st, params, 1e-3, cfg)
         sourced, _ = step(st, params, 1e-3, cfg, sources=zeros)
