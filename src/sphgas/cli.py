@@ -3,11 +3,17 @@
 Exit codes (documented, distinct):
     0   success
     2   config parse or validation error (the representation probe included),
-        or unreadable run outputs (report)
+        a bad command line, an output path that cannot be written, or
+        unreadable run outputs (report; a missing diagnostics.csv included)
     3   solver abort (positivity failure, or a step too small to reach t_end)
     4   invariant-ledger failure (run or report), or stored diagnostics that
         the snapshots do not reproduce, in value or in shape (report)
     5   convergence-order window failure (verify)
+    141 stdout closed before every line was written, the code a shell gives
+        a writer killed by SIGPIPE; each verb writes its files before its
+        first stdout line, so only text is lost
+
+:func:`main` alone maps a failure to its one stderr line and exit code.
 """
 
 from __future__ import annotations
@@ -37,9 +43,14 @@ EXIT_CONFIG = 2
 EXIT_ABORT = 3
 EXIT_INVARIANT = 4
 EXIT_ORDER = 5
+EXIT_PIPE = 141
 
 SPATIAL_WINDOW = (1.8, 2.2)
 TEMPORAL_WINDOW = (0.9, 1.1)
+
+
+class UnreadableOutput(Exception):
+    """Run outputs that ``report`` cannot read."""
 
 
 def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
@@ -108,17 +119,19 @@ def _write_run_outputs(out_dir, raw, result, params, config) -> dict:
 def _cmd_run(args) -> int:
     raw = load_config(args.config, args.set)
     config, params, _ = resolve(raw)
-    try:
-        result = run(config, params)
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+    result = run(config, params)
     checks = _write_run_outputs(args.out, raw, result, params, config)
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if not all(checks.values()):
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
+
+
+def _order_ok(report, field: str, window) -> bool:
+    """A field passes at the rounding floor, or with errors falling
+    monotonically at an order inside ``window``."""
+    return bool(report.at_floor[field] or (
+        report.monotone[field] and window[0] <= report.orders[field] <= window[1]
+    ))
 
 
 def _cmd_verify(args) -> int:
@@ -130,27 +143,16 @@ def _cmd_verify(args) -> int:
         case, params, [0.0032, 0.0016, 0.0008], t_end=0.25, mode="temporal",
         n_cells_fixed=512,
     )
+    verdict = {
+        field: {"spatial": _order_ok(spatial, field, SPATIAL_WINDOW),
+                "temporal": _order_ok(temporal, field, TEMPORAL_WINDOW)}
+        for field in ("v", "u", "theta")
+    }
+    ok = all(all(modes.values()) for modes in verdict.values())
     os.makedirs(args.out, exist_ok=True)
     table = spatial.format_table() + "\n\n" + temporal.format_table() + "\n"
     with open(os.path.join(args.out, "orders.txt"), "w") as fh:
         fh.write(table)
-    print(table)
-
-    ok = True
-    verdict = {}
-    for field in ("v", "u", "theta"):
-        s_ok = (
-            spatial.at_floor[field]
-            or (spatial.monotone[field] and SPATIAL_WINDOW[0] <= spatial.orders[field] <= SPATIAL_WINDOW[1])
-        )
-        t_ok = (
-            temporal.at_floor[field]
-            or (temporal.monotone[field] and TEMPORAL_WINDOW[0] <= temporal.orders[field] <= TEMPORAL_WINDOW[1])
-        )
-        verdict[field] = {"spatial": bool(s_ok), "temporal": bool(t_ok)}
-        ok = ok and s_ok and t_ok
-        print(f"{'PASS' if s_ok else 'FAIL'} spatial order {field}")
-        print(f"{'PASS' if t_ok else 'FAIL'} temporal order {field}")
     with open(os.path.join(args.out, "orders.json"), "w") as fh:
         json.dump(
             {
@@ -160,6 +162,10 @@ def _cmd_verify(args) -> int:
             },
             fh, indent=2, sort_keys=True,
         )
+    print(table)
+    for field, passed in verdict.items():
+        for mode in ("spatial", "temporal"):
+            print(f"{'PASS' if passed[mode] else 'FAIL'} {mode} order {field}")
     return EXIT_OK if ok else EXIT_ORDER
 
 
@@ -201,42 +207,36 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = args.out
-    config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved"), args.set))
+    config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
     snap_dir = os.path.join(run_dir, "snapshots")
-    stored_path = os.path.join(run_dir, "diagnostics.csv")
     try:
         names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
         states = [load_snapshot(os.path.join(snap_dir, name))[0] for name in names]
-        stored = DiagnosticsSeries.from_csv(stored_path) if os.path.exists(stored_path) else None
+        stored = DiagnosticsSeries.from_csv(os.path.join(run_dir, "diagnostics.csv"))
         if not states:
             raise ValueError(f"no snapshots in {snap_dir}")
         series = evaluate_series(states, params, config)  # mixed grids raise ValueError
     except (OSError, ValueError) as exc:
-        print(f"unreadable run output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UnreadableOutput(exc) from exc
 
-    max_dev = None  # stays None when no deviation can be measured
-    reproduced = True
-    if stored is not None:
-        if stored.data.shape != series.data.shape:
-            reproduced = False
-            print(f"reproduction failed: stored diagnostics have shape {stored.data.shape}, "
-                  f"the snapshots give {series.data.shape}; the shapes differ")
-        else:
-            with np.errstate(invalid="ignore"):
-                dev = np.abs(stored.data - series.data)
-            dev[np.isnan(stored.data) & np.isnan(series.data)] = 0.0
-            max_dev = float(np.max(dev))
-            reproduced = max_dev == 0.0
-            print(f"reproduction max deviation vs stored diagnostics: {max_dev!r}")
+    max_dev = None  # stays None when the shapes differ
+    if stored.data.shape != series.data.shape:
+        lines = [f"reproduction failed: stored diagnostics have shape {stored.data.shape}, "
+                 f"the snapshots give {series.data.shape}; the shapes differ"]
+    else:
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(stored.data - series.data)
+        dev[np.isnan(stored.data) & np.isnan(series.data)] = 0.0
+        max_dev = float(np.max(dev))
+        lines = [f"reproduction max deviation vs stored diagnostics: {max_dev!r}"]
 
     e0 = float(series["E"][0])
     checks = _check_invariants(series, config, e0)
-    checks["diagnostics_reproduced"] = reproduced
-    for name, ok in checks.items():
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
+    checks["diagnostics_reproduced"] = max_dev == 0.0
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump({"invariants": checks, "reproduction_max_dev": max_dev}, fh, indent=2, sort_keys=True)
+    for line in lines + [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks.items()]:
+        print(line)
     return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
 
 
@@ -253,13 +253,14 @@ def main(argv=None) -> int:
         ("report", _cmd_report),
     ):
         p = sub.add_parser(verb)
-        p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="override a config key (repeatable; in sweep, a key of k values "
-            "given m*k comma-separated values is an axis of m points)",
-        )
+        if verb != "report":
+            p.add_argument("--config", required=verb != "verify", help="flat key=value config file")
+            p.add_argument(
+                "--set", action="append", default=[], metavar="KEY=VALUE",
+                help="override a config key (repeatable; in sweep, a key of k values "
+                "given m*k comma-separated values is an axis of m points)",
+            )
         if verb == "sweep":
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel sweep points (at least 1; the pool is capped "
@@ -267,12 +268,25 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        if args.verb in ("run", "sweep") and args.config is None:
-            raise ConfigError("--config is required")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the lines still buffered go nowhere, not to a second failed flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        failure, code = f"config error: {exc}", EXIT_CONFIG
+    except UnreadableOutput as exc:
+        failure, code = f"unreadable run output: {exc}", EXIT_CONFIG
+    except SolverAbort as exc:
+        failure, code = f"solver abort: {exc}", EXIT_ABORT
+    except OSError as exc:  # an output path that cannot be written
+        failure, code = f"cannot write output: {exc}", EXIT_CONFIG
+    print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

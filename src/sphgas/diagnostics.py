@@ -302,9 +302,7 @@ def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
 
 def _trapz_tail(x_nodes, f_nodes, lo):
     """Trapezoid integral of the piecewise-linear interpolant from lo to the
-    last node."""
-    if lo <= x_nodes[0]:
-        return float(np.trapezoid(f_nodes, x_nodes))
+    last node; x_nodes[0] < lo."""
     idx = int(np.searchsorted(x_nodes, lo, side="right"))
     f_lo = float(np.interp(lo, x_nodes, f_nodes))
     xs = np.concatenate(([lo], x_nodes[idx:]))

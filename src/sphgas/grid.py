@@ -138,7 +138,6 @@ def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform"
             raise ValueError(f"geometric ratio must lie in [1, 1.2], got {ratio}")
     if ratio == 1.0:
         edges = np.linspace(0.0, x_max, n_cells + 1)
-        edges[0] = 0.0
     else:
         widths = ratio ** np.arange(n_cells)
         widths *= x_max / widths.sum()

@@ -133,10 +133,6 @@ class ManufacturedCase:
         r = (1.0 + n * integral_v) ** (1.0 / n)
         return v, v_x, v_t, u, u_x, u_xx, u_t, th, th_x, th_xx, th_t, r
 
-    def sources(self, x, t, params: PhysParams):
-        """(S_v, S_u, S_theta) at the points x and time t."""
-        return manufactured_source(self, params, x, t)
-
     def exact_stress(self, x, t, params: PhysParams):
         """The reduced normal stress of the exact fields at (x, t)."""
         n = params.n

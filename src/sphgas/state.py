@@ -87,16 +87,6 @@ class FlowState:
         state.__dict__.update(grid=grid, t=float(t), v=v, u=u, theta=theta, n=n, r=r)
         return state
 
-    def with_fields(self, t=None, v=None, u=None, theta=None) -> "FlowState":
-        return FlowState(
-            grid=self.grid,
-            t=self.t if t is None else float(t),
-            v=self.v if v is None else v,
-            u=self.u if u is None else u,
-            theta=self.theta if theta is None else theta,
-            n=self.n,
-        )
-
 
 @dataclass(frozen=True)
 class InitProfile:
@@ -149,7 +139,8 @@ def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
 def make_initial_data(grid: MassGrid, profile: InitProfile, params: PhysParams) -> FlowState:
     """Initial FlowState at t = 0 satisfying boundary and far-field values.
 
-    Rejects amplitudes that drive v or theta to zero or below.
+    InitProfile admits only profiles that keep v and theta positive, and
+    the FlowState constructor checks that again.
     """
     xc, xe = grid.cell_centers, grid.x_edges
     if profile.kind == "equilibrium":
@@ -171,10 +162,6 @@ def make_initial_data(grid: MassGrid, profile: InitProfile, params: PhysParams) 
     u[-1] = 0.0
     v[-1] = 1.0
     theta[-1] = 1.0
-    if np.min(v) <= 0:
-        raise ValueError(f"profile drives min(v) = {np.min(v)} <= 0")
-    if np.min(theta) <= 0:
-        raise ValueError(f"profile drives min(theta) = {np.min(theta)} <= 0")
     return FlowState(grid=grid, t=0.0, v=v, u=u, theta=theta, n=params.n)
 
 

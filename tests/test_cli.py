@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
 from sphgas import cli
 from sphgas.cli import (
-    EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, _check_invariants, main,
+    EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, _check_invariants, main,
 )
 from sphgas.config import SCHEMA, ConfigError, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
@@ -70,6 +72,10 @@ def _snapshot_from_other_grid(snap_dir):
     params = PhysParams()
     state = make_initial_data(build_mass_grid(12.0, 20), InitProfile(), params)
     save_snapshot(state, params, os.path.join(snap_dir, "snap_000001.csv"))
+
+
+def _delete_diagnostics(snap_dir):
+    os.remove(os.path.join(os.path.dirname(snap_dir), "diagnostics.csv"))
 
 
 def _drop_last_diagnostics_row(out):
@@ -389,7 +395,8 @@ class TestReportCommand:
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
         (_empty_snapshot_dir, "no snapshots"),
         (_snapshot_from_other_grid, "samples on different grids"),
-    ], ids=["truncated", "non_numeric", "empty_dir", "mixed_grids"])
+        (_delete_diagnostics, "diagnostics.csv"),
+    ], ids=["truncated", "non_numeric", "empty_dir", "mixed_grids", "missing_diagnostics"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):
@@ -418,6 +425,23 @@ class TestReportCommand:
             report = json.load(fh)
         assert report["reproduction_max_dev"] is None
         assert report["invariants"]["diagnostics_reproduced"] is False
+
+    def test_closed_stdout_exits_pipe_code_after_writing_report(self, config_file, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sphgas.cli", "report", "--out", out],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        err = proc.stderr.read()
+        assert proc.wait() == EXIT_PIPE
+        assert err == ""
+        with open(os.path.join(out, "report.json")) as fh:
+            assert all(json.load(fh)["invariants"].values())
 
 
 @pytest.fixture
@@ -557,6 +581,40 @@ class TestVerifyCommand:
         assert not os.path.exists(out)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+class TestErrorBoundary:
+    def test_verify_positivity_failure_exits_abort_code(self, tmp_path, capsys):
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--out", out, "--set", "n=40"]) == EXIT_ABORT
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("solver abort: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["run", "verify", "sweep"])
+    def test_unwritable_out_exits_config_code(self, config_file, tmp_path, capsys, verb):
+        out = tmp_path / "a_file"
+        out.write_text("")
+        argv = [verb, "--out", str(out)]
+        if verb != "verify":
+            argv += ["--config", config_file, "--set", "N=16"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--out", "o", "--config", "run.cfg"],
+        ["report", "--out", "o", "--set", "t_end=5"],
+        ["run", "--out", "o"],
+        ["sweep", "--out", "o", "--set", "N=16,32"],
+    ], ids=["report_config", "report_set", "run_no_config", "sweep_no_config"])
+    def test_bad_command_line_exits_through_argparse(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert os.listdir(tmp_path) == []
 
 
 def test_readme_config_block_lists_every_key():

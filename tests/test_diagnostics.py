@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -104,7 +104,7 @@ class TestDissipationRate:
 
     def test_pure_temperature_gradient(self, grid, params):
         st = smooth_test_state(grid, params.n)
-        st = st.with_fields(u=np.zeros(grid.n_cells + 1))
+        st = replace(st, u=np.zeros(grid.n_cells + 1))
         d = dissipation_rate(st, params)
         assert d[0] == 0.0 and d[1] == 0.0 and d[2] == 0.0
         assert d[3] > 0.0
@@ -126,14 +126,14 @@ class TestDissipationRate:
         for n_cells in (100, 1000):
             g = build_mass_grid(10.0, n_cells)
             st = smooth_test_state(g, 2)
-            st = st.with_fields(u=np.zeros(n_cells + 1))
+            st = replace(st, u=np.zeros(n_cells + 1))
             vals.append(dissipation_rate(st, params)[3])
         assert vals[0] == pytest.approx(vals[1], rel=2e-3)
 
 
 class TestEnergyBalance:
     def test_equilibrium_residual_zero(self, params):
-        states = [equilibrium().with_fields(t=t) for t in (0.0, 0.5, 1.0)]
+        states = [replace(equilibrium(), t=t) for t in (0.0, 0.5, 1.0)]
         assert energy_balance_residual(states, params) == 0.0
 
     def test_matches_series_column_exactly(self, bump_run):
@@ -159,7 +159,7 @@ class TestEnergyBalance:
     def test_sourced_run_balances_against_source_work(self, params):
         """With manufactured sources the defect equals the source work pumped
         through the energy multipliers, up to discretization error."""
-        from sphgas.oracle import ManufacturedCase
+        from sphgas.oracle import ManufacturedCase, manufactured_source
         from sphgas.solver import _march
 
         case = ManufacturedCase()
@@ -174,8 +174,8 @@ class TestEnergyBalance:
 
             work = []
             for s in states:
-                sv, _, stheta = case.sources(g.cell_centers, s.t, params)
-                _, su, _ = case.sources(g.x_edges, s.t, params)
+                sv, _, stheta = manufactured_source(case, params, g.cell_centers, s.t)
+                _, su, _ = manufactured_source(case, params, g.x_edges, s.t)
                 su_c = 0.5 * (su[:-1] * s.u[:-1] + su[1:] * s.u[1:])
                 w = (params.R * (1 - 1 / s.v) * sv + su_c + (1 - 1 / s.theta) * stheta)
                 work.append(np.sum(w * g.cell_widths))
@@ -449,17 +449,17 @@ class TestNormReport:
         a constant leaves it unchanged (exactly for binary scalings)."""
         st = smooth_test_state(grid, params.n)
         f0 = norm_report(st, params)["f_thx"]
-        f2 = norm_report(st.with_fields(theta=2.0 * st.theta), params)["f_thx"]
+        f2 = norm_report(replace(st, theta=2.0 * st.theta), params)["f_thx"]
         assert f2 == f0
         rng = np.random.default_rng(1)
         c = rng.uniform(0.3, 3.0)
-        fc = norm_report(st.with_fields(theta=c * st.theta), params)["f_thx"]
+        fc = norm_report(replace(st, theta=c * st.theta), params)["f_thx"]
         assert fc == pytest.approx(f0, rel=1e-12)
 
     def test_time_quotients_need_prev(self, grid, params):
         st = smooth_test_state(grid, params.n)
         assert norm_report(st, params)["int_ut2"] == 0.0
-        prev = st.with_fields(t=-0.1)
+        prev = replace(st, t=-0.1)
         rep = norm_report(st, params, prev=prev)
         assert rep["int_ut2"] == 0.0  # same fields, zero quotient
 
@@ -472,7 +472,7 @@ def _synthetic_history(n, count):
     """``count`` distinct smooth states at increasing times on one grid."""
     g = build_mass_grid(10.0, 120)
     return [
-        smooth_test_state(g, n, amp=0.1 + 0.002 * k).with_fields(t=0.05 * k)
+        replace(smooth_test_state(g, n, amp=0.1 + 0.002 * k), t=0.05 * k)
         for k in range(count)
     ]
 

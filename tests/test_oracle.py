@@ -211,6 +211,20 @@ class TestConvergenceOrder:
             assert rep.monotone[f]
             assert 0.9 <= rep.orders[f] <= 1.1
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sourced_midpoint_beats_euler(self, case, n):
+        """The sourced midpoint scheme: errors fall with dt for every field
+        and end below the first-order scheme's.  No order window is set."""
+        params = PhysParams(n=n)
+        reps = {
+            order: convergence_order(case, params, [0.02, 0.01, 0.005], mode="temporal",
+                                     n_cells_fixed=128, scheme_order=order)
+            for order in (1, 2)
+        }
+        for f in ("v", "u", "theta"):
+            assert reps[2].monotone[f] and not reps[2].at_floor[f]
+            assert reps[2].errors[f][-1] < reps[1].errors[f][-1]
+
     def test_equilibrium_reports_floor(self, params):
         rep = convergence_order(
             FIXTURE_CASES["equilibrium"], params, [32, 64, 128],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from sphgas import (
 from scipy.linalg import LinAlgError
 
 from sphgas import radius_from_volume
-from sphgas.solver import _MAX_SMALL_STEPS, _march, _solve_tridiag
+from sphgas.solver import (
+    _MAX_SMALL_STEPS, _march, _solve_tridiag, _substep_imex, _substep_midpoint,
+)
 from sphgas.state import div_ru, edge_weight
 
 from conftest import smooth_test_state
@@ -48,11 +52,13 @@ class TestSelectDt:
 
     def test_hot_gas_halves_step(self, params):
         st = equilibrium_state()
-        hot = st.with_fields(theta=4.0 * st.theta)
-        hot = hot.with_fields(theta=np.where(np.arange(100) == 99, 1.0, hot.theta))
+        hot = replace(st, theta=4.0 * st.theta)
+        hot = replace(hot, theta=np.where(np.arange(100) == 99, 1.0, hot.theta))
         cfg = RunConfig(t_end=1.0)
         # quadrupled temperature doubles the sound scale
-        ratio = select_dt(st, params, cfg) / select_dt(st.with_fields(theta=4.0 * st.theta), params, cfg)
+        ratio = select_dt(st, params, cfg) / select_dt(
+            replace(st, theta=4.0 * st.theta), params, cfg
+        )
         assert ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_cap_by_dt_initial(self, params):
@@ -84,9 +90,9 @@ class TestStep:
         u = 0.05 * np.exp(-((xe - 5.0) ** 2))
         u[0] = 0.0
         u[-1] = 0.0
-        st = make_initial_data(g, InitProfile(kind="equilibrium"), params).with_fields(u=u)
+        st = replace(make_initial_data(g, InitProfile(kind="equilibrium"), params), u=u)
         new, _ = step(st, params, 1e-3)
-        G_new = div_ru(new.with_fields(v=st.v, u=new.u))  # old geometry, new velocity
+        G_new = div_ru(replace(new, v=st.v, u=new.u))  # old geometry, new velocity
         dv = new.v - st.v
         inner = slice(0, g.n_cells - 1)  # the pinned last cell is excluded
         assert np.all(np.sign(dv[inner]) == np.sign(np.round(G_new[inner], 12)))
@@ -112,7 +118,7 @@ class TestStep:
         xc = g.cell_centers
         theta = 1.0 + 8.0 * np.exp(-((xc - 5.0) ** 2) * 4.0)  # strong pressure kick
         theta[-1] = 1.0
-        st = make_initial_data(g, InitProfile(kind="equilibrium"), params).with_fields(theta=theta)
+        st = replace(make_initial_data(g, InitProfile(kind="equilibrium"), params), theta=theta)
         cfg = RunConfig(t_end=1.0, v_floor=0.9)
         new, report = step(st, params, 0.5, cfg)
         assert report.rejections > 0
@@ -123,6 +129,24 @@ class TestStep:
         st = equilibrium_state()
         with pytest.raises(ValueError):
             step(st, params, 0.0)
+
+    @pytest.mark.parametrize("amp_v, width, dt, half_ok", [
+        (-0.9, 0.5, 0.2, False),  # v leaves the positive cone in the half step
+        (0.0, 1.0, 0.1, True),  # the half step passes, the full step does not
+    ], ids=["half_step", "full_step"])
+    def test_midpoint_rejects_and_halves(self, amp_v, width, dt, half_ok):
+        """Both exits of the midpoint substep hand a rejected state to step,
+        which retries once at half the step."""
+        params = PhysParams(n=2)
+        profile = InitProfile(kind="gaussian_bump", amp_v=amp_v, amp_u=-20.0,
+                              center=4.0, width=width)
+        st = make_initial_data(build_mass_grid(10.0, 16), profile, params)
+        half, _ = _substep_imex(st, params, 0.5 * dt)
+        assert (half[2] is not None) == half_ok
+        assert _substep_midpoint(st, params, dt)[0][2] is None
+        _, report = step(st, params, dt, RunConfig(x_max=10, n_cells=16, scheme_order=2))
+        assert report.rejections == 1
+        assert report.dt == 0.5 * dt
 
 
 class TestMarch:
@@ -156,7 +180,7 @@ class TestMarch:
         assert taken == sorted(set(taken))
 
     def test_step_lost_in_rounding_aborts_before_stepping(self, params):
-        st = equilibrium_state(n_cells=16).with_fields(t=0.5)
+        st = replace(equilibrium_state(n_cells=16), t=0.5)
         march = _march(st, params, RunConfig(t_end=1.0), dt=1e-20)
         with pytest.raises(SolverAbort, match="does not advance t"):
             next(march)

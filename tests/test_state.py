@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ class TestStressSigma:
         for n_cells in (50, 100, 200):
             g = build_mass_grid(10.0, n_cells)
             st = smooth_test_state(g, params.n)
-            st = st.with_fields(u=np.zeros(n_cells + 1))
+            st = replace(st, u=np.zeros(n_cells + 1))
             errs.append(
                 np.max(np.abs(stress_sigma(st, params) - continuum_sigma(g.cell_centers)))
             )
@@ -207,7 +209,7 @@ class TestDiscreteGradients:
 
 class TestSnapshotIO:
     def test_round_trip_exact(self, grid, params, tmp_path):
-        st = smooth_test_state(grid, params.n).with_fields(t=1.25)
+        st = replace(smooth_test_state(grid, params.n), t=1.25)
         path = tmp_path / "snap.csv"
         save_snapshot(st, params, path)
         loaded, loaded_params = load_snapshot(path)
