@@ -4,8 +4,10 @@ Exit codes (documented, distinct):
     0   success
     2   config parse or validation error (the representation probe included),
         a bad command line, an output path that cannot be written, or
-        unreadable run outputs (report; a missing diagnostics.csv included)
-    3   solver abort (positivity failure, or a step too small to reach t_end)
+        unreadable run outputs (report; a missing config.resolved or
+        diagnostics.csv included)
+    3   solver abort (positivity failure, or a step too small to reach t_end);
+        the snapshots taken so far stay, with no diagnostics.csv or summary.json
     4   invariant-ledger failure (run or report), or stored diagnostics that
         the snapshots do not reproduce, in value or in shape (report)
     5   convergence-order window failure (verify)
@@ -36,7 +38,7 @@ from .diagnostics import (
 )
 from .oracle import FIXTURE_CASES, convergence_order
 from .solver import SolverAbort, run
-from .state import load_snapshot, save_snapshot
+from .state import load_snapshot, save_snapshot, snapshot_x_column
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,15 +95,50 @@ def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
     return checks
 
 
-def _write_run_outputs(out_dir, raw, result, params, config) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
-        fh.write(format_config(raw))
-    result.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
+# what a run writes besides config.resolved and its snapshots
+_RUN_FILES = ("diagnostics.csv", "summary.json", "report.json")
+
+
+def _clear_earlier_run(out_dir, snap_dir) -> None:
+    """Remove the files an earlier run into ``out_dir`` left (its snapshots,
+    diagnostics, summary and report), so that none is mixed with this run's;
+    nothing else is touched."""
+    names = [os.path.join(snap_dir, f) for f in os.listdir(snap_dir)
+             if f.startswith("snap_") and f.endswith(".csv")]
+    for path in names + [os.path.join(out_dir, f) for f in _RUN_FILES]:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
+def _snapshot_writer(snap_dir, params):
+    """run's per-sample callback: sample i goes to snap_{i:06d}.csv as it is
+    taken, with the grid's x column formatted once."""
+    index = itertools.count()
+    x_column = None
+
+    def write(state):
+        nonlocal x_column
+        if x_column is None:
+            x_column = snapshot_x_column(state.grid)
+        path = os.path.join(snap_dir, f"snap_{next(index):06d}.csv")
+        save_snapshot(state, params, path, x_column)
+
+    return write
+
+
+def _cmd_run(args) -> int:
+    raw = load_config(args.config, args.set)
+    config, params, _ = resolve(raw)
+    out_dir = args.out
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    for i, snap in enumerate(result.snapshots):
-        save_snapshot(snap, params, os.path.join(snap_dir, f"snap_{i:06d}.csv"))
+    _clear_earlier_run(out_dir, snap_dir)
+    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
+        fh.write(format_config(raw))
+    result = run(config, params, on_sample=_snapshot_writer(snap_dir, params))
+    result.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
     e0 = float(result.series["E"][0])
     checks = _check_invariants(result.series, config, e0)
     summary = {
@@ -113,14 +150,6 @@ def _write_run_outputs(out_dir, raw, result, params, config) -> dict:
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    return checks
-
-
-def _cmd_run(args) -> int:
-    raw = load_config(args.config, args.set)
-    config, params, _ = resolve(raw)
-    result = run(config, params)
-    checks = _write_run_outputs(args.out, raw, result, params, config)
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
@@ -205,18 +234,29 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
+def _snapshots(snap_dir, names):
+    """The states of the snapshot files ``names``, loaded one at a time, on
+    the grid of the first wherever their x column equals its edges."""
+    grid = None
+    for name in names:
+        state = load_snapshot(os.path.join(snap_dir, name), grid)[0]
+        if grid is None:
+            grid = state.grid
+        yield state
+
+
 def _cmd_report(args) -> int:
     run_dir = args.out
-    config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
     snap_dir = os.path.join(run_dir, "snapshots")
     try:
+        config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
         names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
-        states = [load_snapshot(os.path.join(snap_dir, name))[0] for name in names]
-        stored = DiagnosticsSeries.from_csv(os.path.join(run_dir, "diagnostics.csv"))
-        if not states:
+        if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
-        series = evaluate_series(states, params, config)  # mixed grids raise ValueError
-    except (OSError, ValueError) as exc:
+        # mixed grids raise ValueError
+        series = evaluate_series(_snapshots(snap_dir, names), params, config)
+        stored = DiagnosticsSeries.from_csv(os.path.join(run_dir, "diagnostics.csv"))
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise UnreadableOutput(exc) from exc
 
     max_dev = None  # stays None when the shapes differ

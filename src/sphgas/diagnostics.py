@@ -27,6 +27,8 @@ derivative accumulators use backward difference quotients between samples.
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -129,10 +131,9 @@ def energy_balance_residual(history, params: PhysParams) -> float:
     """|E(t_end) + int_0^t_end (dissipation bracket) - E(0)| over a history of
     states at increasing times; the time integral is a trapezoid over the
     samples, exactly as in the ``balance_residual`` series column."""
-    states = list(history)
-    if len(states) < 2:
+    col = _sample_columns(history, params)
+    if len(col["t"]) < 2:
         raise ValueError("need at least two states to form a balance residual")
-    col = _sample_columns(states, params)
     return float(_balance_residual(col["t"], col["E"], col["balance_phi"])[-1])
 
 
@@ -320,11 +321,41 @@ def _check_probe(k, x_probe, x_max):
         )
 
 
-def _representation_trajectory(states, params: PhysParams, k: int, x_probe: float):
-    """ln B, ln Y, the represented v and the solved v at the probe point.
+def _probe_scalars(first, params: PhysParams, k: int, x_probe: float):
+    """The function taking a state of ``first``'s history to its five probe
+    scalars: ln B, S (the integral of sigma over [k, k+1]), W (the tail
+    integral of phi r^-n u^2), and theta and v at the probe point.
 
-    The tail integral in Y depends on the probe point through the localizer;
-    it is evaluated at ``x_probe`` throughout (Y is really Y(x_probe, t)).
+    The tail integrals depend on the probe point through the localizer; they
+    are evaluated at ``x_probe`` throughout (Y is really Y(x_probe, t)).
+    """
+    g = first.grid
+    n = params.n
+    _check_probe(k, x_probe, g.x_max)
+    xe, xc = g.x_edges, g.cell_centers
+    phi_e = cutoff_phi(xe, k)
+    w_unit = _clipped_weights(g, float(k), float(k + 1))
+    u0 = first.u
+    r0_pow = first.r ** (1 - n)
+    ln_v0 = np.log(float(np.interp(x_probe, xc, first.v)))
+
+    def scalars(st):
+        tail = phi_e * (r0_pow * u0 - st.r ** (1 - n) * st.u)
+        return (
+            ln_v0 + _trapz_tail(xe, tail, x_probe) / params.beta,
+            float(np.dot(w_unit, stress_sigma(st, params))),
+            _trapz_tail(xe, phi_e * st.r ** (-n) * st.u**2, x_probe),
+            np.interp(x_probe, xc, st.theta),
+            np.interp(x_probe, xc, st.v),
+        )
+
+    return scalars
+
+
+def _representation(times, probe, params: PhysParams):
+    """ln B, ln Y, the represented v and the solved v at the probe point from
+    the sample times and the five probe scalars of each sample, flat in
+    sample order (see :func:`_probe_scalars`).
 
     With Z = B Y, the represented v is Z(t_i) + (R/beta) c_i, where c_i is the
     integral over [0, t_i] of theta(s) Z(t_i)/Z(s) at the probe.  Each segment
@@ -333,35 +364,8 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
     forward by c_0 = 0 and c_i = (Z_i/Z_{i-1}) c_{i-1} + seg_{i-1}, so the cost
     is linear in the number of samples.
     """
-    first = states[0]
-    g = first.grid
-    n = params.n
-    _check_probe(k, x_probe, g.x_max)
-
-    xe, xc = g.x_edges, g.cell_centers
-    phi_e = cutoff_phi(xe, k)
-    w_unit = _clipped_weights(g, float(k), float(k + 1))
-    beta, R = params.beta, params.R
-
-    u0 = first.u
-    r0_pow = first.r ** (1 - n)
-    v0_probe = float(np.interp(x_probe, xc, first.v))
-
-    times = np.array([s.t for s in states])
-    m = len(states)
-    ln_B = np.empty(m)
-    theta_probe = np.empty(m)
-    v_actual = np.empty(m)
-    S = np.empty(m)  # integral of sigma over [k, k+1]
-    W = np.empty(m)  # tail integral of phi r^-n u^2
-    for j, st in enumerate(states):
-        tail = phi_e * (r0_pow * u0 - st.r ** (1 - n) * st.u)
-        ln_B[j] = np.log(v0_probe) + _trapz_tail(xe, tail, x_probe) / beta
-        S[j] = float(np.dot(w_unit, stress_sigma(st, params)))
-        W[j] = _trapz_tail(xe, phi_e * st.r ** (-n) * st.u**2, x_probe)
-        theta_probe[j] = np.interp(x_probe, xc, st.theta)
-        v_actual[j] = np.interp(x_probe, xc, st.v)
-
+    ln_B, S, W, theta_probe, v_actual = np.array(probe).reshape(-1, 5).T.copy()
+    n, beta = params.n, params.beta
     ln_Y = (_cumtrapz(S, times) - (n - 1) * _cumtrapz(W, times)) / beta
     ln_Z = ln_B + ln_Y
 
@@ -369,19 +373,35 @@ def _representation_trajectory(states, params: PhysParams, k: int, x_probe: floa
         theta_probe[:-1], theta_probe[1:], ln_Z[:-1] - ln_Z[1:], 0.0, np.diff(times)
     )
     growth = np.exp(np.diff(ln_Z))
-    corr = np.zeros(m)
-    for i in range(1, m):
+    corr = np.zeros(len(times))
+    for i in range(1, len(times)):
         corr[i] = growth[i - 1] * corr[i - 1] + segs[i - 1]
-    v_repr = np.exp(ln_Z) + (R / beta) * corr
-    return times, ln_B, ln_Y, v_repr, v_actual
+    v_repr = np.exp(ln_Z) + (params.R / beta) * corr
+    return ln_B, ln_Y, v_repr, v_actual
+
+
+def _representation_trajectory(history, params: PhysParams, k: int, x_probe: float):
+    """The sample times, then ln B, ln Y, the represented v and the solved v
+    at the probe point, from one pass over ``history``."""
+    samples = iter(history)
+    first = next(samples, None)
+    if first is None:
+        raise ValueError("no samples to evaluate")
+    scalars = _probe_scalars(first, params, k, x_probe)
+    t, probe = array("d"), array("d")
+    for st in itertools.chain([first], samples):
+        t.append(st.t)
+        probe.extend(scalars(st))
+    times = np.array(t)
+    return (times, *_representation(times, probe, params))
 
 
 def local_representation(history, params: PhysParams, k: int, x_probe: float) -> RepresentationResult:
     """Evaluate the closed-form representation of v at the probe point against
-    the solved field, over the whole sampled history."""
-    states = list(history)
+    the solved field, over the whole sampled history (any iterable of
+    states)."""
     times, ln_B, ln_Y, v_repr, v_actual = _representation_trajectory(
-        states, params, k, x_probe
+        history, params, k, x_probe
     )
     rel = np.abs(v_repr - v_actual) / np.abs(v_actual)
     return RepresentationResult(
@@ -481,23 +501,63 @@ _Samples = namedtuple("_Samples", "grid t v u theta r n")
 _BLOCK_ELEMENTS = 4096
 
 
-def _sample_columns(states, params: PhysParams) -> dict:
+def _sample_columns(samples, params: PhysParams, each=None) -> dict:
     """Every :func:`norm_report` entry (each sample against the one before
-    it) and the times ``t`` as columns.  After the first sample alone, blocks
-    of samples go through :func:`_report`, each stacked with the sample
-    before it, whose rows serve as ``prev``."""
-    g, n = states[0].grid, states[0].n
-    if any(st.grid is not g and not np.array_equal(st.grid.x_edges, g.x_edges) for st in states):
-        raise ValueError("samples on different grids")
+    it) and the times ``t`` as columns, from one pass over ``samples``.
+
+    The first sample goes through :func:`_report` alone, then blocks of
+    ``rows`` samples, each stacked with the sample before it, whose rows
+    serve as ``prev``.  Only the block being filled is held, and nothing is
+    evaluated before it is full or the samples end.  The samples must share
+    one grid (ValueError otherwise).  ``each``, when given, is called with
+    every sample in turn as its block is evaluated.
+    """
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
+        raise ValueError("no samples to evaluate")
+    g, n = first.grid, first.n
     rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
-    reports = [_report(_Samples(g, *_stack(states[:1]), n), params)]
-    for lo in range(0, len(states) - 1, rows):
-        t, v, u, theta, r = _stack(states[lo : lo + rows + 1])
-        cur = _Samples(g, t[1:], v[1:], u[1:], theta[1:], r[1:], n)
-        prev = _Samples(g, t[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
-        reports.append(_report(cur, params, prev))
-    col = {key: np.concatenate([rep[key] for rep in reports]) for key in reports[0]}
-    col["t"] = np.array([st.t for st in states])
+    t = array("d")
+    keys = None
+    reports = []  # one array per block, a row per key
+
+    def fold(st):
+        t.append(st.t)
+        if each is not None:
+            each(st)
+
+    def keep(report):
+        nonlocal keys
+        keys = list(report)
+        reports.append(np.array(list(report.values())))
+
+    def evaluate(block):
+        """Fold in the samples of ``block`` after its first, which is the
+        sample before them; the very first sample goes alone, before them."""
+        if not reports:
+            fold(block[0])
+            keep(_report(_Samples(g, *_stack(block[:1]), n), params))
+        for st in block[1:]:
+            fold(st)
+        if len(block) > 1:
+            tb, v, u, theta, r = _stack(block)
+            cur = _Samples(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
+            prev = _Samples(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
+            keep(_report(cur, params, prev))
+
+    block = [first]
+    for st in samples:
+        if st.grid is not g and not np.array_equal(st.grid.x_edges, g.x_edges):
+            raise ValueError("samples on different grids")
+        block.append(st)
+        if len(block) > rows:
+            evaluate(block)
+            block = block[-1:]
+    if len(block) > 1 or not reports:
+        evaluate(block)
+    col = dict(zip(keys, np.concatenate(reports, axis=1)))
+    col["t"] = np.array(t)
     return col
 
 
@@ -563,48 +623,63 @@ class DiagnosticsSeries:
         return self.data[:, SERIES_COLUMNS.index(name)]
 
     def to_csv(self, path) -> None:
-        rows = [",".join(map(repr, row)) + "\n" for row in self.data.tolist()]
         with open(path, "w") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n" + "".join(rows))
+            fh.write(",".join(SERIES_COLUMNS) + "\n")
+            for row in self.data:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
+        width = len(SERIES_COLUMNS)
+        values = array("d")
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             if header != SERIES_COLUMNS:
                 raise ValueError(f"{path}: unexpected series columns")
-            rows = [
-                [float(tok) for tok in line.split(",")]
-                for line in fh
-                if line.strip()
-            ]
-        return cls(data=np.array(rows, dtype=float))
+            for line in fh:
+                if line.strip():
+                    row = [float(tok) for tok in line.split(",")]
+                    if len(row) != width:
+                        raise ValueError(f"{path}: a row of {len(row)} values, not {width}")
+                    values.extend(row)
+        if not values:
+            raise ValueError(f"{path}: no rows")
+        return cls(data=np.array(values).reshape(-1, width))
 
 
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     """Assemble the full diagnostics series from sampled states.
 
-    The instantaneous functionals are taken over blocks of samples, which
-    must share one grid (ValueError otherwise); the time integrals (balance
-    residual and accumulators) are then formed over whole columns.
+    ``samples`` is any iterable of states on one grid (ValueError otherwise),
+    read once: the samples are folded in a block at a time as they arrive,
+    and only the block being filled is held.  The time integrals (balance
+    residual, accumulators and the representation) are then formed over
+    whole columns.
     ``config`` provides the superlevel threshold and the representation
     probe, which must fit the grid (ValueError otherwise).
     """
-    states = list(samples)
-    if not states:
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
         raise ValueError("no samples to evaluate")
-    col = _sample_columns(states, params)
-    t = col["t"]
-    g = states[0].grid
+    g = first.grid
+    probe_scalars = _probe_scalars(first, params, config.probe_k, config.probe_x)
     unit_w = [_clipped_weights(g, float(k), float(k + 1)) for k in range(int(g.x_max + 1e-12))]
     unit_total = np.array([w.sum() for w in unit_w])
     a = config.superlevel_a
-    col["omega_measure"] = np.array([superlevel_measure(st, a) for st in states])
+    extremes, probe = array("d"), array("d")
+
+    def per_sample(st):
+        vbar = np.array([np.dot(w, st.v) for w in unit_w]) / unit_total
+        thbar = np.array([np.dot(w, st.theta) for w in unit_w]) / unit_total
+        extremes.extend((superlevel_measure(st, a), vbar.min(), vbar.max(), thbar.min(), thbar.max()))
+        probe.extend(probe_scalars(st))
+
+    col = _sample_columns(itertools.chain([first], samples), params, each=per_sample)
+    t = col["t"]
+    (col["omega_measure"], col["vbar_min"], col["vbar_max"], col["thbar_min"],
+     col["thbar_max"]) = np.array(extremes).reshape(-1, 5).T.copy()
     col["omega_bound"] = np.array([superlevel_bound(E, a, params) for E in col["E"]])
-    vbars = np.array([[np.dot(w, st.v) for w in unit_w] for st in states]) / unit_total
-    thbars = np.array([[np.dot(w, st.theta) for w in unit_w] for st in states]) / unit_total
-    col["vbar_min"], col["vbar_max"] = vbars.min(axis=1), vbars.max(axis=1)
-    col["thbar_min"], col["thbar_max"] = thbars.min(axis=1), thbars.max(axis=1)
 
     dt = np.diff(t)
     col["balance_residual"] = _balance_residual(t, col["E"], col["balance_phi"])
@@ -616,8 +691,6 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
     col["acc_tv_grad"] = np.concatenate(([0.0], np.cumsum(tv)))
 
-    _, _, _, v_repr, v_actual = _representation_trajectory(
-        states, params, config.probe_k, config.probe_x
-    )
+    _, _, v_repr, v_actual = _representation(t, probe, params)
     col["repr_residual"] = np.abs(v_repr - v_actual) / np.abs(v_actual)
     return DiagnosticsSeries(data=np.column_stack([col[c] for c in SERIES_COLUMNS]))

@@ -140,7 +140,7 @@ class RunSummary:
 @dataclass(frozen=True)
 class RunResult:
     series: object  # DiagnosticsSeries (typed loosely to avoid an import cycle)
-    snapshots: list
+    snapshots: list | None  # every sample, unless run handed them to a callback
     summary: RunSummary
 
 
@@ -361,49 +361,69 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
         yield state, report
 
 
-def run(config: RunConfig, params: PhysParams) -> RunResult:
+def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     Samples are taken at step times: the state is recorded whenever t reaches
-    the next multiple of ``cadence`` (plus always at t = 0 and t_end).  The
-    diagnostics series is a pure function of the sampled states, so the
-    ``report`` command can reproduce it exactly from stored snapshots.
+    the next multiple of ``cadence`` (plus always at t = 0 and t_end).  Each
+    sample is folded into the diagnostics series as it is taken, so the run
+    holds one block of samples, not the history.  ``on_sample``, when given,
+    is called with each sample as it is taken, and ``snapshots`` is then
+    None; without it, ``snapshots`` lists every sample.  The series is a pure
+    function of the sampled states, so the ``report`` command can reproduce
+    it exactly from stored snapshots.
     """
     from .diagnostics import evaluate_series
 
-    with np.errstate(over="ignore"):  # an overflow makes the step 0 or NaN: the march aborts
+    summary = RunSummary()
+    snapshots = [] if on_sample is None else None
+    samples = _samples(config, params, summary, on_sample or snapshots.append)
+    series = evaluate_series(samples, params, config)
+    return RunResult(series=series, snapshots=snapshots, summary=summary)
+
+
+def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_sample):
+    """Yield the sampled states of the march, each after handing it to
+    ``on_sample``, and fold every accepted step into ``summary``."""
+    # an overflow makes the step 0 or NaN, and the march aborts; numpy's
+    # error state is restored before each yield, so the caller keeps its own
+    with np.errstate(over="ignore"):
         grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
         state = make_initial_data(grid, config.profile, params)
-        summary = RunSummary()
         scale, sup_norm = _track(summary, state)
         summary.sup_norm_initial = sup_norm
+    on_sample(state)
+    yield state
 
-        samples = [state]
-        next_sample = config.cadence
-        r_shadow = state.r.copy()
-        t_eps = _T_TOL * config.t_end
-        for new_state, report in _march(state, params, config):
-            r_shadow += report.dt * new_state.u
-            r_shadow[0] = 1.0
-            summary.r_shadow_max_dev = max(summary.r_shadow_max_dev, _max_abs(r_shadow - new_state.r))
-            change = max(
-                _max_abs(new_state.v - state.v),
-                _max_abs(new_state.u - state.u),
-                _max_abs(new_state.theta - state.theta),
-            )
-            summary.n_steps += 1
-            summary.n_rejections += report.rejections
-            summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
-            summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
-            state = new_state
-            scale, sup_norm = _track(summary, state)
-            if state.t >= min(next_sample, config.t_end) - t_eps:
-                samples.append(state)
-                next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
-
-    summary.sup_norm_final = sup_norm
-    series = evaluate_series(samples, params, config)
-    return RunResult(series=series, snapshots=samples, summary=summary)
+    next_sample = config.cadence
+    r_shadow = state.r.copy()
+    t_eps = _T_TOL * config.t_end
+    steps = _march(state, params, config)
+    while True:
+        with np.errstate(over="ignore"):
+            for new_state, report in steps:
+                r_shadow += report.dt * new_state.u
+                r_shadow[0] = 1.0
+                summary.r_shadow_max_dev = max(summary.r_shadow_max_dev, _max_abs(r_shadow - new_state.r))
+                change = max(
+                    _max_abs(new_state.v - state.v),
+                    _max_abs(new_state.u - state.u),
+                    _max_abs(new_state.theta - state.theta),
+                )
+                summary.n_steps += 1
+                summary.n_rejections += report.rejections
+                summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
+                summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
+                state = new_state
+                scale, sup_norm = _track(summary, state)
+                if state.t >= min(next_sample, config.t_end) - t_eps:
+                    next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
+                    break
+            else:  # the march reached t_end, whose state was the last sample
+                summary.sup_norm_final = sup_norm
+                return
+        on_sample(state)
+        yield state
 
 
 def _track(summary: RunSummary, state: FlowState) -> tuple[float, float]:

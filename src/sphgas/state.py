@@ -25,6 +25,7 @@ __all__ = [
     "make_initial_data",
     "stress_sigma",
     "discrete_gradients",
+    "snapshot_x_column",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -249,29 +250,38 @@ def discrete_gradients(state: FlowState) -> Gradients:
 _SNAP_COLUMNS = "x,v,u,theta,r"
 
 
-def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
+def snapshot_x_column(grid: MassGrid) -> list[str]:
+    """The x column of a snapshot on ``grid``: the repr of every edge."""
+    return [repr(x) for x in grid.x_edges.tolist()]
+
+
+def save_snapshot(state: FlowState, params: PhysParams, path, x_column=None) -> None:
     """Write one state as CSV: columns x, v, u, theta, r at the edges.
 
     Row j carries edge quantities u[j], r[j] and the values of cell j for v
     and theta; the final edge row leaves v and theta empty.  The header
     comment carries t and the physical parameters; floats are written with
-    repr so the file round-trips losslessly.
+    repr so the file round-trips losslessly.  ``x_column``, the
+    :func:`snapshot_x_column` of the state's grid, saves formatting it again
+    for every state on that grid.
     """
     meta = {"t": state.t, **params.as_dict()}
-    x, u, r = state.grid.x_edges.tolist(), state.u.tolist(), state.r.tolist()
+    x = snapshot_x_column(state.grid) if x_column is None else x_column
+    u, r = state.u.tolist(), state.r.tolist()
     rows = [
-        f"{xj!r},{vj!r},{uj!r},{thj!r},{rj!r}\n"
+        f"{xj},{vj!r},{uj!r},{thj!r},{rj!r}\n"
         for xj, vj, uj, thj, rj in zip(x, state.v.tolist(), u, state.theta.tolist(), r)
     ]
-    rows.append(f"{x[-1]!r},,{u[-1]!r},,{r[-1]!r}\n")
+    rows.append(f"{x[-1]},,{u[-1]!r},,{r[-1]!r}\n")
     with open(path, "w") as fh:
         fh.write("# " + " ".join(f"{k}={float(v)!r}" for k, v in meta.items()) + "\n")
         fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
-def load_snapshot(path) -> tuple[FlowState, PhysParams]:
+def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysParams]:
     """Read a snapshot written by :func:`save_snapshot`; a malformed file
-    raises ValueError naming ``path``."""
+    raises ValueError naming ``path``.  ``grid`` is reused when its edges
+    equal the file's x column, so the states of one run share one grid."""
     with open(path) as fh:
         header = fh.readline()
         cols = fh.readline().strip()
@@ -292,7 +302,8 @@ def load_snapshot(path) -> tuple[FlowState, PhysParams]:
         u = np.array([float(r[2]) for r in rows])
         v = np.array([float(r[1]) for r in rows[:-1]])
         theta = np.array([float(r[3]) for r in rows[:-1]])
-        grid = MassGrid(x_edges=xe)
+        if grid is None or not np.array_equal(xe, grid.x_edges):
+            grid = MassGrid(x_edges=xe)
         state = FlowState(grid=grid, t=meta["t"], v=v, u=u, theta=theta, n=params.n)
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed snapshot: {exc}") from exc

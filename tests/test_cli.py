@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,9 +281,70 @@ class TestRunCommand:
         for item in overrides:
             argv += ["--set", item]
         assert main(argv) == EXIT_ABORT
-        assert not os.path.exists(out)
         err = capsys.readouterr().err
         assert err.startswith("solver abort: ") and err.count("\n") == 1
+        # the snapshots taken before the abort stay; the series and the
+        # summary, which need the whole march, are never written
+        assert "snap_000000.csv" in os.listdir(os.path.join(out, "snapshots"))
+        assert sorted(os.listdir(out)) == ["config.resolved", "snapshots"]
+
+    @pytest.mark.parametrize("second", [["cadence=0.5"], ["cadence=0.5", "N=64"]],
+                             ids=["fewer_samples", "other_grid"])
+    def test_rerun_into_one_out_replaces_the_earlier_run(self, config_file, tmp_path, capsys,
+                                                         second):
+        """A second run into the same --out leaves none of the first run's
+        snapshots, diagnostics, summary or report behind, and nothing else
+        in the directory is touched."""
+        out = str(tmp_path / "out")
+        first = ["run", "--config", config_file, "--out", out, "--set", "t_end=2"]
+        assert main(first + ["--set", "cadence=0.1"]) == EXIT_OK
+        assert main(["report", "--out", out]) == EXIT_OK
+        for path in (os.path.join(out, "notes.txt"), os.path.join(out, "snapshots", "keep.txt")):
+            with open(path, "w") as fh:
+                fh.write("not a run output\n")
+        argv = first + [arg for item in second for arg in ("--set", item)]
+        assert main(argv) == EXIT_OK
+        assert not os.path.exists(os.path.join(out, "report.json"))
+        snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
+        assert snaps == ["keep.txt"] + [f"snap_{i:06d}.csv" for i in range(5)]
+        assert len(DiagnosticsSeries.from_csv(os.path.join(out, "diagnostics.csv"))) == 5
+        assert os.path.exists(os.path.join(out, "notes.txt"))
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_OK
+        assert "reproduction max deviation vs stored diagnostics: 0.0" in capsys.readouterr().out
+
+    def test_memory_does_not_grow_with_the_sample_count(self, config_file, tmp_path):
+        """run + report hold one block of samples, not the history.
+
+        At N=64 a state's fields take 2 KB and a full block of 63 samples
+        about 1 MB of temporaries.  The series keeps 36 values a sample and
+        the fold some 42, about 380 bytes, so from 65 to 257 samples the
+        peak may grow by that much per sample, which is 7%, but not by a
+        state per sample.
+        """
+        # every fixed step of 1/32 is a sample
+        settings = ["X_max=32", "N=64", "cfl_fraction=1", "dt_initial=0.03125", "cadence=1e-9"]
+
+        def traced_peak(t_end):
+            out = str(tmp_path / f"t{t_end}")
+            argv = ["run", "--config", config_file, "--out", out, "--set", f"t_end={t_end}"]
+            argv += [arg for item in settings for arg in ("--set", item)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                assert main(["report", "--out", out]) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, len(os.listdir(os.path.join(out, "snapshots")))
+
+        traced_peak(2)  # first calls fill caches that later ones reuse
+        peak2, m2 = traced_peak(2)
+        peak8, m8 = traced_peak(8)
+        assert (m2, m8) == (65, 257)
+        assert peak8 <= 1.1 * peak2
+        state_bytes = 8 * (4 * 64 + 2)  # v, theta at centers; u, r at edges
+        assert peak8 - peak2 < 0.5 * state_bytes * (m8 - m2)
 
     # ln Z falls by about 2,600 between samples and E(0) = 6.3e5, so the
     # representation and the anchor roots work at the ends of the double range
@@ -387,8 +449,24 @@ class TestReportCommand:
         assert report["reproduction_max_dev"] == 0.0
         assert all(report["invariants"].values())
 
-    def test_report_missing_dir(self, tmp_path):
+    def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "ghost")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("unreadable run output: ") and err.count("\n") == 1
+        assert "config.resolved" in err
+
+    def test_report_after_an_abort_names_the_missing_diagnostics(self, config_file, tmp_path,
+                                                                 capsys):
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in ["profile.amplitudes=-0.5,0,0", "X_max=10", "N=50", "t_end=0.5",
+                     "floors=0.9,0.9"]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_ABORT
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("unreadable run output: ") and "diagnostics.csv" in err
 
     @pytest.mark.parametrize("spoil, expect", [
         (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),

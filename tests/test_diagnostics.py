@@ -502,6 +502,20 @@ class TestSampleBlocks:
                 assert col[key][i] == val, (key, i)
                 if key in SERIES_COLUMNS:
                     assert series[key][i] == val, (key, i)
+        # a generator is read once, in order, for the same series bit for bit
+        pulled = []
+
+        def stream():
+            for st in states:
+                pulled.append(st)
+                yield st
+
+        gen = stream()
+        streamed = evaluate_series(gen, params, config)
+        assert next(gen, None) is None
+        assert len(pulled) == m and all(a is b for a, b in zip(pulled, states))
+        assert streamed.data.shape == series.data.shape
+        assert streamed.data.tobytes() == series.data.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_gradients_of_a_stacked_block_equal_per_state_bundles(self, n):
