@@ -29,13 +29,8 @@ from .solver import (
 from .diagnostics import (
     DiagnosticsSeries,
     anchor_roots,
-    cell_averages,
     cutoff_phi,
-    dissipation_rate,
-    energy_balance_residual,
-    energy_functional,
     evaluate_series,
-    local_representation,
     norm_report,
     superlevel_measure,
     viscous_form_gap,
@@ -62,13 +57,8 @@ __all__ = [
     "step",
     "DiagnosticsSeries",
     "anchor_roots",
-    "cell_averages",
     "cutoff_phi",
-    "dissipation_rate",
-    "energy_balance_residual",
-    "energy_functional",
     "evaluate_series",
-    "local_representation",
     "norm_report",
     "superlevel_measure",
     "viscous_form_gap",

@@ -27,7 +27,6 @@ derivative accumulators use backward difference quotients between samples.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
@@ -40,19 +39,12 @@ from .state import FlowState, Gradients, discrete_gradients, stress_sigma
 __all__ = [
     "DiagnosticsSeries",
     "SERIES_COLUMNS",
-    "energy_functional",
-    "dissipation_rate",
-    "energy_balance_residual",
     "viscous_form_gap",
     "quadratic_form",
-    "pointwise_form_gap",
-    "cell_averages",
     "anchor_roots",
     "superlevel_measure",
     "superlevel_bound",
     "cutoff_phi",
-    "local_representation",
-    "RepresentationResult",
     "norm_report",
     "evaluate_series",
 ]
@@ -94,20 +86,11 @@ def _energy(state, params: PhysParams, u2):
     return (U * state.grid.cell_widths).sum(axis=-1)
 
 
-def energy_functional(state: FlowState, params: PhysParams) -> float:
-    """Entropy-type energy, zero exactly at the equilibrium (1, 0, 1)."""
-    return float(_energy(state, params, _u_sq_centers(state.u)))
-
-
-def dissipation_rate(state: FlowState, params: PhysParams) -> np.ndarray:
+def _dissipation(state, gr: Gradients, u2, w_centers, w_edges) -> np.ndarray:
     """The four nonnegative dissipation integrals, in the order
     (v u^2/(r^2 theta), r^(2(n-1)) u_x^2/(v theta), (r^(n-1)u)_x^2/(v theta),
-    r^(2(n-1)) theta_x^2/(v theta^2))."""
-    return _dissipation(state, *_derived(state, params))
-
-
-def _dissipation(state, gr: Gradients, u2, w_centers, w_edges) -> np.ndarray:
-    """:func:`dissipation_rate` from the derived fields of :func:`_derived`."""
+    r^(2(n-1)) theta_x^2/(v theta^2)), from the derived fields of
+    :func:`_derived`."""
     h = state.grid.cell_widths
     v, th = state.v, state.theta
     d1 = (v * u2 / (gr.r_centers**2 * th) * h).sum(axis=-1)
@@ -120,21 +103,6 @@ def _cumtrapz(f, t):
     """Running trapezoid integral of the samples ``f`` over the times ``t``,
     starting from 0 at t[0]."""
     return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))))
-
-
-def _balance_residual(t, E, phi):
-    """|E(t) + int_0^t (dissipation bracket phi) - E(0)| at every sample."""
-    return np.abs(E + _cumtrapz(phi, t) - E[0])
-
-
-def energy_balance_residual(history, params: PhysParams) -> float:
-    """|E(t_end) + int_0^t_end (dissipation bracket) - E(0)| over a history of
-    states at increasing times; the time integral is a trapezoid over the
-    samples, exactly as in the ``balance_residual`` series column."""
-    col = _sample_columns(history, params)
-    if len(col["t"]) < 2:
-        raise ValueError("need at least two states to form a balance residual")
-    return float(_balance_residual(col["t"], col["E"], col["balance_phi"])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +133,9 @@ def quadratic_form(a, b, params: PhysParams):
     return beta * s**2 - 2.0 * mu * (n - 1) * (2.0 * b * s - n * b**2)
 
 
-def pointwise_form_gap(state: FlowState, params: PhysParams) -> float:
-    """min over centers of Q(a, b) - C_min (a^2 + b^2); nonnegative up to
-    floating-point rounding."""
-    return float(_form_gap(params, discrete_gradients(state)))
-
-
 def _form_gap(params: PhysParams, gr: Gradients):
-    """:func:`pointwise_form_gap` from the state's gradient bundle ``gr``."""
+    """min over centers of Q(a, b) - C_min (a^2 + b^2), from the state's
+    gradient bundle ``gr``; nonnegative up to floating-point rounding."""
     a = gr.r_pow_ux
     b = gr.geom_vu / (params.n - 1)
     gap = quadratic_form(a, b, params) - viscous_form_gap(params) * (a**2 + b**2)
@@ -191,15 +154,12 @@ def _clipped_weights(grid: MassGrid, lo: float, hi: float) -> np.ndarray:
     )
 
 
-def cell_averages(state: FlowState, k: int) -> tuple[float, float]:
-    """Midpoint-quadrature averages of v and theta over the unit mass
-    interval [k, k+1]."""
-    g = state.grid
-    if not (0 <= k and k + 1 <= g.x_max + 1e-12):
-        raise ValueError(f"interval [{k}, {k + 1}] lies outside the grid")
-    w = _clipped_weights(g, float(k), float(k + 1))
-    total = w.sum()
-    return float(np.dot(w, state.v) / total), float(np.dot(w, state.theta) / total)
+def _unit_averages(grid: MassGrid):
+    """The function taking a cell field to its midpoint-quadrature averages
+    over the unit mass intervals [k, k+1] inside the grid, k = 0, 1, ..."""
+    weights = [_clipped_weights(grid, float(k), float(k + 1)) for k in range(int(grid.x_max + 1e-12))]
+    totals = np.array([w.sum() for w in weights])
+    return lambda f: np.array([np.dot(w, f) for w in weights]) / totals
 
 
 def anchor_roots(cbar: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -240,11 +200,12 @@ def superlevel_measure(state: FlowState, a: float) -> float:
     return float(np.sum(state.grid.cell_widths[state.theta > a]))
 
 
-def superlevel_bound(energy: float, a: float, params: PhysParams) -> float:
-    """Explicit energy bound E / (cv (a - ln a - 1)) on the superlevel measure."""
+def superlevel_bound(energy, a: float, params: PhysParams):
+    """Explicit energy bound E / (cv (a - ln a - 1)) on the superlevel
+    measure, elementwise for an array of energies."""
     if not (a > 1.0):
         raise ValueError(f"threshold must exceed 1, got {a}")
-    return float(energy / (params.cv * (a - np.log(a) - 1.0)))
+    return energy / (params.cv * (a - np.log(a) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +217,6 @@ def cutoff_phi(x, k: int):
         raise ValueError(f"cut-off level must be an integer >= 1, got {k}")
     x = np.asarray(x, dtype=float)
     return np.clip(k + 1.0 - x, 0.0, 1.0) if x.ndim else float(np.clip(k + 1.0 - x, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class RepresentationResult:
-    times: np.ndarray
-    B: np.ndarray
-    Y: np.ndarray
-    v_repr: np.ndarray
-    v_actual: np.ndarray
-    residual: float  # max relative deviation over the sampled times
 
 
 _EXP_SAFE = 708.0  # exp(x) and exp(-x) are normal doubles for |x| up to this
@@ -352,10 +303,9 @@ def _probe_scalars(first, params: PhysParams, k: int, x_probe: float):
     return scalars
 
 
-def _representation(times, probe, params: PhysParams):
-    """ln B, ln Y, the represented v and the solved v at the probe point from
-    the sample times and the five probe scalars of each sample, flat in
-    sample order (see :func:`_probe_scalars`).
+def _representation(times, ln_B, S, W, theta_probe, params: PhysParams):
+    """ln Y and the represented v at the probe point, from the sample times
+    and the first four probe columns (see :func:`_probe_scalars`).
 
     With Z = B Y, the represented v is Z(t_i) + (R/beta) c_i, where c_i is the
     integral over [0, t_i] of theta(s) Z(t_i)/Z(s) at the probe.  Each segment
@@ -364,7 +314,6 @@ def _representation(times, probe, params: PhysParams):
     forward by c_0 = 0 and c_i = (Z_i/Z_{i-1}) c_{i-1} + seg_{i-1}, so the cost
     is linear in the number of samples.
     """
-    ln_B, S, W, theta_probe, v_actual = np.array(probe).reshape(-1, 5).T.copy()
     n, beta = params.n, params.beta
     ln_Y = (_cumtrapz(S, times) - (n - 1) * _cumtrapz(W, times)) / beta
     ln_Z = ln_B + ln_Y
@@ -377,41 +326,7 @@ def _representation(times, probe, params: PhysParams):
     for i in range(1, len(times)):
         corr[i] = growth[i - 1] * corr[i - 1] + segs[i - 1]
     v_repr = np.exp(ln_Z) + (params.R / beta) * corr
-    return ln_B, ln_Y, v_repr, v_actual
-
-
-def _representation_trajectory(history, params: PhysParams, k: int, x_probe: float):
-    """The sample times, then ln B, ln Y, the represented v and the solved v
-    at the probe point, from one pass over ``history``."""
-    samples = iter(history)
-    first = next(samples, None)
-    if first is None:
-        raise ValueError("no samples to evaluate")
-    scalars = _probe_scalars(first, params, k, x_probe)
-    t, probe = array("d"), array("d")
-    for st in itertools.chain([first], samples):
-        t.append(st.t)
-        probe.extend(scalars(st))
-    times = np.array(t)
-    return (times, *_representation(times, probe, params))
-
-
-def local_representation(history, params: PhysParams, k: int, x_probe: float) -> RepresentationResult:
-    """Evaluate the closed-form representation of v at the probe point against
-    the solved field, over the whole sampled history (any iterable of
-    states)."""
-    times, ln_B, ln_Y, v_repr, v_actual = _representation_trajectory(
-        history, params, k, x_probe
-    )
-    rel = np.abs(v_repr - v_actual) / np.abs(v_actual)
-    return RepresentationResult(
-        times=times,
-        B=np.exp(ln_B),
-        Y=np.exp(ln_Y),
-        v_repr=v_repr,
-        v_actual=v_actual,
-        residual=float(np.max(rel)),
-    )
+    return ln_Y, v_repr
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +416,25 @@ _Samples = namedtuple("_Samples", "grid t v u theta r n")
 _BLOCK_ELEMENTS = 4096
 
 
-def _sample_columns(samples, params: PhysParams, each=None) -> dict:
+# The columns of _sample_columns besides norm_report's, each taken from one
+# state at a time: the time, the superlevel measure, the extremes of the
+# unit-interval averages and the probe scalars of _probe_scalars.
+_PROBE_COLUMNS = ("probe_ln_B", "probe_S", "probe_W", "probe_theta", "probe_v")
+_STATE_COLUMNS = ("t", "omega_measure", "vbar_min", "vbar_max", "thbar_min", "thbar_max",
+                  *_PROBE_COLUMNS)
+
+
+def _sample_columns(samples, params: PhysParams, config) -> dict:
     """Every :func:`norm_report` entry (each sample against the one before
-    it) and the times ``t`` as columns, from one pass over ``samples``.
+    it) and every :data:`_STATE_COLUMNS` entry as columns, from one pass
+    over ``samples``.
 
     The first sample goes through :func:`_report` alone, then blocks of
     ``rows`` samples, each stacked with the sample before it, whose rows
     serve as ``prev``.  Only the block being filled is held, and nothing is
-    evaluated before it is full or the samples end.  The samples must share
-    one grid (ValueError otherwise).  ``each``, when given, is called with
-    every sample in turn as its block is evaluated.
+    evaluated before it is full or the samples end; the state columns of a
+    block's samples are evaluated with it.  The samples must share one grid,
+    and ``config``'s probe must fit it (ValueError otherwise).
     """
     samples = iter(samples)
     first = next(samples, None)
@@ -518,33 +442,32 @@ def _sample_columns(samples, params: PhysParams, each=None) -> dict:
         raise ValueError("no samples to evaluate")
     g, n = first.grid, first.n
     rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
-    t = array("d")
+    probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
+    averages = _unit_averages(g)
     keys = None
     reports = []  # one array per block, a row per key
 
-    def fold(st):
-        t.append(st.t)
-        if each is not None:
-            each(st)
+    def state_row(st):
+        vbar, thbar = averages(st.v), averages(st.theta)
+        return (st.t, superlevel_measure(st, config.superlevel_a),
+                vbar.min(), vbar.max(), thbar.min(), thbar.max(), *probe(st))
 
-    def keep(report):
+    def keep(report, states):
         nonlocal keys
+        report.update(zip(_STATE_COLUMNS, np.array([state_row(st) for st in states]).T))
         keys = list(report)
         reports.append(np.array(list(report.values())))
 
     def evaluate(block):
-        """Fold in the samples of ``block`` after its first, which is the
+        """Evaluate the samples of ``block`` after its first, which is the
         sample before them; the very first sample goes alone, before them."""
         if not reports:
-            fold(block[0])
-            keep(_report(_Samples(g, *_stack(block[:1]), n), params))
-        for st in block[1:]:
-            fold(st)
+            keep(_report(_Samples(g, *_stack(block[:1]), n), params), block[:1])
         if len(block) > 1:
             tb, v, u, theta, r = _stack(block)
             cur = _Samples(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
             prev = _Samples(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
-            keep(_report(cur, params, prev))
+            keep(_report(cur, params, prev), block[1:])
 
     block = [first]
     for st in samples:
@@ -556,9 +479,7 @@ def _sample_columns(samples, params: PhysParams, each=None) -> dict:
             block = block[-1:]
     if len(block) > 1 or not reports:
         evaluate(block)
-    col = dict(zip(keys, np.concatenate(reports, axis=1)))
-    col["t"] = np.array(t)
-    return col
+    return dict(zip(keys, np.concatenate(reports, axis=1)))
 
 
 def _stack(states):
@@ -658,31 +579,12 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     ``config`` provides the superlevel threshold and the representation
     probe, which must fit the grid (ValueError otherwise).
     """
-    samples = iter(samples)
-    first = next(samples, None)
-    if first is None:
-        raise ValueError("no samples to evaluate")
-    g = first.grid
-    probe_scalars = _probe_scalars(first, params, config.probe_k, config.probe_x)
-    unit_w = [_clipped_weights(g, float(k), float(k + 1)) for k in range(int(g.x_max + 1e-12))]
-    unit_total = np.array([w.sum() for w in unit_w])
-    a = config.superlevel_a
-    extremes, probe = array("d"), array("d")
-
-    def per_sample(st):
-        vbar = np.array([np.dot(w, st.v) for w in unit_w]) / unit_total
-        thbar = np.array([np.dot(w, st.theta) for w in unit_w]) / unit_total
-        extremes.extend((superlevel_measure(st, a), vbar.min(), vbar.max(), thbar.min(), thbar.max()))
-        probe.extend(probe_scalars(st))
-
-    col = _sample_columns(itertools.chain([first], samples), params, each=per_sample)
+    col = _sample_columns(samples, params, config)
     t = col["t"]
-    (col["omega_measure"], col["vbar_min"], col["vbar_max"], col["thbar_min"],
-     col["thbar_max"]) = np.array(extremes).reshape(-1, 5).T.copy()
-    col["omega_bound"] = np.array([superlevel_bound(E, a, params) for E in col["E"]])
+    col["omega_bound"] = superlevel_bound(col["E"], config.superlevel_a, params)
 
     dt = np.diff(t)
-    col["balance_residual"] = _balance_residual(t, col["E"], col["balance_phi"])
+    col["balance_residual"] = np.abs(col["E"] + _cumtrapz(col["balance_phi"], t) - col["E"][0])
     col["acc_theta_vx2"] = _cumtrapz(col["int_theta_vx2"], t)
     col["acc_uxx"] = _cumtrapz(col["int_r_uxx2"], t)
     col["acc_thxx"] = _cumtrapz(col["int_r_thxx2"], t)
@@ -691,6 +593,7 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
     col["acc_tv_grad"] = np.concatenate(([0.0], np.cumsum(tv)))
 
-    _, _, v_repr, v_actual = _representation(t, probe, params)
+    _, v_repr = _representation(t, *(col[c] for c in _PROBE_COLUMNS[:4]), params)
+    v_actual = col["probe_v"]
     col["repr_residual"] = np.abs(v_repr - v_actual) / np.abs(v_actual)
     return DiagnosticsSeries(data=np.column_stack([col[c] for c in SERIES_COLUMNS]))

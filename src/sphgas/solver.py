@@ -140,7 +140,6 @@ class RunSummary:
 @dataclass(frozen=True)
 class RunResult:
     series: object  # DiagnosticsSeries (typed loosely to avoid an import cycle)
-    snapshots: list | None  # every sample, unless run handed them to a callback
     summary: RunSummary
 
 
@@ -367,19 +366,16 @@ def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
     Samples are taken at step times: the state is recorded whenever t reaches
     the next multiple of ``cadence`` (plus always at t = 0 and t_end).  Each
     sample is folded into the diagnostics series as it is taken, so the run
-    holds one block of samples, not the history.  ``on_sample``, when given,
-    is called with each sample as it is taken, and ``snapshots`` is then
-    None; without it, ``snapshots`` lists every sample.  The series is a pure
-    function of the sampled states, so the ``report`` command can reproduce
-    it exactly from stored snapshots.
+    holds one block of samples and keeps none.  ``on_sample``, when given, is
+    called with each sample as it is taken.  The series is a pure function of
+    the sampled states, so the ``report`` command can reproduce it exactly
+    from stored snapshots.
     """
     from .diagnostics import evaluate_series
 
     summary = RunSummary()
-    snapshots = [] if on_sample is None else None
-    samples = _samples(config, params, summary, on_sample or snapshots.append)
-    series = evaluate_series(samples, params, config)
-    return RunResult(series=series, snapshots=snapshots, summary=summary)
+    samples = _samples(config, params, summary, on_sample or (lambda state: None))
+    return RunResult(series=evaluate_series(samples, params, config), summary=summary)
 
 
 def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_sample):

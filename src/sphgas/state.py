@@ -36,8 +36,9 @@ class FlowState:
     """Immutable snapshot of (v, u, theta) at time t, with the cached radius.
 
     v, theta are per-cell (positive and finite), u per-edge (finite) with
-    u[0] = 0.  ``n`` is the spatial dimension; r is always reconstructed from
-    v, never stored independently, so the cache cannot drift out of coherence.
+    u[0] = 0, and the radius they give is finite.  ``n`` is the spatial
+    dimension; r is always reconstructed from v, never stored independently,
+    so the cache cannot drift out of coherence.
 
     The public constructor checks all of this.  The solver builds its states
     through :meth:`_trusted` instead, which skips the checks: it hands over
@@ -73,10 +74,14 @@ class FlowState:
             raise ValueError("velocity must stay finite")
         if u[0] != 0.0:
             raise ValueError("velocity at the inner boundary edge must vanish")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            r = radius_from_volume(self.grid, v, self.n)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("radius must stay finite")
         object.__setattr__(self, "v", _readonly(v))
         object.__setattr__(self, "u", _readonly(u))
         object.__setattr__(self, "theta", _readonly(theta))
-        object.__setattr__(self, "r", _readonly(radius_from_volume(self.grid, v, self.n)))
+        object.__setattr__(self, "r", _readonly(r))
 
     @classmethod
     def _trusted(cls, grid, t, v, u, theta, r, n) -> "FlowState":

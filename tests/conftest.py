@@ -20,8 +20,9 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def bump_run():
-    """Small disturbed run shared by diagnostics tests (n=2, modest grid)."""
+def bump_history():
+    """Small disturbed run shared by diagnostics tests (n=2, modest grid):
+    the result, its config and parameters, and the sampled states."""
     profile = InitProfile(
         kind="gaussian_bump", amp_v=0.15, amp_u=0.15, amp_theta=0.15,
         center=4.0, width=1.0,
@@ -30,7 +31,14 @@ def bump_run():
         x_max=16.0, n_cells=160, profile=profile, t_end=1.5, cadence=0.05,
     )
     p = PhysParams()
-    return run(config, p), config, p
+    states = []
+    return run(config, p, on_sample=states.append), config, p, states
+
+
+@pytest.fixture(scope="session")
+def bump_run(bump_history):
+    """The result, config and parameters of :func:`bump_history`."""
+    return bump_history[:3]
 
 
 def smooth_test_state(grid, n, amp=0.1):

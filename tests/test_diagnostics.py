@@ -12,12 +12,7 @@ from sphgas import (
     RunConfig,
     anchor_roots,
     build_mass_grid,
-    cell_averages,
     cutoff_phi,
-    dissipation_rate,
-    energy_balance_residual,
-    energy_functional,
-    local_representation,
     make_initial_data,
     norm_report,
     run,
@@ -26,14 +21,16 @@ from sphgas import (
 )
 from sphgas.diagnostics import (
     _BLOCK_ELEMENTS,
+    _PROBE_COLUMNS,
     SERIES_COLUMNS,
     _integral_linear_exp,
-    _representation_trajectory,
+    _probe_scalars,
+    _representation,
     _sample_columns,
     _Samples,
     _stack,
+    _unit_averages,
     evaluate_series,
-    pointwise_form_gap,
     quadratic_form,
     superlevel_bound,
 )
@@ -48,9 +45,19 @@ def equilibrium(x_max=10.0, n_cells=100, params=None):
     return make_initial_data(g, InitProfile(kind="equilibrium"), params)
 
 
+def energy(st, params):
+    return norm_report(st, params)["E"]
+
+
+def dissipation(st, params):
+    """The four dissipation integrals of ``st``, in the order of the series."""
+    rep = norm_report(st, params)
+    return np.array([rep[k] for k in ("D_vu2", "D_ux", "D_divru", "D_thx")])
+
+
 class TestEnergyFunctional:
     def test_equilibrium_zero(self, params):
-        assert energy_functional(equilibrium(), params) == 0.0
+        assert energy(equilibrium(), params) == 0.0
 
     def test_kinetic_slab(self, params):
         """u = c on a block of edges gives the quadrature value of c^2/2."""
@@ -64,7 +71,7 @@ class TestEnergyFunctional:
         # cells carry half of that from the average of squares
         h = g.cell_widths[0]
         expect = 0.5 * c**2 * (b - a) * h + 2 * (0.25 * c**2 * h)
-        assert energy_functional(st, params) == pytest.approx(expect, rel=1e-13)
+        assert energy(st, params) == pytest.approx(expect, rel=1e-13)
 
     def test_bump_matches_fine_quadrature(self, params):
         """Midpoint quadrature of the continuum profile at 10x resolution."""
@@ -72,7 +79,7 @@ class TestEnergyFunctional:
                            amp_theta=0.15, center=4.0, width=1.0)
         g = build_mass_grid(16.0, 160)
         st = make_initial_data(g, prof, params)
-        E = energy_functional(st, params)
+        E = energy(st, params)
 
         gf = build_mass_grid(16.0, 1600)
         xf = gf.cell_centers
@@ -95,23 +102,23 @@ class TestEnergyFunctional:
                 theta=rng.uniform(0.2, 3.0, grid.n_cells),
                 n=params.n,
             )
-            assert energy_functional(st, params) >= 0.0
+            assert energy(st, params) >= 0.0
 
 
 class TestDissipationRate:
     def test_equilibrium_all_zero(self, params):
-        assert np.array_equal(dissipation_rate(equilibrium(), params), np.zeros(4))
+        assert np.array_equal(dissipation(equilibrium(), params), np.zeros(4))
 
     def test_pure_temperature_gradient(self, grid, params):
         st = smooth_test_state(grid, params.n)
         st = replace(st, u=np.zeros(grid.n_cells + 1))
-        d = dissipation_rate(st, params)
+        d = dissipation(st, params)
         assert d[0] == 0.0 and d[1] == 0.0 and d[2] == 0.0
         assert d[3] > 0.0
 
     def test_all_nonnegative(self, grid, params):
         st = smooth_test_state(grid, params.n)
-        assert np.all(dissipation_rate(st, params) >= 0.0)
+        assert np.all(dissipation(st, params) >= 0.0)
 
     def test_matches_fine_quadrature(self, params):
         """Fourth component against a 10x-resolution quadrature of the
@@ -127,22 +134,27 @@ class TestDissipationRate:
             g = build_mass_grid(10.0, n_cells)
             st = smooth_test_state(g, 2)
             st = replace(st, u=np.zeros(n_cells + 1))
-            vals.append(dissipation_rate(st, params)[3])
+            vals.append(dissipation(st, params)[3])
         assert vals[0] == pytest.approx(vals[1], rel=2e-3)
 
 
 class TestEnergyBalance:
     def test_equilibrium_residual_zero(self, params):
         states = [replace(equilibrium(), t=t) for t in (0.0, 0.5, 1.0)]
-        assert energy_balance_residual(states, params) == 0.0
+        series = evaluate_series(states, params, RunConfig(x_max=10.0, n_cells=100))
+        assert np.all(series["balance_residual"] == 0.0)
 
-    def test_matches_series_column_exactly(self, bump_run):
-        res, _, p = bump_run
-        assert energy_balance_residual(res.snapshots, p) == res.series["balance_residual"][-1]
-
-    def test_needs_two_states(self, params):
-        with pytest.raises(ValueError):
-            energy_balance_residual([equilibrium()], params)
+    def test_matches_series_column_exactly(self, bump_history):
+        """The run's column is evaluated again from its states bit for bit,
+        and matches a trapezoid rule over the per-state reports."""
+        res, config, p, states = bump_history
+        column = res.series["balance_residual"]
+        assert np.array_equal(evaluate_series(states, p, config)["balance_residual"], column)
+        reps = [norm_report(st, p) for st in states]
+        E = np.array([r["E"] for r in reps])
+        phi = np.array([r["balance_phi"] for r in reps])
+        expect = abs(E[-1] + np.trapezoid(phi, [st.t for st in states]) - E[0])
+        assert column[-1] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_residual_converges_under_refinement(self, params):
         """Halving dx and dt shrinks the defect by at least 1.7x."""
@@ -170,7 +182,7 @@ class TestEnergyBalance:
             cfg = RunConfig(x_max=case.x_max, n_cells=n_cells, t_end=0.2, cadence=1.0)
             hook = case.source_fn(params, g)
             states = [state] + [s for s, _ in _march(state, params, cfg, dt=dt, sources=hook)]
-            resid = energy_balance_residual(states, params)
+            resid = evaluate_series(states, params, cfg)["balance_residual"][-1]
 
             work = []
             for s in states:
@@ -223,7 +235,7 @@ class TestViscousFormGap:
 
     def test_pointwise_gap_on_states(self, grid, params):
         st = smooth_test_state(grid, params.n)
-        assert pointwise_form_gap(st, params) >= -1e-12
+        assert norm_report(st, params)["b6_gap_min"] >= -1e-12
 
 
 class TestCellAverages:
@@ -232,27 +244,30 @@ class TestCellAverages:
         v = np.full(100, 1.7)
         v[-1] = 1.7
         st = FlowState(grid=st.grid, t=0.0, v=v, u=st.u, theta=st.theta, n=2)
-        vbar, _ = cell_averages(st, 3)
-        assert vbar == pytest.approx(1.7, rel=1e-14)
+        vbar = _unit_averages(st.grid)(st.v)
+        assert vbar[3] == pytest.approx(1.7, rel=1e-14)
 
     def test_equilibrium_averages(self, params):
-        vbar, thbar = cell_averages(equilibrium(), 0)
-        assert vbar == 1.0 and thbar == 1.0
+        st = equilibrium()
+        averages = _unit_averages(st.grid)
+        assert np.all(averages(st.v) == 1.0) and np.all(averages(st.theta) == 1.0)
 
     def test_bump_matches_fine_quadrature(self, params):
         prof = InitProfile(kind="gaussian_bump", amp_v=0.2, amp_theta=0.1,
                            center=4.0, width=1.0)
         coarse = make_initial_data(build_mass_grid(10.0, 100), prof, params)
         fine = make_initial_data(build_mass_grid(10.0, 1000), prof, params)
-        for k in (3, 4):
-            vb_c, tb_c = cell_averages(coarse, k)
-            vb_f, tb_f = cell_averages(fine, k)
-            assert vb_c == pytest.approx(vb_f, rel=1e-4)
-            assert tb_c == pytest.approx(tb_f, rel=1e-4)
+        avg_c, avg_f = _unit_averages(coarse.grid), _unit_averages(fine.grid)
+        for field in ("v", "theta"):
+            c = avg_c(getattr(coarse, field))
+            f = avg_f(getattr(fine, field))
+            assert c[3:5] == pytest.approx(f[3:5], rel=1e-4)
 
     def test_interval_outside_grid(self, params):
-        with pytest.raises(ValueError):
-            cell_averages(equilibrium(x_max=5.0, n_cells=50), 5)
+        """Only the unit intervals inside [0, x_max] are averaged."""
+        for x_max in (5.0, 5.5):
+            st = equilibrium(x_max=x_max, n_cells=50)
+            assert len(_unit_averages(st.grid)(st.v)) == 5
 
 
 class TestAnchorRoots:
@@ -323,7 +338,7 @@ class TestSuperlevel:
                 n=params.n,
             )
             a = 1.5
-            E = energy_functional(st, params)
+            E = energy(st, params)
             assert superlevel_measure(st, a) <= superlevel_bound(E, a, params) + 1e-12
 
 
@@ -346,31 +361,40 @@ class TestCutoffPhi:
             cutoff_phi(1.0, 0)
 
 
+def _probe_representation(states, params, k=4, x_probe=3.0):
+    """The times, ln B, ln Y, the represented v and the solved v at the
+    probe, from the probe scalars of each state."""
+    probe = _probe_scalars(states[0], params, k, x_probe)
+    times = np.array([st.t for st in states])
+    ln_B, S, W, theta, v = np.array([probe(st) for st in states]).T
+    ln_Y, v_repr = _representation(times, ln_B, S, W, theta, params)
+    return times, ln_B, ln_Y, v_repr, v
+
+
 class TestLocalRepresentation:
     def test_equilibrium_exact(self, params):
         cfg = RunConfig(x_max=10.0, n_cells=100, t_end=2.0, cadence=0.2)
-        res = run(cfg, params)
-        rep = local_representation(res.snapshots, params, 4, 3.0)
-        assert rep.residual <= 1e-12
+        states = []
+        res = run(cfg, params, on_sample=states.append)
+        assert np.max(res.series["repr_residual"]) <= 1e-12
+        times, ln_B, ln_Y, _, _ = _probe_representation(states, params)
         # Y decays like exp(-R t / beta) on the unit interval at equilibrium
-        expect_Y = np.exp(-params.R * rep.times / params.beta)
-        assert np.allclose(rep.Y, expect_Y, rtol=1e-12)
-        assert np.allclose(rep.B, 1.0, rtol=1e-14)
+        expect_Y = np.exp(-params.R * times / params.beta)
+        assert np.allclose(np.exp(ln_Y), expect_Y, rtol=1e-12)
+        assert np.allclose(np.exp(ln_B), 1.0, rtol=1e-14)
 
-    def test_initial_time_recovers_v0(self, params, bump_run):
-        res, cfg, p = bump_run
-        rep = local_representation(res.snapshots, p, 4, 3.0)
-        xc = res.snapshots[0].grid.cell_centers
-        assert rep.v_repr[0] == pytest.approx(
-            np.interp(3.0, xc, res.snapshots[0].v), rel=1e-13
-        )
+    def test_initial_time_recovers_v0(self, bump_history):
+        _, _, p, states = bump_history
+        v_repr = _probe_representation(states, p)[3]
+        xc = states[0].grid.cell_centers
+        assert v_repr[0] == pytest.approx(np.interp(3.0, xc, states[0].v), rel=1e-13)
 
-    def test_probe_validation(self, params, bump_run):
-        res, _, p = bump_run
+    def test_probe_validation(self, bump_history):
+        _, _, p, states = bump_history
         with pytest.raises(ValueError):
-            local_representation(res.snapshots, p, 4, 4.5)  # probe right of k
+            _probe_scalars(states[0], p, 4, 4.5)  # probe right of k
         with pytest.raises(ValueError):
-            local_representation(res.snapshots, p, 40, 38.5)  # interval outside
+            _probe_scalars(states[0], p, 40, 38.5)  # interval outside
 
     def test_residual_shrinks_under_refinement(self, params):
         prof = InitProfile(kind="gaussian_bump", amp_v=0.15, amp_u=0.15,
@@ -379,27 +403,24 @@ class TestLocalRepresentation:
         for n_cells, cfl, cad in ((80, 0.4, 0.05), (160, 0.2, 0.025)):
             cfg = RunConfig(x_max=16.0, n_cells=n_cells, profile=prof,
                             t_end=1.5, cadence=cad, cfl_fraction=cfl)
-            res = run(cfg, params)
-            rep = local_representation(res.snapshots, params, 4, 3.0)
-            resid.append(rep.residual)
+            resid.append(np.max(run(cfg, params).series["repr_residual"]))
         assert resid[1] < 0.6 * resid[0]
 
-
     @pytest.mark.parametrize("history", ["bump_run", "every_step"])
-    def test_linear_recurrence_matches_quadratic_reference(self, history, bump_run):
+    def test_linear_recurrence_matches_quadratic_reference(self, history, bump_history):
         """The correction carried forward sample by sample equals the one
         integrated again from t = 0 at every sample."""
         if history == "bump_run":
-            res, _, p = bump_run
+            _, _, p, states = bump_history
         else:
             p = PhysParams()
             prof = InitProfile(kind="gaussian_bump", amp_v=0.15, amp_u=0.15,
                                amp_theta=0.15, center=4.0, width=1.0)
-            res = run(RunConfig(x_max=8.0, n_cells=40, profile=prof, t_end=4.0,
-                                cadence=1e-9), p)
-            assert len(res.snapshots) > 200
-        states = res.snapshots
-        times, ln_B, ln_Y, v_repr, _ = _representation_trajectory(states, p, 4, 3.0)
+            states = []
+            run(RunConfig(x_max=8.0, n_cells=40, profile=prof, t_end=4.0, cadence=1e-9),
+                p, on_sample=states.append)
+            assert len(states) > 200
+        times, ln_B, ln_Y, v_repr, _ = _probe_representation(states, p)
         xc = states[0].grid.cell_centers
         theta = np.array([np.interp(3.0, xc, s.theta) for s in states])
         ln_Z = ln_B + ln_Y
@@ -483,25 +504,41 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("length", ["1", "B", "B+1", "B+2", "all"])
     @pytest.mark.parametrize("history", ["bump_run", "n3"])
-    def test_columns_equal_norm_report_row_by_row(self, bump_run, history, length):
+    def test_columns_equal_norm_report_row_by_row(self, bump_history, history, length):
         if history == "bump_run":
-            res, config, params = bump_run
-            states = list(res.snapshots)
+            _, config, params, states = bump_history
         else:
-            _, config, _ = bump_run
+            _, config, _, _ = bump_history
             params = PhysParams(n=3)
             states = _synthetic_history(3, 40)
         B = _block_rows(states)
         m = {"1": 1, "B": B, "B+1": B + 1, "B+2": B + 2, "all": len(states)}[length]
         assert m <= len(states)
         states = states[:m]
-        col = _sample_columns(states, params)
+        col = _sample_columns(states, params, config)
         series = evaluate_series(states, params, config)
+        a = config.superlevel_a
+        probe = _probe_scalars(states[0], params, config.probe_k, config.probe_x)
+        averages = _unit_averages(states[0].grid)
         for i, (prev, st) in enumerate(zip([None] + states[:-1], states)):
             for key, val in norm_report(st, params, prev).items():
                 assert col[key][i] == val, (key, i)
                 if key in SERIES_COLUMNS:
                     assert series[key][i] == val, (key, i)
+            # the per-state columns, evaluated with the block
+            vbar, thbar = averages(st.v), averages(st.theta)
+            per_state = {
+                "t": st.t,
+                "omega_measure": superlevel_measure(st, a),
+                "vbar_min": vbar.min(), "vbar_max": vbar.max(),
+                "thbar_min": thbar.min(), "thbar_max": thbar.max(),
+                **dict(zip(_PROBE_COLUMNS, probe(st))),
+            }
+            for key, val in per_state.items():
+                assert col[key][i] == val, (key, i)
+                if key in SERIES_COLUMNS:
+                    assert series[key][i] == val, (key, i)
+            assert series["omega_bound"][i] == superlevel_bound(col["E"][i], a, params), i
         # a generator is read once, in order, for the same series bit for bit
         pulled = []
 
@@ -526,11 +563,11 @@ class TestSampleBlocks:
             for f in fields(Gradients):
                 assert np.array_equal(getattr(bundle, f.name)[row], getattr(single, f.name))
 
-    def test_samples_on_different_grids_rejected(self, bump_run):
-        res, config, params = bump_run
+    def test_samples_on_different_grids_rejected(self, bump_history):
+        _, config, params, states = bump_history
         other = make_initial_data(build_mass_grid(16.0, 80), InitProfile(), params)
         with pytest.raises(ValueError, match="different grids"):
-            evaluate_series([res.snapshots[0], other], params, config)
+            evaluate_series([states[0], other], params, config)
 
 
 class TestSeriesInvariants:

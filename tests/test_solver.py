@@ -218,7 +218,9 @@ class TestSolverStates:
                            amp_theta=0.1, center=4.0, width=1.0)
         cfg = RunConfig(x_max=10.0, n_cells=60, profile=prof, t_end=0.2,
                         cadence=0.05, scheme_order=order)
-        for st in run(cfg, PhysParams(n=n)).snapshots:
+        states = []
+        run(cfg, PhysParams(n=n), on_sample=states.append)
+        for st in states:
             self.assert_coherent(st)
 
     def test_tridiagonal_zero_pivot_raises(self):
@@ -241,10 +243,11 @@ class TestRun:
         prof = InitProfile(kind="gaussian_bump", amp_v=0.1, amp_u=0.1,
                            amp_theta=0.1, center=4.0, width=1.0)
         cfg = RunConfig(x_max=12.0, n_cells=96, profile=prof, t_end=0.5, cadence=0.1)
-        r1 = run(cfg, params)
-        r2 = run(cfg, params)
+        s1, s2 = [], []
+        r1 = run(cfg, params, on_sample=s1.append)
+        r2 = run(cfg, params, on_sample=s2.append)
         assert np.array_equal(r1.series.data, r2.series.data)
-        assert np.array_equal(r1.snapshots[-1].v, r2.snapshots[-1].v)
+        assert np.array_equal(s1[-1].v, s2[-1].v)
 
     def test_samples_cover_endpoints(self, params):
         cfg = RunConfig(x_max=10.0, n_cells=80, t_end=1.0, cadence=0.3)
@@ -271,8 +274,9 @@ class TestRun:
         prof = InitProfile(kind="gaussian_bump", amp_v=-0.3, amp_u=0.1,
                            amp_theta=-0.2, center=3.0, width=0.8)
         cfg = RunConfig(x_max=10.0, n_cells=100, profile=prof, t_end=0.5, cadence=0.1)
-        res = run(cfg, params3)
-        assert all(np.min(s.r) >= 1.0 for s in res.snapshots)
+        states = []
+        res = run(cfg, params3, on_sample=states.append)
+        assert all(np.min(s.r) >= 1.0 for s in states)
         assert res.summary.min_v > 0.0
         assert res.summary.min_theta > 0.0
 

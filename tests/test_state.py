@@ -40,6 +40,14 @@ class TestFlowState:
         with pytest.raises(ValueError):
             FlowState(grid=grid, t=0.0, n=2, **fields)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_radius(self, grid):
+        """Finite v whose volume integral overflows gives an infinite r."""
+        nc = grid.n_cells
+        with pytest.raises(ValueError, match="radius"):
+            FlowState(grid=grid, t=0.0, v=np.full(nc, 1e308), u=np.zeros(nc + 1),
+                      theta=np.ones(nc), n=2)
+
     def test_rejects_moving_inner_edge(self, grid):
         nc = grid.n_cells
         u = np.zeros(nc + 1)
