@@ -174,7 +174,6 @@ class TestRunCommand:
         "t_end=inf",
         "profile.center=nan",
         "profile.amplitudes=nan,0,0",
-        "profile.amplitudes=1e308,0,0",
         "X_max=inf",
         "X_max=0.5",
         "X_max=17",
@@ -200,6 +199,18 @@ class TestRunCommand:
         assert not os.path.exists(out)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_overflowing_initial_radius_exits_config_code(self, config_file, tmp_path, capsys):
+        """An amplitude whose initial radius 1 + n X_max v overflows is a
+        config error found before the solve, not a solver abort."""
+        out = str(tmp_path / "nothing")
+        code = main(["run", "--config", config_file, "--out", out,
+                     "--set", "N=16", "--set", "profile.amplitudes=1e308,0,0"])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "initial radius overflows" in err
 
     @pytest.mark.parametrize("rows", [
         "0,1,0,1\n5,-1,0,1\n12,1,0,1\n",
