@@ -21,6 +21,7 @@ Exit codes (documented, distinct):
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -99,12 +100,16 @@ def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
 _RUN_FILES = ("diagnostics.csv", "summary.json", "report.json")
 
 
+def _is_snapshot(name) -> bool:
+    """Whether a file in ``snapshots/`` is one that run writes."""
+    return name.startswith("snap_") and name.endswith(".csv")
+
+
 def _clear_earlier_run(out_dir, snap_dir) -> None:
     """Remove the files an earlier run into ``out_dir`` left (its snapshots,
     diagnostics, summary and report), so that none is mixed with this run's;
     nothing else is touched."""
-    names = [os.path.join(snap_dir, f) for f in os.listdir(snap_dir)
-             if f.startswith("snap_") and f.endswith(".csv")]
+    names = [os.path.join(snap_dir, f) for f in os.listdir(snap_dir) if _is_snapshot(f)]
     for path in names + [os.path.join(out_dir, f) for f in _RUN_FILES]:
         try:
             os.remove(path)
@@ -236,12 +241,13 @@ def _cmd_sweep(args) -> int:
 
 def _snapshots(snap_dir, names):
     """The states of the snapshot files ``names``, loaded one at a time, on
-    the grid of the first wherever their x column equals its edges."""
-    grid = None
+    the grid of the first wherever their x column equals its edges; the x
+    column is matched as text first, against the first grid's."""
+    grid = x_column = None
     for name in names:
-        state = load_snapshot(os.path.join(snap_dir, name), grid)[0]
+        state = load_snapshot(os.path.join(snap_dir, name), grid, x_column)[0]
         if grid is None:
-            grid = state.grid
+            grid, x_column = state.grid, snapshot_x_column(state.grid)
         yield state
 
 
@@ -250,12 +256,16 @@ def _cmd_report(args) -> int:
     snap_dir = os.path.join(run_dir, "snapshots")
     try:
         config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
-        names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
+        # looked for first, as a solver abort leaves none, but parsed after the
+        # snapshots, so that it is not held while they are folded
+        diagnostics = os.path.join(run_dir, "diagnostics.csv")
+        os.stat(diagnostics)
+        names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
         # mixed grids raise ValueError
         series = evaluate_series(_snapshots(snap_dir, names), params, config)
-        stored = DiagnosticsSeries.from_csv(os.path.join(run_dir, "diagnostics.csv"))
+        stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise UnreadableOutput(exc) from exc
 
@@ -280,7 +290,11 @@ def _cmd_report(args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once: a parser is a web of reference cycles,
+    so one built per call would stay in memory until the garbage collector
+    happened to run."""
     parser = argparse.ArgumentParser(
         prog="sphgas",
         description="Exterior-domain viscous gas simulator and verification harness",
@@ -306,7 +320,11 @@ def main(argv=None) -> int:
                            help="parallel sweep points (at least 1; the pool is capped "
                            "at the point count and the CPU count)")
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

@@ -283,32 +283,49 @@ def save_snapshot(state: FlowState, params: PhysParams, path, x_column=None) -> 
         fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
-def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysParams]:
+def load_snapshot(
+    path, grid: MassGrid | None = None, x_column: list[str] | None = None
+) -> tuple[FlowState, PhysParams]:
     """Read a snapshot written by :func:`save_snapshot`; a malformed file
-    raises ValueError naming ``path``.  ``grid`` is reused when its edges
-    equal the file's x column, so the states of one run share one grid."""
+    raises ValueError naming ``path``.
+
+    The body is split once, and the v, u and theta columns are each
+    converted in one call; the r column is not read, as the state
+    recomputes it.  ``grid`` is reused when its edges equal the file's x
+    column, so the states of one run share one grid.  ``x_column``, the
+    :func:`snapshot_x_column` of ``grid``, is what :func:`save_snapshot`
+    wrote for it: a file whose x column is that very text reuses ``grid``
+    without converting x.
+    """
     with open(path) as fh:
         header = fh.readline()
         cols = fh.readline().strip()
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        lines = fh.read().rstrip("\n").split("\n")
     if not header.startswith("#"):
         raise ValueError(f"{path}: missing metadata header")
     if cols != _SNAP_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {cols!r}")
+    commas = set(map(str.count, lines, [","] * len(lines)))
+    if commas != {4}:  # skip whitespace-only lines, then count again
+        lines = [line for line in lines if line.strip()]
+        commas = set(map(str.count, lines, [","] * len(lines)))
+    fields = ",".join(lines).split(",")
     try:
-        if any(len(r) != 5 for r in rows) or rows[-1][1] or rows[-1][3]:
+        if commas - {4} or fields[-4] or fields[-2]:
             raise ValueError("truncated: short rows or no outer edge row")
         meta = {k: float(val) for k, _, val in (tok.partition("=") for tok in header[1:].split())}
         params = PhysParams(
             mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
             cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
         )
-        xe = np.array([float(r[0]) for r in rows])
-        u = np.array([float(r[2]) for r in rows])
-        v = np.array([float(r[1]) for r in rows[:-1]])
-        theta = np.array([float(r[3]) for r in rows[:-1]])
-        if grid is None or not np.array_equal(xe, grid.x_edges):
-            grid = MassGrid(x_edges=xe)
+        x = fields[0::5]
+        if grid is None or x != x_column:
+            xe = np.array(x, dtype=float)
+            if grid is None or not np.array_equal(xe, grid.x_edges):
+                grid = MassGrid(x_edges=xe)
+        u = np.array(fields[2::5], dtype=float)
+        v = np.array(fields[1:-5:5], dtype=float)
+        theta = np.array(fields[3:-5:5], dtype=float)
         state = FlowState(grid=grid, t=meta["t"], v=v, u=u, theta=theta, n=params.n)
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed snapshot: {exc}") from exc

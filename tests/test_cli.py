@@ -479,6 +479,37 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("unreadable run output: ") and "diagnostics.csv" in err
 
+    def test_missing_diagnostics_fails_before_reading_a_snapshot(self, config_file, tmp_path,
+                                                                  capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
+        os.remove(os.path.join(out, "diagnostics.csv"))
+        read, load = [], cli.load_snapshot
+
+        def spy(path, *args):
+            read.append(path)
+            return load(path, *args)
+
+        monkeypatch.setattr(cli, "load_snapshot", spy)
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("unreadable run output: ") and "diagnostics.csv" in err
+        assert read == []
+
+    def test_report_reads_only_snapshot_files(self, config_file, tmp_path, capsys):
+        """Other files in snapshots/, which run leaves alone, are not samples."""
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in ["N=16", "X_max=10", "t_end=0.2"]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        with open(os.path.join(out, "snapshots", "notes.csv"), "w") as fh:
+            fh.write("not,a,snapshot\n")
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_OK
+        assert "reproduction max deviation vs stored diagnostics: 0.0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("spoil, expect", [
         (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
@@ -531,6 +562,46 @@ class TestReportCommand:
         assert err == ""
         with open(os.path.join(out, "report.json")) as fh:
             assert all(json.load(fh)["invariants"].values())
+
+
+class TestSnapshotReader:
+    """report reads back, through ``cli._snapshots``, what run wrote through
+    ``cli._snapshot_writer``."""
+
+    @staticmethod
+    def _write(states, params, snap_dir):
+        write = cli._snapshot_writer(str(snap_dir), params)
+        for state in states:
+            write(state)
+        return sorted(os.listdir(snap_dir))
+
+    @staticmethod
+    def _assert_bitwise_equal(a, b):
+        assert np.float64(a.t).tobytes() == np.float64(b.t).tobytes()
+        for f in ("v", "u", "theta", "r"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+
+    def test_run_states_come_back_bitwise_on_one_grid(self, bump_history, tmp_path):
+        _, _, params, states = bump_history
+        names = self._write(states, params, tmp_path)
+        loaded = list(cli._snapshots(str(tmp_path), names))
+        assert len(loaded) == len(states) > 2
+        for st, back in zip(states, loaded):
+            self._assert_bitwise_equal(st, back)
+        assert len({id(st.grid) for st in loaded}) == 1
+
+    def test_non_canonical_x_text_loads_on_the_first_grid(self, bump_history, tmp_path):
+        _, _, params, states = bump_history
+        names = self._write(states[:3], params, tmp_path)
+        path = tmp_path / names[1]
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[2].startswith("0.0,")
+        # "0.0" becomes "0.00", "0.1" "0.10", and so on
+        path.write_text("".join(lines[:2] + [line.replace(",", "0,", 1) for line in lines[2:]]))
+        loaded = list(cli._snapshots(str(tmp_path), names))
+        assert loaded[1].grid is loaded[0].grid is loaded[2].grid
+        for st, back in zip(states, loaded):
+            self._assert_bitwise_equal(st, back)
 
 
 @pytest.fixture

@@ -6,12 +6,14 @@ import pytest
 from sphgas import (
     FlowState,
     InitProfile,
+    MassGrid,
+    PhysParams,
     build_mass_grid,
     discrete_gradients,
     make_initial_data,
     stress_sigma,
 )
-from sphgas.state import load_snapshot, save_snapshot
+from sphgas.state import load_snapshot, save_snapshot, snapshot_x_column
 
 from conftest import smooth_test_state
 
@@ -227,3 +229,49 @@ class TestSnapshotIO:
         assert np.array_equal(loaded.theta, st.theta)
         assert np.array_equal(loaded.r, st.r)
         assert loaded_params == params
+
+    def test_golden_bytes(self, tmp_path):
+        """The snapshot layout, byte for byte, that readers of the CSV rely on:
+        a metadata comment, the column header, one row per edge with repr
+        floats, and empty cell columns on the outer edge row."""
+        grid = MassGrid(x_edges=np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+        st = FlowState(grid=grid, t=0.125, v=np.array([3.0, 5.0, 7.0, 9.0]),
+                       u=np.array([0.0, 2.5e-07, -0.125, 0.1, 0.0]),
+                       theta=np.array([1.25, 0.5, 2.0, 1.0]), n=2)
+        path = tmp_path / "snap.csv"
+        save_snapshot(st, PhysParams(), path)
+        assert path.read_bytes() == (
+            b"# t=0.125 mu=1.0 lambda=0.0 R=1.0 cv=1.5 kappa=1.0 n=2.0\n"
+            b"x,v,u,theta,r\n"
+            b"0.0,3.0,0.0,1.25,1.0\n"
+            b"0.5,5.0,2.5e-07,0.5,2.0\n"
+            b"1.0,7.0,-0.125,2.0,3.0\n"
+            b"1.5,9.0,0.1,1.0,4.0\n"
+            b"2.0,,0.0,,5.0\n"
+        )
+
+    @staticmethod
+    def _saved_lines(grid, params, tmp_path):
+        st = replace(smooth_test_state(grid, params.n), t=1.25)
+        path = tmp_path / "snap.csv"
+        save_snapshot(st, params, path)
+        return st, path, path.read_text().splitlines(keepends=True)
+
+    def test_rows_of_six_and_four_fields_rejected(self, grid, params, tmp_path):
+        """One row with a field too many and another with one too few keep
+        the total field count, and are still rejected."""
+        _, path, lines = self._saved_lines(grid, params, tmp_path)
+        row3, row7 = lines[3].rstrip("\n").split(","), lines[7].rstrip("\n").split(",")
+        lines[3] = ",".join(row3 + [row7.pop()]) + "\n"
+        lines[7] = ",".join(row7) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"snap\.csv: malformed snapshot: truncated"):
+            load_snapshot(path, grid, snapshot_x_column(grid))
+
+    def test_whitespace_only_lines_skipped(self, grid, params, tmp_path):
+        st, path, lines = self._saved_lines(grid, params, tmp_path)
+        path.write_text("".join(lines[:5] + [" \t\n"] + lines[5:] + ["\n", "  \n"]))
+        loaded = load_snapshot(path, grid, snapshot_x_column(grid))[0]
+        assert loaded.grid is grid
+        for f in ("v", "u", "theta", "r"):
+            assert getattr(loaded, f).tobytes() == getattr(st, f).tobytes()
