@@ -27,9 +27,9 @@ derivative accumulators use backward difference quotients between samples.
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -145,26 +145,30 @@ def _form_gap(params: PhysParams, gr: Gradients):
 # ---------------------------------------------------------------------------
 # Jensen anchors and superlevel sets
 
-def _clipped_weights(grid: MassGrid, lo: float, hi: float) -> np.ndarray:
-    """Per-cell overlap widths with the interval [lo, hi]."""
-    return np.clip(
-        np.minimum(grid.x_edges[1:], hi) - np.maximum(grid.x_edges[:-1], lo),
-        0.0,
-        None,
-    )
+def _unit_integrals(grid: MassGrid):
+    """The function taking a cell field to its midpoint-quadrature integrals
+    over the unit mass intervals [k, k+1] inside the grid, k = 0, 1, ...,
+    along the last axis: differences of its running integral read at the
+    integers, whose cells and offsets are found once per grid."""
+    xe, h = grid.x_edges, grid.cell_widths
+    ints = np.arange(int(grid.x_max + 1e-12) + 1, dtype=float)
+    cell = np.minimum(np.searchsorted(xe, ints, side="right") - 1, grid.n_cells - 1)
+    offset = ints - xe[cell]
+
+    def integrals(f):
+        running = np.zeros(f.shape[:-1] + (xe.size,))  # the integral up to each edge
+        np.cumsum(f * h, axis=-1, out=running[..., 1:])
+        return np.diff(running[..., cell] + f[..., cell] * offset, axis=-1)
+
+    return integrals
 
 
-def _unit_averages(grid: MassGrid):
-    """The function taking a cell field to its midpoint-quadrature averages
-    over the unit mass intervals [k, k+1] inside the grid, k = 0, 1, ..."""
-    weights = [_clipped_weights(grid, float(k), float(k + 1)) for k in range(int(grid.x_max + 1e-12))]
-    totals = np.array([w.sum() for w in weights])
-    return lambda f: np.array([np.dot(w, f) for w in weights]) / totals
+_ANCHOR_TOL = 1e-12  # absolute tolerance of the roots in anchor_roots
 
 
-def anchor_roots(cbar: float, tol: float = 1e-12) -> tuple[float, float]:
+def anchor_roots(cbar: float) -> tuple[float, float]:
     """The two roots alpha1 <= 1 <= alpha2 of y - ln y - 1 = cbar, by
-    bisection to absolute tolerance ``tol``."""
+    bisection to absolute tolerance :data:`_ANCHOR_TOL`."""
     if cbar < 0:
         raise ValueError(f"the bound must be nonnegative, got {cbar}")
     if cbar == 0.0:
@@ -176,7 +180,7 @@ def anchor_roots(cbar: float, tol: float = 1e-12) -> tuple[float, float]:
     def bisect(lo, hi):
         f_lo = f(lo)
         for _ in range(200):
-            if hi - lo <= tol:
+            if hi - lo <= _ANCHOR_TOL:
                 break
             mid = 0.5 * (lo + hi)
             f_mid = f(mid)
@@ -193,11 +197,12 @@ def anchor_roots(cbar: float, tol: float = 1e-12) -> tuple[float, float]:
     return float(alpha1), float(alpha2)
 
 
-def superlevel_measure(state: FlowState, a: float) -> float:
-    """Total width of cells whose temperature exceeds the threshold a > 1."""
+def superlevel_measure(state, a: float):
+    """Total width of cells whose temperature exceeds the threshold a > 1,
+    along the last axis (one per row for a block of samples)."""
     if not (a > 1.0):
         raise ValueError(f"threshold must exceed 1, got {a}")
-    return float(np.sum(state.grid.cell_widths[state.theta > a]))
+    return (state.grid.cell_widths * (state.theta > a)).sum(axis=-1)
 
 
 def superlevel_bound(energy, a: float, params: PhysParams):
@@ -252,14 +257,17 @@ def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
     return out
 
 
-def _trapz_tail(x_nodes, f_nodes, lo):
-    """Trapezoid integral of the piecewise-linear interpolant from lo to the
-    last node; x_nodes[0] < lo."""
-    idx = int(np.searchsorted(x_nodes, lo, side="right"))
-    f_lo = float(np.interp(lo, x_nodes, f_nodes))
-    xs = np.concatenate(([lo], x_nodes[idx:]))
-    fs = np.concatenate(([f_lo], f_nodes[idx:]))
-    return float(np.trapezoid(fs, xs))
+def _interp_at(nodes, x: float):
+    """The function taking a field on ``nodes`` to its linear interpolant at
+    x, along the last axis, by np.interp's own arithmetic: the end value
+    outside the nodes, the node value on a node, and
+    slope * (x - x_j) + f_j between x_j and x_(j+1)."""
+    j = int(np.searchsorted(nodes, x, side="right")) - 1
+    if j < 0 or j == nodes.size - 1 or nodes[j] == x:
+        j = max(j, 0)
+        return lambda f: f[..., j]
+    gap, offset = nodes[j + 1] - nodes[j], x - nodes[j]
+    return lambda f: (f[..., j + 1] - f[..., j]) / gap * offset + f[..., j]
 
 
 def _check_probe(k, x_probe, x_max):
@@ -273,31 +281,41 @@ def _check_probe(k, x_probe, x_max):
 
 
 def _probe_scalars(first, params: PhysParams, k: int, x_probe: float):
-    """The function taking a state of ``first``'s history to its five probe
-    scalars: ln B, S (the integral of sigma over [k, k+1]), W (the tail
-    integral of phi r^-n u^2), and theta and v at the probe point.
+    """The function taking a state of ``first``'s history, or a block of its
+    samples, to its five probe scalars (one per row for a block): ln B, S
+    (the integral of sigma over [k, k+1]), W (the tail integral of
+    phi r^-n u^2), and theta and v at the probe point.
 
-    The tail integrals depend on the probe point through the localizer; they
-    are evaluated at ``x_probe`` throughout (Y is really Y(x_probe, t)).
+    The tail integrals, trapezoid rules over the edges right of the probe
+    point, depend on it through the localizer; they are evaluated at
+    ``x_probe`` throughout (Y is really Y(x_probe, t)).
     """
     g = first.grid
     n = params.n
     _check_probe(k, x_probe, g.x_max)
-    xe, xc = g.x_edges, g.cell_centers
-    phi_e = cutoff_phi(xe, k)
-    w_unit = _clipped_weights(g, float(k), float(k + 1))
-    u0 = first.u
-    r0_pow = first.r ** (1 - n)
-    ln_v0 = np.log(float(np.interp(x_probe, xc, first.v)))
+    xe = g.x_edges
+    # the edges from the last one left of the probe point on
+    tail = slice(int(np.searchsorted(xe, x_probe, side="right")) - 1, None)
+    nodes = np.concatenate(([x_probe], xe[tail][1:]))
+    edge_at_probe = _interp_at(xe[tail], x_probe)
+    center_at_probe = _interp_at(g.cell_centers, x_probe)
+    unit = _unit_integrals(g)
+    phi = cutoff_phi(xe[tail], k)
+    ru0 = (first.r ** (1 - n) * first.u)[tail]
+    ln_v0 = np.log(center_at_probe(first.v))
+
+    def tail_integral(f):  # f on the edges of ``tail``
+        f = np.concatenate((edge_at_probe(f)[..., None], f[..., 1:]), axis=-1)
+        return np.trapezoid(f, nodes, axis=-1)
 
     def scalars(st):
-        tail = phi_e * (r0_pow * u0 - st.r ** (1 - n) * st.u)
+        r, u = st.r[..., tail], st.u[..., tail]
         return (
-            ln_v0 + _trapz_tail(xe, tail, x_probe) / params.beta,
-            float(np.dot(w_unit, stress_sigma(st, params))),
-            _trapz_tail(xe, phi_e * st.r ** (-n) * st.u**2, x_probe),
-            np.interp(x_probe, xc, st.theta),
-            np.interp(x_probe, xc, st.v),
+            ln_v0 + tail_integral(phi * (ru0 - r ** (1 - n) * u)) / params.beta,
+            unit(stress_sigma(st, params))[..., k],
+            tail_integral(phi * r ** (-n) * u**2),
+            center_at_probe(st.theta),
+            center_at_probe(st.v),
         )
 
     return scalars
@@ -416,25 +434,21 @@ _Samples = namedtuple("_Samples", "grid t v u theta r n")
 _BLOCK_ELEMENTS = 4096
 
 
-# The columns of _sample_columns besides norm_report's, each taken from one
-# state at a time: the time, the superlevel measure, the extremes of the
-# unit-interval averages and the probe scalars of _probe_scalars.
 _PROBE_COLUMNS = ("probe_ln_B", "probe_S", "probe_W", "probe_theta", "probe_v")
-_STATE_COLUMNS = ("t", "omega_measure", "vbar_min", "vbar_max", "thbar_min", "thbar_max",
-                  *_PROBE_COLUMNS)
 
 
 def _sample_columns(samples, params: PhysParams, config) -> dict:
-    """Every :func:`norm_report` entry (each sample against the one before
-    it) and every :data:`_STATE_COLUMNS` entry as columns, from one pass
-    over ``samples``.
+    """Every per-sample column, from one pass over ``samples``: the
+    :func:`norm_report` entries (each sample against the one before it),
+    the time, the superlevel measure, the extremes of the unit-interval
+    averages (Jensen anchors) and the probe scalars.
 
-    The first sample goes through :func:`_report` alone, then blocks of
-    ``rows`` samples, each stacked with the sample before it, whose rows
-    serve as ``prev``.  Only the block being filled is held, and nothing is
-    evaluated before it is full or the samples end; the state columns of a
-    block's samples are evaluated with it.  The samples must share one grid,
-    and ``config``'s probe must fit it (ValueError otherwise).
+    Each column is a kernel along the last axis of a block of samples.  The
+    first sample goes alone, then blocks of ``rows`` samples, each stacked
+    with the sample before it, whose rows serve as ``prev``.  Only the block
+    being filled is held, and nothing is evaluated before it is full or the
+    samples end.  The samples must share one grid, and ``config``'s probe
+    must fit it (ValueError otherwise).
     """
     samples = iter(samples)
     first = next(samples, None)
@@ -442,32 +456,39 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
         raise ValueError("no samples to evaluate")
     g, n = first.grid, first.n
     rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
+    unit = _unit_integrals(g)
     probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
-    averages = _unit_averages(g)
     keys = None
     reports = []  # one array per block, a row per key
 
-    def state_row(st):
-        vbar, thbar = averages(st.v), averages(st.theta)
-        return (st.t, superlevel_measure(st, config.superlevel_a),
-                vbar.min(), vbar.max(), thbar.min(), thbar.max(), *probe(st))
-
-    def keep(report, states):
+    def keep(state, prev=None):
+        """Evaluate and keep every column of the block ``state``."""
         nonlocal keys
-        report.update(zip(_STATE_COLUMNS, np.array([state_row(st) for st in states]).T))
-        keys = list(report)
-        reports.append(np.array(list(report.values())))
+        out = _report(state, params, prev)
+        # 1 + the integral of f - 1 keeps equilibrium averages at exactly 1
+        vbar, thbar = 1.0 + unit(state.v - 1.0), 1.0 + unit(state.theta - 1.0)
+        out.update(
+            t=state.t,
+            omega_measure=superlevel_measure(state, config.superlevel_a),
+            vbar_min=vbar.min(axis=-1),
+            vbar_max=vbar.max(axis=-1),
+            thbar_min=thbar.min(axis=-1),
+            thbar_max=thbar.max(axis=-1),
+        )
+        out.update(zip(_PROBE_COLUMNS, probe(state)))
+        keys = list(out)
+        reports.append(np.array(list(out.values())))
 
     def evaluate(block):
         """Evaluate the samples of ``block`` after its first, which is the
         sample before them; the very first sample goes alone, before them."""
         if not reports:
-            keep(_report(_Samples(g, *_stack(block[:1]), n), params), block[:1])
+            keep(_Samples(g, *_stack(block[:1]), n))
         if len(block) > 1:
             tb, v, u, theta, r = _stack(block)
             cur = _Samples(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
             prev = _Samples(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
-            keep(_report(cur, params, prev), block[1:])
+            keep(cur, prev)
 
     block = [first]
     for st in samples:
@@ -551,21 +572,28 @@ class DiagnosticsSeries:
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
+        """Read a series written by :meth:`to_csv`, skipping whitespace-only
+        lines; a malformed file raises ValueError naming ``path``.  The rows
+        are converted a chunk at a time, each chunk split once and converted
+        in one call, so the file's text is never held whole: as Python
+        strings its values take about eight times the memory of the floats."""
         width = len(SERIES_COLUMNS)
-        values = array("d")
+        chunks = []
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header != SERIES_COLUMNS:
+            if fh.readline().strip().split(",") != SERIES_COLUMNS:
                 raise ValueError(f"{path}: unexpected series columns")
-            for line in fh:
-                if line.strip():
-                    row = [float(tok) for tok in line.split(",")]
-                    if len(row) != width:
-                        raise ValueError(f"{path}: a row of {len(row)} values, not {width}")
-                    values.extend(row)
-        if not values:
+            rows = filter(str.strip, fh)
+            while lines := list(islice(rows, _BLOCK_ELEMENTS // width)):
+                commas = set(map(str.count, lines, [","] * len(lines))) - {width - 1}
+                if commas:
+                    raise ValueError(f"{path}: a row of {min(commas) + 1} values, not {width}")
+                try:
+                    chunks.append(np.array(",".join(lines).split(","), dtype=float))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from exc
+        if not chunks:
             raise ValueError(f"{path}: no rows")
-        return cls(data=np.array(values).reshape(-1, width))
+        return cls(data=np.concatenate(chunks).reshape(-1, width))
 
 
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .diagnostics import _check_probe
+from .diagnostics import DiagnosticsSeries, _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
 from .state import FlowState, InitProfile, _diff, edge_weight, make_initial_data
 
@@ -91,7 +91,7 @@ class RunConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not (4 <= self.n_cells <= _MAX_CELLS):
             raise ValueError(f"N must lie in [4, {_MAX_CELLS}], got N={self.n_cells}")
-        if not (1 <= self.x_max <= self.n_cells):  # the diagnostics visit every unit mass interval
+        if not (1 <= self.x_max <= self.n_cells):  # caps the unit mass intervals of a sample at the cell count
             raise ValueError(f"X_max must lie in [1, N={self.n_cells}], got {self.x_max}")
         if not (0 < self.v_floor < 1 and 0 < self.theta_floor < 1):  # far field: v = theta = 1
             raise ValueError("positivity floors must lie in (0, 1)")
@@ -139,7 +139,7 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunResult:
-    series: object  # DiagnosticsSeries (typed loosely to avoid an import cycle)
+    series: DiagnosticsSeries
     summary: RunSummary
 
 
@@ -371,6 +371,7 @@ def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
     the sampled states, so the ``report`` command can reproduce it exactly
     from stored snapshots.
     """
+    # imported per call, as perfbench's tracer wraps it in its home module
     from .diagnostics import evaluate_series
 
     summary = RunSummary()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -21,20 +22,21 @@ from sphgas import (
 )
 from sphgas.diagnostics import (
     _BLOCK_ELEMENTS,
-    _PROBE_COLUMNS,
     SERIES_COLUMNS,
+    DiagnosticsSeries,
     _integral_linear_exp,
+    _interp_at,
     _probe_scalars,
     _representation,
     _sample_columns,
     _Samples,
     _stack,
-    _unit_averages,
+    _unit_integrals,
     evaluate_series,
     quadratic_form,
     superlevel_bound,
 )
-from sphgas.state import Gradients, discrete_gradients
+from sphgas.state import Gradients, discrete_gradients, stress_sigma
 
 from conftest import smooth_test_state
 
@@ -238,6 +240,23 @@ class TestViscousFormGap:
         assert norm_report(st, params)["b6_gap_min"] >= -1e-12
 
 
+def _unit_averages(grid):
+    """The unit-interval averages of a cell field, as the series forms them."""
+    integrals = _unit_integrals(grid)
+    return lambda f: 1.0 + integrals(f - 1.0)
+
+
+def _overlap_averages(grid):
+    """Reference: the unit-interval averages from each cell's overlap width
+    with [k, k+1], dotted with the field and divided by the total width."""
+    xe = grid.x_edges
+    weights = [
+        np.clip(np.minimum(xe[1:], k + 1.0) - np.maximum(xe[:-1], float(k)), 0.0, None)
+        for k in range(int(grid.x_max + 1e-12))
+    ]
+    return lambda f: np.array([np.dot(w, f) for w in weights]) / [w.sum() for w in weights]
+
+
 class TestCellAverages:
     def test_constant_field(self, params):
         st = equilibrium()
@@ -268,6 +287,34 @@ class TestCellAverages:
         for x_max in (5.0, 5.5):
             st = equilibrium(x_max=x_max, n_cells=50)
             assert len(_unit_averages(st.grid)(st.v)) == 5
+
+    @pytest.mark.parametrize("x_max, n_cells, grading", [
+        (40.0, 800, "uniform"), (40.0, 800, 1.004), (5.5, 50, "uniform"),
+    ])
+    def test_matches_overlap_weights(self, x_max, n_cells, grading):
+        """Differences of the running integral equal the overlap-weighted
+        averages to rounding, for one field and for a block of them."""
+        g = build_mass_grid(x_max, n_cells, grading)
+        rng = np.random.default_rng(7)
+        fields_ = rng.uniform(0.5, 2.0, (3, n_cells))
+        block = _unit_averages(g)(fields_)
+        reference = _overlap_averages(g)
+        for row, f in zip(block, fields_):
+            assert np.array_equal(_unit_averages(g)(f), row)
+            assert np.max(np.abs(row / reference(f) - 1.0)) <= 1e-14
+
+    def test_building_holds_no_weight_table(self):
+        """The function holds a few numbers per unit interval: under 1 MB at
+        N = X_max = 4000, where a weight per cell and interval is 128 MB."""
+        g = build_mass_grid(4000.0, 4000)
+        tracemalloc.start()
+        try:
+            integrals = _unit_integrals(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert integrals(np.ones(4000)).shape == (4000,)
 
 
 class TestAnchorRoots:
@@ -320,6 +367,18 @@ class TestSuperlevel:
         theta[30:50] = 3.0  # mass width 2.0
         st = FlowState(grid=g, t=0.0, v=np.ones(100), u=np.zeros(101), theta=theta, n=2)
         assert superlevel_measure(st, 2.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_block_gives_one_measure_per_row(self, params):
+        g = build_mass_grid(10.0, 100)
+        states = []
+        for lo, hi in ((30, 50), (0, 7), (60, 100)):
+            theta = np.ones(100)
+            theta[lo:hi] = 3.0
+            states.append(FlowState(grid=g, t=0.0, v=np.ones(100), u=np.zeros(101),
+                                    theta=theta, n=2))
+        block = superlevel_measure(_Samples(g, *_stack(states), 2), 2.0)
+        assert list(block) == [superlevel_measure(st, 2.0) for st in states]
+        assert block == pytest.approx([2.0, 0.7, 4.0], rel=1e-14)
 
     def test_threshold_validation(self, params):
         with pytest.raises(ValueError):
@@ -395,6 +454,45 @@ class TestLocalRepresentation:
             _probe_scalars(states[0], p, 4, 4.5)  # probe right of k
         with pytest.raises(ValueError):
             _probe_scalars(states[0], p, 40, 38.5)  # interval outside
+
+    def test_probe_scalars_keep_the_per_state_formulas(self, bump_history):
+        """theta, v, ln B and W at the probe carry the bits of np.interp and
+        of np.trapezoid over [x_probe, edges right of it]; S is the overlap-
+        weighted integral of sigma over [k, k+1] to rounding.  A block of the
+        samples gives each state's scalars in its row."""
+        _, config, p, states = bump_history
+        k, x = config.probe_k, config.probe_x
+        g = states[0].grid
+        xe, xc = g.x_edges, g.cell_centers
+        phi = cutoff_phi(xe, k)
+        idx = int(np.searchsorted(xe, x, side="right"))
+        w_unit = np.clip(np.minimum(xe[1:], k + 1.0) - np.maximum(xe[:-1], float(k)), 0.0, None)
+
+        def tail(f):
+            return np.trapezoid(np.concatenate(([np.interp(x, xe, f)], f[idx:])),
+                                np.concatenate(([x], xe[idx:])))
+
+        probe = _probe_scalars(states[0], p, k, x)
+        ru0 = states[0].r ** (1 - p.n) * states[0].u
+        ln_v0 = np.log(np.interp(x, xc, states[0].v))
+        block = probe(_Samples(g, *_stack(states), p.n))
+        for i, st in enumerate(states):
+            ln_B, S, W, theta, v = probe(st)
+            assert [row[i] for row in block] == [ln_B, S, W, theta, v]
+            assert ln_B == ln_v0 + tail(phi * (ru0 - st.r ** (1 - p.n) * st.u)) / p.beta
+            assert W == tail(phi * st.r ** (-p.n) * st.u**2)
+            assert theta == np.interp(x, xc, st.theta) and v == np.interp(x, xc, st.v)
+            assert S == pytest.approx(np.dot(w_unit, stress_sigma(st, p)), rel=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.3, 0.35, 0.95, 1.0, 2.0])
+    def test_interpolation_at_a_point_is_np_interp(self, x):
+        """Left of the nodes, on a node, between two and right of them."""
+        nodes = np.array([0.1, 0.3, 0.7, 1.0])
+        f = np.array([[2.0, -1.0, 0.25, 3.0], [1.0, 1.5, 1.0 / 3.0, -7.0]])
+        at_x = _interp_at(nodes, x)
+        for row in f:
+            assert at_x(row) == np.interp(x, nodes, row)
+        assert np.array_equal(at_x(f), [np.interp(x, nodes, row) for row in f])
 
     def test_residual_shrinks_under_refinement(self, params):
         prof = InitProfile(kind="gaussian_bump", amp_v=0.15, amp_u=0.15,
@@ -517,28 +615,20 @@ class TestSampleBlocks:
         states = states[:m]
         col = _sample_columns(states, params, config)
         series = evaluate_series(states, params, config)
-        a = config.superlevel_a
-        probe = _probe_scalars(states[0], params, config.probe_k, config.probe_x)
-        averages = _unit_averages(states[0].grid)
         for i, (prev, st) in enumerate(zip([None] + states[:-1], states)):
-            for key, val in norm_report(st, params, prev).items():
+            # the sample again, last in a short history that keeps the first
+            # sample (the probe reads it), so in a block of other rows
+            short = states[:1] + states[max(i - 1, 1) : i + 1]
+            again = {k: v[-1] for k, v in _sample_columns(short, params, config).items()}
+            assert set(again) == set(col)
+            assert norm_report(st, params, prev).items() <= again.items(), i
+            for key, val in again.items():
                 assert col[key][i] == val, (key, i)
                 if key in SERIES_COLUMNS:
                     assert series[key][i] == val, (key, i)
-            # the per-state columns, evaluated with the block
-            vbar, thbar = averages(st.v), averages(st.theta)
-            per_state = {
-                "t": st.t,
-                "omega_measure": superlevel_measure(st, a),
-                "vbar_min": vbar.min(), "vbar_max": vbar.max(),
-                "thbar_min": thbar.min(), "thbar_max": thbar.max(),
-                **dict(zip(_PROBE_COLUMNS, probe(st))),
-            }
-            for key, val in per_state.items():
-                assert col[key][i] == val, (key, i)
-                if key in SERIES_COLUMNS:
-                    assert series[key][i] == val, (key, i)
-            assert series["omega_bound"][i] == superlevel_bound(col["E"][i], a, params), i
+            assert series["omega_bound"][i] == superlevel_bound(
+                col["E"][i], config.superlevel_a, params
+            ), i
         # a generator is read once, in order, for the same series bit for bit
         pulled = []
 
@@ -610,8 +700,6 @@ class TestSeriesInvariants:
         assert np.all(res.series["b6_gap_min"] >= -1e-12)
 
     def test_series_csv_round_trip(self, bump_run, tmp_path):
-        from sphgas.diagnostics import DiagnosticsSeries
-
         res, _, _ = bump_run
         path = tmp_path / "series.csv"
         res.series.to_csv(path)
@@ -619,3 +707,36 @@ class TestSeriesInvariants:
         nan_mask = np.isnan(res.series.data)
         assert np.array_equal(loaded.data[~nan_mask], res.series.data[~nan_mask])
         assert np.array_equal(np.isnan(loaded.data), nan_mask)
+
+
+class TestSeriesCsv:
+    """A malformed diagnostics.csv raises ValueError naming the file."""
+
+    def write(self, tmp_path, header, rows):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text("\n".join([",".join(header), *rows]) + "\n")
+        return path
+
+    def row(self, value=0.5):
+        return ",".join([repr(value)] * len(SERIES_COLUMNS))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self.write(tmp_path, SERIES_COLUMNS, [self.row(1.5), "", "  ", self.row(-2.0)])
+        data = DiagnosticsSeries.from_csv(path).data
+        assert data.shape == (2, len(SERIES_COLUMNS))
+        assert np.all(data[0] == 1.5) and np.all(data[1] == -2.0)
+
+    @pytest.mark.parametrize("header, rows, message", [
+        (SERIES_COLUMNS, ["1,2,3"], "a row of 3 values, not 36"),
+        (SERIES_COLUMNS, ["0.5," * 36 + "0.5"], "a row of 37 values, not 36"),
+        (SERIES_COLUMNS, ["x" + ",0.5" * 35], "could not convert"),
+        (SERIES_COLUMNS, [], "no rows"),
+        (SERIES_COLUMNS, ["", " "], "no rows"),
+        (SERIES_COLUMNS[::-1], ["0.5" + ",0.5" * 35], "unexpected series columns"),
+        ([], [], "unexpected series columns"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, header, rows, message):
+        path = self.write(tmp_path, header, rows)
+        with pytest.raises(ValueError, match=message) as err:
+            DiagnosticsSeries.from_csv(path)
+        assert str(path) in str(err.value)
