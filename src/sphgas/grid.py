@@ -156,12 +156,15 @@ def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
     h = grid.cell_widths
     if v.shape != h.shape:
         raise ValueError(f"v must have one value per cell, got shape {v.shape}")
-    if (v <= 0).any():
+    if not (np.minimum.reduce(v) > 0):  # NaN fails too
         raise ValueError("specific volume must be positive everywhere")
     rn = np.empty(h.size + 1)
     rn[0] = 1.0
-    rn[1:] = 1.0 + n * (v * h).cumsum()
-    return rn ** (1.0 / n)
+    quad = np.add.accumulate(v * h, out=rn[1:])  # then 1 + n * quad, in place
+    quad *= n
+    quad += 1.0
+    rn **= 1.0 / n
+    return rn
 
 
 def radius_at_centers(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:

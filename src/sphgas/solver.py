@@ -58,6 +58,11 @@ _MAX_STEPS = 10**8  # a step that needs more repeats than this to reach t_end is
 _MAX_SMALL_STEPS = 1000  # consecutive small steps before the march aborts
 _MAX_CELLS = 10**6  # largest N a config may ask for
 
+# the ufunc reductions behind ndarray.min/max, called without the method's
+# argument handling; the step calls them a dozen times
+_amin = np.minimum.reduce
+_amax = np.maximum.reduce
+
 
 class SolverAbort(RuntimeError):
     """The time march cannot go on to t_end."""
@@ -152,7 +157,7 @@ def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
     w = edge_weight(state)
     w_cell = np.maximum(w[:-1], w[1:])
     c = np.sqrt(params.R * state.theta * (1.0 + params.R / params.cv))
-    dt = config.cfl_fraction * float((state.grid.cell_widths * state.v / (w_cell * c)).min())
+    dt = config.cfl_fraction * float(_amin(state.grid.cell_widths * state.v / (w_cell * c)))
     return min(dt, config.dt_initial)
 
 
@@ -168,7 +173,7 @@ def _solve_tridiag(sub, diag, sup, rhs):
     resid[:-1] += sup * x[1:]
     resid[1:] += sub * x[:-1]
     resid -= rhs
-    return x, float(np.abs(resid, out=resid).max())
+    return x, float(_amax(np.abs(resid, out=resid)))
 
 
 def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.0):
@@ -178,17 +183,18 @@ def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.
     edge weight ``w`` and cell fields ``v``, ``theta``.  Independent of
     ``implicit_weight`` the right-hand side is dt * (L u_old - pressure
     gradient + source); the weight only enters the matrix (1 = backward
-    Euler, 0.5 = trapezoidal).
+    Euler, 0.5 = trapezoidal), and a weight of 1 is not multiplied in.
     """
     g = state.grid
     h, he = g.cell_widths, g.edge_gaps
 
     cl = params.beta / (h * v)  # cellwise viscous conductance
     scale = dt * w[1:-1] / he  # per interior edge
-    ks = implicit_weight * scale
+    ks = scale if implicit_weight == 1.0 else implicit_weight * scale
     # the bands leave out the couplings to the boundary edges' zero deltas
-    sub = -ks[1:] * cl[1:-1] * w[1:-2]
-    sup = -ks[:-1] * cl[1:-1] * w[2:-1]
+    nks = -ks
+    sub = nks[1:] * cl[1:-1] * w[1:-2]
+    sup = nks[:-1] * cl[1:-1] * w[2:-1]
     diag = 1.0 + ks * (cl[:-1] + cl[1:]) * w[1:-1]
 
     flux_old = cl * _diff(w * state.u)  # beta * (w u)_x / v per cell
@@ -199,7 +205,7 @@ def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.
 
     delta, resid = _solve_tridiag(sub, diag, sup, rhs)
     u_new = np.zeros(state.u.shape)
-    u_new[1:-1] = state.u[1:-1] + delta
+    np.add(state.u[1:-1], delta, out=u_new[1:-1])
     return u_new, resid
 
 
@@ -217,12 +223,14 @@ def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=No
     v_edge = 0.5 * (v_cond[:-1] + v_cond[1:])
     K = params.kappa * w2 / (v_edge * he)  # conductance per interior edge
 
-    kK = implicit_weight * K
-    left, right = kK / h[:-1], kK / h[1:]  # per edge, into its left / right cell
-    sub, sup = -right, -left
+    kK = K if implicit_weight == 1.0 else implicit_weight * K
+    # per edge, minus its conductance into the cell on its right / left; as
+    # (-k) / h is exactly -(k / h), diag still adds the conductances
+    nkK = -kK
+    sub, sup = nkK / h[1:], nkK / h[:-1]
     diag = np.empty(h.size)
-    diag[:-1] = params.cv / dt + left
-    diag[1:-1] += right[:-1]
+    np.subtract(params.cv / dt, sup, out=diag[:-1])
+    diag[1:-1] -= sub[:-1]
 
     flux_old = K * _diff(theta_old)
     rhs = np.zeros(h.size)
@@ -249,9 +257,10 @@ def _heat_source(params, coef: FlowState, G, u):
     return sigma * G - 2.0 * params.mu * (n - 1) * _diff(ru2) / coef.grid.cell_widths
 
 
-def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None):
+def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None,
+                  v_floor=0.0):
     """One first-order IMEX update; returns ((v, u, theta, r), resid), with
-    theta = r = None once v leaves the positive cone."""
+    theta = r = None unless min v > ``v_floor`` (so NaN is rejected too)."""
     g = state.grid
     n = state.n
     w = edge_weight(state)
@@ -265,7 +274,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     if s_v is not None:
         v_new += dt * s_v
     v_new[-1] = 1.0
-    if not (v_new > 0).all():
+    if not (_amin(v_new) > v_floor):
         return (v_new, u_new, None, None), res_u
     r_new = radius_from_volume(g, v_new, n)
 
@@ -276,14 +285,17 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None)
     return (v_new, u_new, theta_new, r_new), max(res_u, res_t)
 
 
-def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=None):
+def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=None,
+                      v_floor=0.0):
     """Midpoint variant: half-step predictor, then trapezoidal diffusion with
-    midpoint coefficients and sources over the full step."""
+    midpoint coefficients and sources over the full step.  The predictor need
+    only keep v and theta positive; the full step's v must exceed ``v_floor``
+    as in :func:`_substep_imex`."""
     g = state.grid
     n = state.n
     half_fields, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
-    if half_fields[2] is None or not (half_fields[2] > 0).all():
-        return half_fields, res0  # rejected by the floor test in step
+    if half_fields[2] is None or not (_amin(half_fields[2]) > 0):
+        return half_fields, res0  # rejected by the theta test in step
     half = FlowState._trusted(g, state.t + 0.5 * dt, *half_fields, n)
 
     s_v = s_u = s_t = None
@@ -300,7 +312,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
     if s_v is not None:
         v_new += dt * s_v
     v_new[-1] = 1.0
-    if not (v_new > 0).all():
+    if not (_amin(v_new) > v_floor):
         return (v_new, u_new, None, None), res_u
 
     source = _heat_source(params, half, G_mid, u_mid)
@@ -316,15 +328,16 @@ def step(state: FlowState, params: PhysParams, dt: float,
          config: RunConfig = RunConfig(), sources=None) -> tuple[FlowState, StepReport]:
     """Advance one time step, rejecting and halving dt on floor violations.
 
-    ``sources``, when given, maps t to (S_v at centers, S_u at edges,
-    S_theta at centers) on the state's grid.
+    The substep tests v against its floor before it forms r and theta, so
+    only theta is tested here.  ``sources``, when given, maps t to (S_v at
+    centers, S_u at edges, S_theta at centers) on the state's grid.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     substep = _substep_imex if config.scheme_order == 1 else _substep_midpoint
     for rejections in range(_MAX_REJECTS + 1):
-        (v, u, theta, r), resid = substep(state, params, dt, sources=sources)
-        if theta is not None and v.min() > config.v_floor and theta.min() > config.theta_floor:
+        (v, u, theta, r), resid = substep(state, params, dt, sources, config.v_floor)
+        if theta is not None and _amin(theta) > config.theta_floor:
             new_state = FlowState._trusted(state.grid, state.t + dt, v, u, theta, r, state.n)
             return new_state, StepReport(dt=dt, rejections=rejections, max_residual=resid)
         dt *= 0.5
@@ -345,8 +358,9 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     small step in a row, so a violent transient may pass but a stall may not.
     """
     t_end = config.t_end
+    t_stop = t_end - _T_TOL * t_end
     small = 0
-    while state.t < t_end - _T_TOL * t_end:
+    while state.t < t_stop:
         left = t_end - state.t
         h = min(select_dt(state, params, config) if dt is None else dt, left)
         if not (state.t + h > state.t):
@@ -381,19 +395,33 @@ def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
 
 def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_sample):
     """Yield the sampled states of the march, each after handing it to
-    ``on_sample``, and fold every accepted step into ``summary``."""
+    ``on_sample``, and fold every accepted step into ``summary``, which is
+    written when the march reaches t_end."""
     # an overflow makes the step 0 or NaN, and the march aborts; numpy's
     # error state is restored before each yield, so the caller keeps its own
     with np.errstate(over="ignore"):
         grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
         state = make_initial_data(grid, config.profile, params)
-        scale, sup_norm = _track(summary, state)
-        summary.sup_norm_initial = sup_norm
+        extremes = _extremes(state)
+    summary.sup_norm_initial = _sup_norm(*extremes)
     on_sample(state)
     yield state
 
-    next_sample = config.cadence
+    # the fold: whole-run extremes of v and theta, and the running maxima
+    min_v, max_v, min_t, max_t, max_u = extremes
+    scale = max(max_v, max_u, max_t)
+    lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
+    n_steps = n_rejections = 0
+    max_resid = max_rel_change = max_dev = 0.0
     r_shadow = state.r.copy()
+    # a step's differences new - old of v, u and theta, and r_shadow - r, side
+    # by side, so one abs serves all four and one max the first three
+    nc = grid.n_cells
+    diffs = np.empty(4 * nc + 2)
+    d_v, d_u, d_t = diffs[:nc], diffs[nc:2 * nc + 1], diffs[2 * nc + 1:3 * nc + 1]
+    d_change, d_r = diffs[:3 * nc + 1], diffs[3 * nc + 1:]
+
+    next_sample = config.cadence
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
     while True:
@@ -401,47 +429,45 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
             for new_state, report in steps:
                 r_shadow += report.dt * new_state.u
                 r_shadow[0] = 1.0
-                summary.r_shadow_max_dev = max(summary.r_shadow_max_dev, _max_abs(r_shadow - new_state.r))
-                change = max(
-                    _max_abs(new_state.v - state.v),
-                    _max_abs(new_state.u - state.u),
-                    _max_abs(new_state.theta - state.theta),
-                )
-                summary.n_steps += 1
-                summary.n_rejections += report.rejections
-                summary.max_solve_residual = max(summary.max_solve_residual, report.max_residual)
-                summary.max_step_rel_change = max(summary.max_step_rel_change, change / scale)
+                np.subtract(new_state.v, state.v, out=d_v)
+                np.subtract(new_state.u, state.u, out=d_u)
+                np.subtract(new_state.theta, state.theta, out=d_t)
+                np.subtract(r_shadow, new_state.r, out=d_r)
+                np.abs(diffs, out=diffs)
+                max_dev = max(max_dev, _amax(d_r))
+                n_steps += 1
+                n_rejections += report.rejections
+                max_resid = max(max_resid, report.max_residual)
+                max_rel_change = max(max_rel_change, _amax(d_change) / scale)
                 state = new_state
-                scale, sup_norm = _track(summary, state)
+                min_v, max_v, min_t, max_t, max_u = _extremes(state)
+                lo_v, hi_v = min(lo_v, min_v), max(hi_v, max_v)
+                lo_t, hi_t = min(lo_t, min_t), max(hi_t, max_t)
+                scale = max(max_v, max_u, max_t)
                 if state.t >= min(next_sample, config.t_end) - t_eps:
                     next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
                     break
             else:  # the march reached t_end, whose state was the last sample
-                summary.sup_norm_final = sup_norm
+                summary.n_steps, summary.n_rejections = n_steps, n_rejections
+                summary.min_v, summary.max_v = float(lo_v), float(hi_v)
+                summary.min_theta, summary.max_theta = float(lo_t), float(hi_t)
+                summary.max_step_rel_change = float(max_rel_change)
+                summary.max_solve_residual = float(max_resid)
+                summary.r_shadow_max_dev = float(max_dev)
+                summary.sup_norm_final = _sup_norm(min_v, max_v, min_t, max_t, max_u)
                 return
         on_sample(state)
         yield state
 
 
-def _track(summary: RunSummary, state: FlowState) -> tuple[float, float]:
-    """Fold the extremes of one state into ``summary``.
-
-    Returns (max of |v|, |u|, |theta|; max-norm distance from (1, 0, 1)).
-    Both follow from the same five reductions because v and theta are
-    positive, and rounding is monotone: max|v - 1| = max(max v - 1, 1 - min v).
-    """
-    min_v, max_v = float(state.v.min()), float(state.v.max())
-    min_t, max_t = float(state.theta.min()), float(state.theta.max())
-    max_u = float(np.abs(state.u).max())
-    summary.min_v = min(summary.min_v, min_v)
-    summary.max_v = max(summary.max_v, max_v)
-    summary.min_theta = min(summary.min_theta, min_t)
-    summary.max_theta = max(summary.max_theta, max_t)
-    scale = max(max_v, max_u, max_t)
-    sup_norm = max(max_v - 1.0, 1.0 - min_v, max_u, max_t - 1.0, 1.0 - min_t)
-    return scale, sup_norm
+def _extremes(state: FlowState):
+    """(min v, max v, min theta, max theta, max |u|) of one state."""
+    v, theta = state.v, state.theta
+    return _amin(v), _amax(v), _amin(theta), _amax(theta), _amax(np.abs(state.u))
 
 
-def _max_abs(d: np.ndarray) -> float:
-    """max |d|, taking the absolute values in place in the temporary d."""
-    return float(np.abs(d, out=d).max())
+def _sup_norm(min_v, max_v, min_t, max_t, max_u) -> float:
+    """Max-norm distance of a state from (1, 0, 1), from its extremes: v and
+    theta are positive, and rounding is monotone, so
+    max|v - 1| = max(max v - 1, 1 - min v)."""
+    return float(max(max_v - 1.0, 1.0 - min_v, max_u, max_t - 1.0, 1.0 - min_t))

@@ -88,7 +88,7 @@ class FlowState:
         """A state from checked solver fields and their radius, unvalidated;
         the arrays are made read-only in place, not copied."""
         for a in (v, u, theta, r):
-            a.flags.writeable = False
+            a.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(grid=grid, t=float(t), v=v, u=u, theta=theta, n=n, r=r)
         return state

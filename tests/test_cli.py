@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -332,6 +333,11 @@ class TestRunCommand:
         the fold some 42, about 380 bytes, so from 65 to 257 samples the
         peak may grow by that much per sample, which is 7%, but not by a
         state per sample.
+
+        tracemalloc counts garbage in reference cycles until the cyclic
+        collector frees it, so the collector runs before each verb and not
+        inside the traced window: when it would run depends on how many
+        objects the program allocates, not on the memory it holds.
         """
         # every fixed step of 1/32 is a sample
         settings = ["X_max=32", "N=64", "cfl_fraction=1", "dt_initial=0.03125", "cadence=1e-9"]
@@ -340,13 +346,17 @@ class TestRunCommand:
             out = str(tmp_path / f"t{t_end}")
             argv = ["run", "--config", config_file, "--out", out, "--set", f"t_end={t_end}"]
             argv += [arg for item in settings for arg in ("--set", item)]
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 assert main(argv) == EXIT_OK
+                gc.collect()
                 assert main(["report", "--out", out]) == EXIT_OK
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
             return peak, len(os.listdir(os.path.join(out, "snapshots")))
 
         traced_peak(2)  # first calls fill caches that later ones reuse

@@ -93,10 +93,11 @@ class TestRadiusFromVolume:
         assert r[-1] == pytest.approx(np.sqrt(5.0), rel=1e-14)
 
     def test_rejects_nonpositive_volume(self, grid):
-        v = np.ones(grid.n_cells)
-        v[3] = 0.0
-        with pytest.raises(ValueError):
-            radius_from_volume(grid, v, 2)
+        for bad in (0.0, -1.0, np.nan):  # NaN is not positive either
+            v = np.ones(grid.n_cells)
+            v[3] = bad
+            with pytest.raises(ValueError, match="must be positive"):
+                radius_from_volume(grid, v, 2)
 
     def test_monotone_and_above_one(self, grid):
         rng = np.random.default_rng(7)

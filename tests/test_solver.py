@@ -293,6 +293,69 @@ class TestRun:
         assert resid[2] < resid[1]
 
 
+def _reference_summary(config, params):
+    """The whole-run summary recomputed plainly, step by step, from the
+    states that ``_march`` yields."""
+    grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
+    states = [make_initial_data(grid, config.profile, params)]
+    reports = []
+    for state, report in _march(states[0], params, config):
+        states.append(state)
+        reports.append(report)
+
+    def max_abs(a):
+        return float(np.max(np.abs(a)))
+
+    def sup_norm(st):
+        return max(max_abs(st.v - 1.0), max_abs(st.u), max_abs(st.theta - 1.0))
+
+    r_shadow = states[0].r.copy()
+    dev = rel_change = 0.0
+    for old, new, report in zip(states, states[1:], reports):
+        r_shadow = r_shadow + report.dt * new.u
+        r_shadow[0] = 1.0
+        dev = max(dev, max_abs(r_shadow - new.r))
+        change = max(max_abs(new.v - old.v), max_abs(new.u - old.u),
+                     max_abs(new.theta - old.theta))
+        scale = max(max_abs(old.v), max_abs(old.u), max_abs(old.theta))
+        rel_change = max(rel_change, change / scale)
+    return {
+        "n_steps": len(reports),
+        "n_rejections": sum(report.rejections for report in reports),
+        "min_v": min(float(np.min(st.v)) for st in states),
+        "max_v": max(float(np.max(st.v)) for st in states),
+        "min_theta": min(float(np.min(st.theta)) for st in states),
+        "max_theta": max(float(np.max(st.theta)) for st in states),
+        "max_step_rel_change": rel_change,
+        "max_solve_residual": max(report.max_residual for report in reports),
+        "r_shadow_max_dev": dev,
+        "sup_norm_initial": sup_norm(states[0]),
+        "sup_norm_final": sup_norm(states[-1]),
+    }
+
+
+class TestRunSummary:
+    """``run`` folds every accepted step into its summary; the fold must
+    give, bit for bit, what a plain per-step recomputation gives."""
+
+    @pytest.mark.parametrize("order, amps, floors, rejections", [
+        (1, (0.1, 0.1, 0.1), (1e-6, 1e-6), False),
+        (1, (0.0, 0.0, 0.5), (1e-6, 1e-6), False),  # theta changes most per step
+        (2, (0.1, 0.1, 0.1), (1e-6, 1e-6), False),
+        (2, (-0.69, -2.49, -0.36), (0.34, 0.68), True),
+    ], ids=["scheme1", "scheme1_hot", "scheme2", "scheme2_rejections"])
+    def test_fold_equals_per_step_recomputation(self, params, order, amps, floors, rejections):
+        prof = InitProfile(kind="gaussian_bump", amp_v=amps[0], amp_u=amps[1],
+                           amp_theta=amps[2], center=4.0, width=0.5)
+        cfg = RunConfig(x_max=10.0, n_cells=40, profile=prof, t_end=0.3, cadence=0.1,
+                        v_floor=floors[0], theta_floor=floors[1], cfl_fraction=1.0,
+                        scheme_order=order)
+        summary = run(cfg, params).summary
+        expected = _reference_summary(cfg, params)
+        assert (expected["n_rejections"] > 0) == rejections
+        assert summary.as_dict() == expected
+
+
 class TestSourcedStep:
     def test_zero_sources_change_nothing(self, params):
         """The sourced update with identically zero sources equals the plain
@@ -309,3 +372,46 @@ class TestSourcedStep:
         assert np.array_equal(plain.v, sourced.v)
         assert np.array_equal(plain.u, sourced.u)
         assert np.array_equal(plain.theta, sourced.theta)
+
+    @_SCHEMES
+    @pytest.mark.parametrize("field", ["v", "theta"])
+    def test_attempt_inside_floor_is_retried_at_half_step(self, params, field, order):
+        """A sink drives v (or theta) from 1 to about 0.3 in the first attempt,
+        inside (0, floor] for a floor of 0.5: that attempt is rejected, and
+        the retry at half the step, which ends near 0.65, is accepted."""
+        g = build_mass_grid(8.0, 16)
+        st = make_initial_data(g, InitProfile(kind="equilibrium"), params)
+        sink = np.zeros(g.n_cells)
+        sink[:-1] = -0.7 if field == "v" else -1.05  # theta changes by dt * S / cv
+
+        def sources(t):
+            zero = np.zeros(g.n_cells)
+            s_v, s_t = (sink, zero) if field == "v" else (zero, sink)
+            return s_v, np.zeros(g.n_cells + 1), s_t
+
+        substep = _substep_imex if order == 1 else _substep_midpoint
+        first = substep(st, params, 1.0, sources)[0]  # tested against 0 only
+        assert 0.0 < np.min(first[0 if field == "v" else 2]) <= 0.5
+        if field == "v":  # rejected before r and theta are formed
+            assert substep(st, params, 1.0, sources, 0.5)[0][2:] == (None, None)
+        floors = {"v_floor": 0.5} if field == "v" else {"theta_floor": 0.5}
+        cfg = RunConfig(x_max=8.0, n_cells=16, scheme_order=order, **floors)
+        new, report = step(st, params, 1.0, cfg, sources=sources)
+        assert (report.rejections, report.dt) == (1, 0.5)
+        assert np.min(getattr(new, field)) > 0.5
+
+    @_SCHEMES
+    def test_nan_volume_source_ends_in_positivity_error(self, params, order):
+        """A NaN in S_v makes every attempt's v NaN; no attempt passes the
+        floor test, and the error names the last attempt's min v and theta."""
+        g = build_mass_grid(8.0, 16)
+        st = smooth_test_state(g, params.n)
+        s_v = np.zeros(g.n_cells)
+        s_v[3] = np.nan
+
+        def sources(t):
+            return s_v, np.zeros(g.n_cells + 1), np.zeros(g.n_cells)
+
+        cfg = RunConfig(x_max=8.0, n_cells=16, scheme_order=order)
+        with pytest.raises(PositivityError, match=r"\(min v=nan, min theta=nan\)"):
+            step(st, params, 1e-3, cfg, sources=sources)
