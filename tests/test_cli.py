@@ -18,6 +18,7 @@ from sphgas.cli import (
 from sphgas.config import SCHEMA, ConfigError, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from sphgas.state import save_snapshot
+from test_golden import GOLDEN, TABLE, TABLE_TEXT
 
 
 BASE_CONFIG = """\
@@ -438,10 +439,31 @@ _OVERRIDES = st.lists(
 )
 
 
+def _setting_value(resolved, key):
+    """The field values that config ``key`` sets in a ``resolve`` result."""
+    config, params, extras = resolved
+    setting = SCHEMA[key]
+    obj = {"params": params, "config": config, "profile": config.profile}.get(setting.target)
+    return [extras[f] if obj is None else getattr(obj, f) for f in setting.fields]
+
+
 class TestConfigProperty:
-    def test_every_key_drawn_or_exempt(self):
+    def test_every_key_drawn_or_exempt(self, tmp_path, monkeypatch):
+        """Every key is drawn by the property test or exempt, and every key
+        takes a value other than its default in at least one golden config."""
         assert set(SCHEMA) - set(_PROPERTY_VALUES) == set(_NOT_DRAWN)
         assert set(_PROPERTY_VALUES) <= set(SCHEMA)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / TABLE).write_text(TABLE_TEXT)
+        default = resolve({})
+        golden = [resolve(parse_config_text("\n".join(lines))) for _, lines in GOLDEN.values()]
+        left_at_default = [
+            key for key in SCHEMA
+            if all(repr(_setting_value(r, key)) == repr(_setting_value(default, key))
+                   for r in golden)
+        ]
+        assert left_at_default == []
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(overrides=_OVERRIDES)
