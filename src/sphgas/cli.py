@@ -39,7 +39,7 @@ from .diagnostics import (
 )
 from .oracle import FIXTURE_CASES, convergence_order
 from .solver import SolverAbort, run
-from .state import load_snapshot, save_snapshot, snapshot_x_column
+from .state import load_snapshot, save_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,17 +118,11 @@ def _clear_earlier_run(out_dir, snap_dir) -> None:
 
 
 def _snapshot_writer(snap_dir, params):
-    """run's per-sample callback: sample i goes to snap_{i:06d}.csv as it is
-    taken, with the grid's x column formatted once."""
+    """run's per-sample callback: sample i goes to snap_{i:06d}.csv when taken."""
     index = itertools.count()
-    x_column = None
 
     def write(state):
-        nonlocal x_column
-        if x_column is None:
-            x_column = snapshot_x_column(state.grid)
-        path = os.path.join(snap_dir, f"snap_{next(index):06d}.csv")
-        save_snapshot(state, params, path, x_column)
+        save_snapshot(state, params, os.path.join(snap_dir, f"snap_{next(index):06d}.csv"))
 
     return write
 
@@ -241,13 +235,12 @@ def _cmd_sweep(args) -> int:
 
 def _snapshots(snap_dir, names):
     """The states of the snapshot files ``names``, loaded one at a time, on
-    the grid of the first wherever their x column equals its edges; the x
-    column is matched as text first, against the first grid's."""
-    grid = x_column = None
+    the grid of the first wherever their x column equals its edges."""
+    grid = None
     for name in names:
-        state = load_snapshot(os.path.join(snap_dir, name), grid, x_column)[0]
+        state = load_snapshot(os.path.join(snap_dir, name), grid)[0]
         if grid is None:
-            grid, x_column = state.grid, snapshot_x_column(state.grid)
+            grid = state.grid
         yield state
 
 

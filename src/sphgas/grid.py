@@ -10,6 +10,7 @@ cell centers, velocity and radius on cell edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,11 @@ class MassGrid:
     @property
     def x_max(self) -> float:
         return float(self.x_edges[-1])
+
+    @cached_property
+    def edge_text(self) -> tuple[str, ...]:
+        """The repr of every edge, formed once per grid: a snapshot's x column."""
+        return tuple(map(repr, self.x_edges.tolist()))
 
 
 def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform") -> MassGrid:

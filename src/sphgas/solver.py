@@ -124,7 +124,8 @@ class StepReport:
 
 @dataclass
 class RunSummary:
-    """Whole-run extremes tracked per accepted step (not just per sample)."""
+    """Whole-run extremes tracked per accepted step (not just per sample), and
+    the sup-norm max(sup_v, sup_u, sup_theta) of the series' first and last rows."""
 
     n_steps: int = 0
     n_rejections: int = 0
@@ -149,14 +150,13 @@ class RunResult:
 
 
 def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
-    """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c).
-
-    The sound-like scale is c = sqrt(R * theta * (1 + R/cv)); the edge weight
-    of each cell is taken at its larger (outer) radius.  Capped by dt_initial.
+    """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c), with
+    c = sqrt(R * theta * gamma) and the edge weight at the cell's outer edge,
+    the larger (r^n grows by n * v * dx per cell, far more than an ulp, so
+    rounding keeps r increasing).  Capped by dt_initial.
     """
-    w = edge_weight(state)
-    w_cell = np.maximum(w[:-1], w[1:])
-    c = np.sqrt(params.R * state.theta * (1.0 + params.R / params.cv))
+    w_cell = edge_weight(state)[1:]
+    c = np.sqrt(params.R * state.theta * params.gamma)
     dt = config.cfl_fraction * float(_amin(state.grid.cell_widths * state.v / (w_cell * c)))
     return min(dt, config.dt_initial)
 
@@ -390,25 +390,26 @@ def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
 
     summary = RunSummary()
     samples = _samples(config, params, summary, on_sample or (lambda state: None))
-    return RunResult(series=evaluate_series(samples, params, config), summary=summary)
+    series = evaluate_series(samples, params, config)
+    ends = np.maximum.reduce([series[c][[0, -1]] for c in ("sup_v", "sup_u", "sup_theta")])
+    summary.sup_norm_initial, summary.sup_norm_final = map(float, ends)
+    return RunResult(series=series, summary=summary)
 
 
 def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_sample):
     """Yield the sampled states of the march, each after handing it to
     ``on_sample``, and fold every accepted step into ``summary``, which is
-    written when the march reaches t_end."""
+    written when the march reaches t_end; ``run`` adds the sup-norms."""
     # an overflow makes the step 0 or NaN, and the march aborts; numpy's
     # error state is restored before each yield, so the caller keeps its own
     with np.errstate(over="ignore"):
         grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
         state = make_initial_data(grid, config.profile, params)
-        extremes = _extremes(state)
-    summary.sup_norm_initial = _sup_norm(*extremes)
     on_sample(state)
     yield state
 
     # the fold: whole-run extremes of v and theta, and the running maxima
-    min_v, max_v, min_t, max_t, max_u = extremes
+    min_v, max_v, min_t, max_t, max_u = _extremes(state)
     scale = max(max_v, max_u, max_t)
     lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
     n_steps = n_rejections = 0
@@ -454,7 +455,6 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 summary.max_step_rel_change = float(max_rel_change)
                 summary.max_solve_residual = float(max_resid)
                 summary.r_shadow_max_dev = float(max_dev)
-                summary.sup_norm_final = _sup_norm(min_v, max_v, min_t, max_t, max_u)
                 return
         on_sample(state)
         yield state
@@ -464,10 +464,3 @@ def _extremes(state: FlowState):
     """(min v, max v, min theta, max theta, max |u|) of one state."""
     v, theta = state.v, state.theta
     return _amin(v), _amax(v), _amin(theta), _amax(theta), _amax(np.abs(state.u))
-
-
-def _sup_norm(min_v, max_v, min_t, max_t, max_u) -> float:
-    """Max-norm distance of a state from (1, 0, 1), from its extremes: v and
-    theta are positive, and rounding is monotone, so
-    max|v - 1| = max(max v - 1, 1 - min v)."""
-    return float(max(max_v - 1.0, 1.0 - min_v, max_u, max_t - 1.0, 1.0 - min_t))

@@ -25,7 +25,6 @@ __all__ = [
     "make_initial_data",
     "stress_sigma",
     "discrete_gradients",
-    "snapshot_x_column",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -255,23 +254,17 @@ def discrete_gradients(state: FlowState) -> Gradients:
 _SNAP_COLUMNS = "x,v,u,theta,r"
 
 
-def snapshot_x_column(grid: MassGrid) -> list[str]:
-    """The x column of a snapshot on ``grid``: the repr of every edge."""
-    return [repr(x) for x in grid.x_edges.tolist()]
-
-
-def save_snapshot(state: FlowState, params: PhysParams, path, x_column=None) -> None:
+def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
     """Write one state as CSV: columns x, v, u, theta, r at the edges.
 
     Row j carries edge quantities u[j], r[j] and the values of cell j for v
     and theta; the final edge row leaves v and theta empty.  The header
     comment carries t and the physical parameters; floats are written with
-    repr so the file round-trips losslessly.  ``x_column``, the
-    :func:`snapshot_x_column` of the state's grid, saves formatting it again
-    for every state on that grid.
+    repr so the file round-trips losslessly.  The x column is the grid's
+    ``edge_text``, which each grid formats once.
     """
     meta = {"t": state.t, **params.as_dict()}
-    x = snapshot_x_column(state.grid) if x_column is None else x_column
+    x = state.grid.edge_text
     u, r = state.u.tolist(), state.r.tolist()
     rows = [
         f"{xj},{vj!r},{uj!r},{thj!r},{rj!r}\n"
@@ -283,19 +276,16 @@ def save_snapshot(state: FlowState, params: PhysParams, path, x_column=None) -> 
         fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
-def load_snapshot(
-    path, grid: MassGrid | None = None, x_column: list[str] | None = None
-) -> tuple[FlowState, PhysParams]:
+def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysParams]:
     """Read a snapshot written by :func:`save_snapshot`; a malformed file
     raises ValueError naming ``path``.
 
     The body is split once, and the v, u and theta columns are each
     converted in one call; the r column is not read, as the state
     recomputes it.  ``grid`` is reused when its edges equal the file's x
-    column, so the states of one run share one grid.  ``x_column``, the
-    :func:`snapshot_x_column` of ``grid``, is what :func:`save_snapshot`
-    wrote for it: a file whose x column is that very text reuses ``grid``
-    without converting x.
+    column, so the states of one run share one grid: a file whose x column
+    is the ``edge_text`` of ``grid``, as :func:`save_snapshot` wrote it,
+    reuses ``grid`` without converting x.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -318,8 +308,8 @@ def load_snapshot(
             mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
             cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
         )
-        x = fields[0::5]
-        if grid is None or x != x_column:
+        x = tuple(fields[0::5])
+        if grid is None or x != grid.edge_text:
             xe = np.array(x, dtype=float)
             if grid is None or not np.array_equal(xe, grid.x_edges):
                 grid = MassGrid(x_edges=xe)

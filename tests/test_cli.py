@@ -622,6 +622,17 @@ class TestSnapshotReader:
             self._assert_bitwise_equal(st, back)
         assert len({id(st.grid) for st in loaded}) == 1
 
+    def test_snapshots_of_a_run_come_back_on_one_grid(self, config_file, tmp_path):
+        """The snapshots ``run`` writes are read back on one grid, whose edge
+        text the reader matched them against."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_file, "--out", str(out), "--set", "N=16"]) == EXIT_OK
+        snap_dir = str(out / "snapshots")
+        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir))))
+        assert len(loaded) > 2
+        assert all(st.grid is loaded[0].grid for st in loaded)
+        assert "edge_text" in vars(loaded[0].grid)
+
     def test_non_canonical_x_text_loads_on_the_first_grid(self, bump_history, tmp_path):
         _, _, params, states = bump_history
         names = self._write(states[:3], params, tmp_path)

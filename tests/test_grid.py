@@ -43,6 +43,12 @@ class TestBuildMassGrid:
         assert np.allclose(g.cell_widths, 0.5)
         assert g.x_max == 2.0
 
+    def test_edge_text_formed_once_and_exact(self):
+        g = build_mass_grid(1.0, 4, grading=1.1)
+        assert g.edge_text is g.edge_text
+        assert g.edge_text[0] == "0.0"
+        assert [float(x) for x in g.edge_text] == g.x_edges.tolist()
+
     def test_geometric_ratio(self):
         g = build_mass_grid(1.0, 4, grading=1.1)
         # hand oracle: widths w0 * 1.1^i normalised by the geometric series

@@ -13,7 +13,7 @@ from sphgas import (
     make_initial_data,
     stress_sigma,
 )
-from sphgas.state import load_snapshot, save_snapshot, snapshot_x_column
+from sphgas.state import load_snapshot, save_snapshot
 
 from conftest import smooth_test_state
 
@@ -266,12 +266,12 @@ class TestSnapshotIO:
         lines[7] = ",".join(row7) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"snap\.csv: malformed snapshot: truncated"):
-            load_snapshot(path, grid, snapshot_x_column(grid))
+            load_snapshot(path, grid)
 
     def test_whitespace_only_lines_skipped(self, grid, params, tmp_path):
         st, path, lines = self._saved_lines(grid, params, tmp_path)
         path.write_text("".join(lines[:5] + [" \t\n"] + lines[5:] + ["\n", "  \n"]))
-        loaded = load_snapshot(path, grid, snapshot_x_column(grid))[0]
+        loaded = load_snapshot(path, grid)[0]
         assert loaded.grid is grid
         for f in ("v", "u", "theta", "r"):
             assert getattr(loaded, f).tobytes() == getattr(st, f).tobytes()
