@@ -2,10 +2,10 @@
 
 Exit codes (documented, distinct):
     0   success
-    2   config parse or validation error (the representation probe included),
-        a bad command line, an output path that cannot be written, or
-        unreadable run outputs (report; a missing config.resolved or
-        diagnostics.csv included)
+    2   config parse or validation error (the representation probe, initial
+        data at or below a floor and overflowing graded widths included), a
+        bad command line, an output path that cannot be written, or unreadable
+        run outputs (report; a missing config.resolved or diagnostics.csv included)
     3   solver abort (positivity failure, or a step too small to reach t_end);
         the snapshots taken so far stay, with no diagnostics.csv or summary.json
     4   invariant-ledger failure (run or report), or stored diagnostics that

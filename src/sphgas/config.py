@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import PhysParams
 from .oracle import FIXTURE_CASES
-from .solver import RunConfig
+from .solver import RunConfig, initial_state
 from .state import InitProfile
 
 __all__ = [
@@ -149,17 +149,8 @@ def load_config(path, overrides=()) -> dict[str, str]:
     return raw
 
 
-def _peak_volume(profile: InitProfile) -> float:
-    """An upper bound on the initial specific volume of ``profile``."""
-    if profile.kind == "gaussian_bump":
-        return 1.0 + max(profile.amp_v, 0.0)
-    if profile.kind == "table":
-        return max(1.0, float(np.max(np.asarray(profile.table)[:, 1])))
-    return 1.0
-
-
 def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
-    """Build the typed run configuration from raw strings."""
+    """Build the typed run configuration from raw strings; its t = 0 state must build."""
     kwargs = {"params": {}, "profile": {}, "config": {}, "extras": {"case": DEFAULT_CASE}}
     table_profile = raw.get("profile.kind") == "table"
     try:
@@ -178,9 +169,7 @@ def resolve(raw: dict[str, str]) -> tuple[RunConfig, PhysParams, dict]:
             raise ValueError("profile.kind=table requires profile.table=PATH")
         params = PhysParams(**kwargs["params"])
         config = RunConfig(profile=InitProfile(**kwargs["profile"]), **kwargs["config"])
-        # r^n = 1 + n * int_0^x v, so a finite bound keeps the initial radius finite
-        if not np.isfinite(1.0 + params.n * config.x_max * _peak_volume(config.profile)):
-            raise ValueError("the initial radius overflows: 1 + n * X_max * max v is not finite")
+        initial_state(config, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, params, kwargs["extras"]

@@ -27,7 +27,6 @@ derivative accumulators use backward difference quotients between samples.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 
@@ -54,20 +53,11 @@ __all__ = [
 # pointwise building blocks
 #
 # Every kernel below runs along the last axis: one FlowState has 1-D fields,
-# a block of samples (``_Samples``) one sample per row of each field.
+# a block of samples (a FlowState too) one sample per row of each field.
 
 def _u_sq_centers(u):
     """u^2 averaged onto centers (average of squares keeps positivity)."""
     return 0.5 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
-
-
-def _derived(state, params: PhysParams):
-    """What every functional of a state reads, formed once: the gradient
-    bundle, u^2 at centers, and the weights r^(2(n-1)) at centers and at
-    interior edges."""
-    gr = discrete_gradients(state)
-    p = 2 * (params.n - 1)
-    return gr, _u_sq_centers(state.u), gr.r_centers**p, state.r[..., 1:-1] ** p
 
 
 def _conduction_integral(state, w_edges):
@@ -84,19 +74,6 @@ def _energy(state, params: PhysParams, u2):
     v, th = state.v, state.theta
     U = params.R * (v - np.log(v) - 1.0) + 0.5 * u2 + params.cv * (th - np.log(th) - 1.0)
     return (U * state.grid.cell_widths).sum(axis=-1)
-
-
-def _dissipation(state, gr: Gradients, u2, w_centers, w_edges) -> np.ndarray:
-    """The four nonnegative dissipation integrals, in the order
-    (v u^2/(r^2 theta), r^(2(n-1)) u_x^2/(v theta), (r^(n-1)u)_x^2/(v theta),
-    r^(2(n-1)) theta_x^2/(v theta^2)), from the derived fields of
-    :func:`_derived`."""
-    h = state.grid.cell_widths
-    v, th = state.v, state.theta
-    d1 = (v * u2 / (gr.r_centers**2 * th) * h).sum(axis=-1)
-    d2 = (w_centers * gr.u_x**2 / (v * th) * h).sum(axis=-1)
-    d3 = (gr.div_ru**2 / (v * th) * h).sum(axis=-1)
-    return np.array([d1, d2, d3, _conduction_integral(state, w_edges)])
 
 
 def _cumtrapz(f, t):
@@ -367,18 +344,25 @@ def _report(state, params: PhysParams, prev=None) -> dict:
     g = state.grid
     h = g.cell_widths
     v, th = state.v, state.theta
-    gr, u2, w_centers, w_edges = _derived(state, params)
+    gr = discrete_gradients(state)
+    u2 = _u_sq_centers(state.u)
+    p = 2 * (params.n - 1)
+    w_centers, w_edges = gr.r_centers**p, state.r[..., 1:-1] ** p  # r^(2(n-1))
 
     def integral(f, weights=h):
         return (f * weights).sum(axis=-1)
 
-    D = _dissipation(state, gr, u2, w_centers, w_edges)
+    # the four nonnegative dissipation integrals
+    d_vu2 = integral(v * u2 / (gr.r_centers**2 * th))
+    d_ux = integral(w_centers * gr.u_x**2 / (v * th))
+    d_divru = integral(gr.div_ru**2 / (v * th))
+    d_thx = _conduction_integral(state, w_edges)
     out = {
         "E": _energy(state, params, u2),
-        "D_vu2": D[0],
-        "D_ux": D[1],
-        "D_divru": D[2],
-        "D_thx": D[3],
+        "D_vu2": d_vu2,
+        "D_ux": d_ux,
+        "D_divru": d_divru,
+        "D_thx": d_thx,
         "l2_v": np.sqrt(integral((v - 1.0) ** 2)),
         "l2_u": np.sqrt(integral(u2)),
         "l2_theta": np.sqrt(integral((th - 1.0) ** 2)),
@@ -392,15 +376,15 @@ def _report(state, params: PhysParams, prev=None) -> dict:
         "max_v": v.max(axis=-1),
         "min_theta": th.min(axis=-1),
         "max_theta": th.max(axis=-1),
-        "f_thx": D[3],
-        "g_u": D[0] + D[1],
+        "f_thx": d_thx,
+        "g_u": d_vu2 + d_ux,
         "grad2_v": integral(gr.v_x**2),
         "grad2_u": integral(gr.u_x**2),
         "grad2_theta": integral(gr.theta_x**2),
         # the three-term dissipation bracket of the exact energy identity
-        "balance_phi": params.beta * D[2]
+        "balance_phi": params.beta * d_divru
         - 2.0 * params.mu * (params.n - 1) * integral(gr.div_ru2 / th)
-        + params.kappa * D[3],
+        + params.kappa * d_thx,
         "b6_gap_min": _form_gap(params, gr),
         # second-derivative integrands (standard three-point stencils)
         "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, g.edge_gaps),
@@ -425,11 +409,6 @@ def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = N
     return {key: float(val) for key, val in _report(state, params, prev).items()}
 
 
-# Consecutive samples on one grid, stacked: FlowState's attributes with t of
-# shape (rows,) and one sample per row of each field.
-_Samples = namedtuple("_Samples", "grid t v u theta r n")
-
-
 # Rows per block: rows * (N + 1) stays near this, which bounds the temporaries.
 _BLOCK_ELEMENTS = 4096
 
@@ -447,14 +426,17 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
     first sample goes alone, then blocks of ``rows`` samples, each stacked
     with the sample before it, whose rows serve as ``prev``.  Only the block
     being filled is held, and nothing is evaluated before it is full or the
-    samples end.  The samples must share one grid, and ``config``'s probe
-    must fit it (ValueError otherwise).
+    samples end.  The samples must share one grid and the dimension of
+    ``params``, and ``config``'s probe must fit the grid (ValueError
+    otherwise).
     """
     samples = iter(samples)
     first = next(samples, None)
     if first is None:
         raise ValueError("no samples to evaluate")
     g, n = first.grid, first.n
+    if n != params.n:
+        raise ValueError(f"samples of dimension n={n}, parameters of n={params.n}")
     rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
     unit = _unit_integrals(g)
     probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
@@ -483,11 +465,11 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
         """Evaluate the samples of ``block`` after its first, which is the
         sample before them; the very first sample goes alone, before them."""
         if not reports:
-            keep(_Samples(g, *_stack(block[:1]), n))
+            keep(FlowState._trusted(g, *_stack(block[:1]), n))
         if len(block) > 1:
             tb, v, u, theta, r = _stack(block)
-            cur = _Samples(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
-            prev = _Samples(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
+            cur = FlowState._trusted(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
+            prev = FlowState._trusted(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
             keep(cur, prev)
 
     block = [first]

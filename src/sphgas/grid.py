@@ -145,6 +145,9 @@ def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform"
     if ratio == 1.0:
         edges = np.linspace(0.0, x_max, n_cells + 1)
     else:
+        # the widths q**i sum to (q**N - 1) / (q - 1); refuse an overflow unformed
+        if n_cells * np.log(ratio) - np.log(ratio - 1.0) >= np.log(np.finfo(float).max):
+            raise ValueError(f"geometric ratio {ratio} overflows the widths of {n_cells} cells")
         widths = ratio ** np.arange(n_cells)
         widths *= x_max / widths.sum()
         edges = np.concatenate(([0.0], np.cumsum(widths)))

@@ -46,6 +46,7 @@ __all__ = [
     "RunResult",
     "SolverAbort",
     "PositivityError",
+    "initial_state",
     "select_dt",
     "step",
     "run",
@@ -108,8 +109,6 @@ class RunConfig:
             raise ValueError(f"scheme_order must be 1 or 2, got {self.scheme_order}")
         if not (self.dt_initial > 0):
             raise ValueError("dt_initial must be positive")
-        if self.grading != "uniform" and not (1.0 <= float(self.grading) <= 1.2):
-            raise ValueError(f"geometric ratio must lie in [1, 1.2], got {self.grading}")
         if not (self.superlevel_a > 1.0):
             raise ValueError(f"superlevel threshold must exceed 1, got {self.superlevel_a}")
         _check_probe(self.probe_k, self.probe_x, self.x_max)
@@ -147,6 +146,19 @@ class RunSummary:
 class RunResult:
     series: DiagnosticsSeries
     summary: RunSummary
+
+
+def initial_state(config: RunConfig, params: PhysParams) -> FlowState:
+    """The t = 0 state of a run; ValueError unless it can be built and its v
+    and theta lie above their floors, as every accepted step's do."""
+    with np.errstate(over="ignore"):  # an overflow leaves a value FlowState rejects
+        grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
+        state = make_initial_data(grid, config.profile, params)
+    min_v, min_theta = float(_amin(state.v)), float(_amin(state.theta))
+    if not (min_v > config.v_floor and min_theta > config.theta_floor):
+        raise ValueError(f"initial data at or below the floors {config.v_floor}, "
+                         f"{config.theta_floor}: min v={min_v!r}, min theta={min_theta!r}")
+    return state
 
 
 def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
@@ -356,7 +368,10 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     the time left.  SolverAbort is raised before a step that does not
     advance t (0, NaN, or lost in rounding), and before the _MAX_SMALL_STEPS-th
     small step in a row, so a violent transient may pass but a stall may not.
+    ValueError unless ``state`` has the dimension of ``params``.
     """
+    if state.n != params.n:
+        raise ValueError(f"a state of dimension n={state.n}, parameters of n={params.n}")
     t_end = config.t_end
     t_stop = t_end - _T_TOL * t_end
     small = 0
@@ -400,11 +415,7 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     """Yield the sampled states of the march, each after handing it to
     ``on_sample``, and fold every accepted step into ``summary``, which is
     written when the march reaches t_end; ``run`` adds the sup-norms."""
-    # an overflow makes the step 0 or NaN, and the march aborts; numpy's
-    # error state is restored before each yield, so the caller keeps its own
-    with np.errstate(over="ignore"):
-        grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
-        state = make_initial_data(grid, config.profile, params)
+    state = initial_state(config, params)
     on_sample(state)
     yield state
 
@@ -417,7 +428,7 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     r_shadow = state.r.copy()
     # a step's differences new - old of v, u and theta, and r_shadow - r, side
     # by side, so one abs serves all four and one max the first three
-    nc = grid.n_cells
+    nc = state.grid.n_cells
     diffs = np.empty(4 * nc + 2)
     d_v, d_u, d_t = diffs[:nc], diffs[nc:2 * nc + 1], diffs[2 * nc + 1:3 * nc + 1]
     d_change, d_r = diffs[:3 * nc + 1], diffs[3 * nc + 1:]
@@ -426,6 +437,8 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
     while True:
+        # an overflow makes the step 0 or NaN, and the march aborts; numpy's
+        # error state is restored before each yield, so the caller keeps its own
         with np.errstate(over="ignore"):
             for new_state, report in steps:
                 r_shadow += report.dt * new_state.u

@@ -12,7 +12,7 @@ ghost (zero heat flux); the outermost cell is pinned to the far-field state
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class FlowState:
     only fields that passed the step's positivity tests, a velocity whose
     inner entry was never written (so u[0] = 0 exactly), and the radius that
     ``radius_from_volume`` computed from that same v, each a fresh contiguous
-    float array that the state then owns.
+    float array that the state then owns.  Given a time per row, it builds a
+    block of consecutive samples on one grid instead, one per row along the
+    last axis, which the diagnostics kernels evaluate row by row.
     """
 
     grid: MassGrid
@@ -53,7 +55,7 @@ class FlowState:
     u: np.ndarray
     theta: np.ndarray
     n: int
-    r: np.ndarray = None
+    r: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nc = self.grid.n_cells
@@ -85,11 +87,11 @@ class FlowState:
     @classmethod
     def _trusted(cls, grid, t, v, u, theta, r, n) -> "FlowState":
         """A state from checked solver fields and their radius, unvalidated;
-        the arrays are made read-only in place, not copied."""
+        the arrays are made read-only in place, not copied, and ``t`` as given."""
         for a in (v, u, theta, r):
             a.setflags(write=False)
         state = object.__new__(cls)
-        state.__dict__.update(grid=grid, t=float(t), v=v, u=u, theta=theta, n=n, r=r)
+        state.__dict__.update(grid=grid, t=t, v=v, u=u, theta=theta, n=n, r=r)
         return state
 
 

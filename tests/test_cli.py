@@ -203,8 +203,8 @@ class TestRunCommand:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_overflowing_initial_radius_exits_config_code(self, config_file, tmp_path, capsys):
-        """An amplitude whose initial radius 1 + n X_max v overflows is a
-        config error found before the solve, not a solver abort."""
+        """An amplitude whose initial radius overflows is a config error
+        found before the solve, not a solver abort."""
         out = str(tmp_path / "nothing")
         code = main(["run", "--config", config_file, "--out", out,
                      "--set", "N=16", "--set", "profile.amplitudes=1e308,0,0"])
@@ -212,7 +212,31 @@ class TestRunCommand:
         assert not os.path.exists(out)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "initial radius overflows" in err
+        assert "radius must stay finite" in err
+
+    @pytest.mark.parametrize("overrides", [
+        # min v = 0.5 lies below its floor
+        ["profile.amplitudes=-0.5,0,0", "X_max=10", "N=50", "t_end=0.5", "floors=0.9,0.9"],
+        # min theta = 0.6618 lies below its floor, which every step keeps
+        ["scheme_order=2", "profile.amplitudes=-0.69,-2.49,-0.36", "profile.width=0.5",
+         "floors=0.34,0.68", "cfl_fraction=1", "X_max=10", "N=40", "t_end=0.3"],
+        # 1.2**4999 overflows
+        ["grading=1.2", "N=5000"],
+    ], ids=["floors", "theta_floor_scheme2", "graded_overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inadmissible_start_exits_config_code_before_solving(
+        self, config_file, tmp_path, capsys, overrides
+    ):
+        """A t = 0 state that cannot be built, or lies below a floor, is a
+        config error: nothing is solved and no output directory is made."""
+        out = str(tmp_path / "nothing")
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("rows", [
         "0,1,0,1\n5,-1,0,1\n12,1,0,1\n",
@@ -279,14 +303,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_OK
 
     @pytest.mark.parametrize("overrides", [
-        # floors impossibly high: the first accepted step is already below
-        ["profile.amplitudes=-0.5,0,0", "X_max=10", "N=50", "t_end=0.5", "floors=0.9,0.9"],
         # a step too small to reach t_end
         ["N=16", "dt_initial=1e-300"],
         ["N=16", "cfl_fraction=1e-300"],
         ["N=16", "R=1e300"],  # the sound speed overflows, so the step is 0
         ["N=16", "cv=1e-300"],
-    ], ids=["floors", "dt_initial", "cfl_fraction", "R", "cv"])
+    ], ids=["dt_initial", "cfl_fraction", "R", "cv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_positivity_abort_exit_code(self, config_file, tmp_path, capsys, overrides):
         out = str(tmp_path / "out")
@@ -502,8 +524,7 @@ class TestReportCommand:
                                                                  capsys):
         out = str(tmp_path / "out")
         argv = ["run", "--config", config_file, "--out", out]
-        for item in ["profile.amplitudes=-0.5,0,0", "X_max=10", "N=50", "t_end=0.5",
-                     "floors=0.9,0.9"]:
+        for item in ["N=16", "R=1e300"]:
             argv += ["--set", item]
         assert main(argv) == EXIT_ABORT
         capsys.readouterr()

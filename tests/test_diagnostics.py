@@ -29,7 +29,6 @@ from sphgas.diagnostics import (
     _probe_scalars,
     _representation,
     _sample_columns,
-    _Samples,
     _stack,
     _unit_integrals,
     evaluate_series,
@@ -376,7 +375,7 @@ class TestSuperlevel:
             theta[lo:hi] = 3.0
             states.append(FlowState(grid=g, t=0.0, v=np.ones(100), u=np.zeros(101),
                                     theta=theta, n=2))
-        block = superlevel_measure(_Samples(g, *_stack(states), 2), 2.0)
+        block = superlevel_measure(FlowState._trusted(g, *_stack(states), 2), 2.0)
         assert list(block) == [superlevel_measure(st, 2.0) for st in states]
         assert block == pytest.approx([2.0, 0.7, 4.0], rel=1e-14)
 
@@ -475,7 +474,7 @@ class TestLocalRepresentation:
         probe = _probe_scalars(states[0], p, k, x)
         ru0 = states[0].r ** (1 - p.n) * states[0].u
         ln_v0 = np.log(np.interp(x, xc, states[0].v))
-        block = probe(_Samples(g, *_stack(states), p.n))
+        block = probe(FlowState._trusted(g, *_stack(states), p.n))
         for i, st in enumerate(states):
             ln_B, S, W, theta, v = probe(st)
             assert [row[i] for row in block] == [ln_B, S, W, theta, v]
@@ -647,7 +646,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("n", [2, 3])
     def test_gradients_of_a_stacked_block_equal_per_state_bundles(self, n):
         a, b = _synthetic_history(n, 2)
-        bundle = discrete_gradients(_Samples(a.grid, *_stack([a, b]), n))
+        bundle = discrete_gradients(FlowState._trusted(a.grid, *_stack([a, b]), n))
         for row, st in enumerate((a, b)):
             single = discrete_gradients(st)
             for f in fields(Gradients):
@@ -658,6 +657,13 @@ class TestSampleBlocks:
         other = make_initial_data(build_mass_grid(16.0, 80), InitProfile(), params)
         with pytest.raises(ValueError, match="different grids"):
             evaluate_series([states[0], other], params, config)
+
+    def test_samples_of_another_dimension_rejected(self, bump_history):
+        """States of n = 2 with parameters of n = 3 would mix the two
+        dimensions in one row; the first sample is checked."""
+        _, config, params, states = bump_history
+        with pytest.raises(ValueError, match="dimension n=2, parameters of n=3"):
+            evaluate_series(states, replace(params, n=3), config)
 
 
 class TestSeriesInvariants:

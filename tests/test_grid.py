@@ -69,6 +69,15 @@ class TestBuildMassGrid:
         with pytest.raises(ValueError):
             build_mass_grid(1.0, 10, grading="log")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ratio_rejected_before_the_widths_are_formed(self):
+        """At q = 1.2 the widths sum to (q**N - 1) / (q - 1), finite up to
+        N = 3884; past that the grid is refused without an overflow."""
+        assert build_mass_grid(10.0, 3884, grading=1.2).x_max == 10.0
+        for n_cells, ratio in ((3885, 1.2), (5000, 1.2), (10**6, 1.001)):
+            with pytest.raises(ValueError, match="overflows the widths"):
+                build_mass_grid(10.0, n_cells, grading=ratio)
+
     @given(
         x_max=st.floats(0.5, 100),
         n_cells=st.integers(4, 200),

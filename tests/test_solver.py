@@ -179,6 +179,13 @@ class TestMarch:
         assert len(taken) == (_MAX_SMALL_STEPS - 1 if h > 0 else 0)
         assert taken == sorted(set(taken))
 
+    def test_state_of_another_dimension_rejected(self, params):
+        """A state of n = 3 with parameters of n = 2 is refused before the
+        first step, which would mix the two dimensions."""
+        march = _march(equilibrium_state(n_cells=16, n=3), params, RunConfig(t_end=1.0))
+        with pytest.raises(ValueError, match="dimension n=3, parameters of n=2"):
+            next(march)
+
     def test_step_lost_in_rounding_aborts_before_stepping(self, params):
         st = replace(equilibrium_state(n_cells=16), t=0.5)
         march = _march(st, params, RunConfig(t_end=1.0), dt=1e-20)
@@ -334,6 +341,23 @@ def _reference_summary(config, params):
     }
 
 
+class TestInitialState:
+    @pytest.mark.parametrize("amps, floors", [
+        ((-0.5, 0.0, 0.0), {"v_floor": 0.9}),
+        ((0.0, 0.0, -0.5), {"theta_floor": 0.9}),
+    ], ids=["v", "theta"])
+    def test_run_rejects_a_start_below_a_floor(self, params, amps, floors):
+        """The t = 0 state must lie above the floors, as every accepted step
+        does; run raises before it takes a sample."""
+        prof = InitProfile(kind="gaussian_bump", amp_v=amps[0], amp_u=amps[1],
+                           amp_theta=amps[2], center=4.0, width=1.0)
+        cfg = RunConfig(x_max=10.0, n_cells=16, profile=prof, t_end=0.5, **floors)
+        taken = []
+        with pytest.raises(ValueError, match="initial data at or below the floors"):
+            run(cfg, params, on_sample=taken.append)
+        assert taken == []
+
+
 class TestRunSummary:
     """``run`` folds every accepted step into its summary; the fold must
     give, bit for bit, what a plain per-step recomputation gives."""
@@ -342,7 +366,7 @@ class TestRunSummary:
         (1, (0.1, 0.1, 0.1), (1e-6, 1e-6), False),
         (1, (0.0, 0.0, 0.5), (1e-6, 1e-6), False),  # theta changes most per step
         (2, (0.1, 0.1, 0.1), (1e-6, 1e-6), False),
-        (2, (-0.69, -2.49, -0.36), (0.34, 0.68), True),
+        (2, (-0.69, -2.49, -0.36), (0.34, 0.6), True),
     ], ids=["scheme1", "scheme1_hot", "scheme2", "scheme2_rejections"])
     def test_fold_equals_per_step_recomputation(self, params, order, amps, floors, rejections):
         prof = InitProfile(kind="gaussian_bump", amp_v=amps[0], amp_u=amps[1],
