@@ -26,7 +26,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -222,6 +221,9 @@ def _cmd_sweep(args) -> int:
                      + [arg for item in manifest[name] for arg in ("--set", item)])
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    # imported here, its one use, as it brings multiprocessing into every start
+    from concurrent.futures import ProcessPoolExecutor
+
     worst = EXIT_OK
     # the fork start method starts every worker at the first submit, so the
     # pool is no larger than the points and the CPUs can use

@@ -127,7 +127,8 @@ def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform"
 
     ``grading`` is either ``"uniform"`` or a geometric width ratio in
     [1, 1.2]; with ratio q the widths follow w0 * q**i, normalised to sum to
-    ``x_max``.
+    ``x_max``.  ValueError for widths that overflow, or for a smallest width
+    w with w * w * (largest double) below 1e6 (w below about 7.5e-152).
     """
     if not (x_max > 0):
         raise ValueError(f"x_max must be positive, got {x_max}")
@@ -152,7 +153,14 @@ def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform"
         widths *= x_max / widths.sum()
         edges = np.concatenate(([0.0], np.cumsum(widths)))
         edges[-1] = x_max
-    return MassGrid(x_edges=edges)
+    grid = MassGrid(x_edges=edges)
+    # the solves divide by products of two widths, such as kappa / (h * h_e);
+    # w * w * (largest double) < 1e6, without overflowing for a wide cell
+    w = float(np.minimum.reduce(grid.cell_widths))
+    if w * w < 1e6 / np.finfo(float).max:
+        raise ValueError(f"smallest cell width {w:.3e} leaves the conductances within "
+                         f"1e6 of overflow")
+    return grid
 
 
 def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:

@@ -29,11 +29,14 @@ order of every floating-point operation.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 from .diagnostics import DiagnosticsSeries, _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
@@ -63,6 +66,36 @@ _MAX_CELLS = 10**6  # largest N a config may ask for
 # argument handling; the step calls them a dozen times
 _amin = np.minimum.reduce
 _amax = np.maximum.reduce
+
+
+def _load_dgtsv():
+    """LAPACK's dgtsv, from the compiled module behind ``scipy.linalg.lapack``.
+
+    The module is loaded from its file under its own name, which skips the
+    package imports of ``scipy.linalg``: they take most of a cold start, the
+    module a few milliseconds.  A module already imported is reused.  Where
+    the file is missing or does not load, the public import gives the routine.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        try:
+            # find_spec locates a top-level package without importing it
+            root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+        except (AttributeError, ImportError):  # no scipy package, or no such file
+            from scipy.linalg.lapack import dgtsv
+            return dgtsv
+        sys.modules[name] = module
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 class SolverAbort(RuntimeError):
@@ -437,9 +470,11 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
     while True:
-        # an overflow makes the step 0 or NaN, and the march aborts; numpy's
-        # error state is restored before each yield, so the caller keeps its own
-        with np.errstate(over="ignore"):
+        # an overflow makes the step 0 or NaN, and the march aborts; an invalid
+        # operation makes a field NaN, which fails its floor test, so the step
+        # halves until PositivityError; numpy's error state is restored before
+        # each yield, so the caller keeps its own
+        with np.errstate(over="ignore", invalid="ignore"):
             for new_state, report in steps:
                 r_shadow += report.dt * new_state.u
                 r_shadow[0] = 1.0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import os
@@ -38,6 +39,13 @@ profile.amplitudes=0.1,0.1,0.1
 profile.center=4.0
 profile.width=1.0
 """
+
+
+def _fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports this sphgas."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture
@@ -222,7 +230,9 @@ class TestRunCommand:
          "floors=0.34,0.68", "cfl_fraction=1", "X_max=10", "N=40", "t_end=0.3"],
         # 1.2**4999 overflows
         ["grading=1.2", "N=5000"],
-    ], ids=["floors", "theta_floor_scheme2", "graded_overflow"])
+        # a first width of 1.3e-155, which marched into NaN
+        ["grading=1.2", "X_max=10", "N=1960"],
+    ], ids=["floors", "theta_floor_scheme2", "graded_overflow", "graded_tiny_width"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inadmissible_start_exits_config_code_before_solving(
         self, config_file, tmp_path, capsys, overrides
@@ -308,7 +318,13 @@ class TestRunCommand:
         ["N=16", "cfl_fraction=1e-300"],
         ["N=16", "R=1e300"],  # the sound speed overflows, so the step is 0
         ["N=16", "cv=1e-300"],
-    ], ids=["dt_initial", "cfl_fraction", "R", "cv"])
+        # a first width of 5.6e-151, just above the smallest a grid may have
+        ["grading=1.2", "X_max=10", "N=1900"],
+        # r^(2(n-1)) overflows, and inf times a zero difference is NaN
+        [*GOLDEN["rejects_scheme2"][1], "profile.amplitudes=0,0,1e308"],
+        [*GOLDEN["rejects_scheme2"][1], "n=3", "profile.amplitudes=1e300,0,0"],
+    ], ids=["dt_initial", "cfl_fraction", "R", "cv", "graded_small_width", "huge_theta",
+            "huge_v_n3"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_positivity_abort_exit_code(self, config_file, tmp_path, capsys, overrides):
         out = str(tmp_path / "out")
@@ -602,12 +618,9 @@ class TestReportCommand:
     def test_closed_stdout_exits_pipe_code_after_writing_report(self, config_file, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
-        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.Popen(
             [sys.executable, "-m", "sphgas.cli", "report", "--out", out],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(), text=True,
         )
         proc.stdout.close()  # the reader is gone before the first line
         err = proc.stderr.read()
@@ -615,6 +628,21 @@ class TestReportCommand:
         assert err == ""
         with open(os.path.join(out, "report.json")) as fh:
             assert all(json.load(fh)["invariants"].values())
+
+
+def test_cold_start_imports_neither_scipy_linalg_nor_the_process_pool(config_file):
+    """Every verb starts by importing the CLI and resolving its config; that
+    start loads scipy's LAPACK module alone and no process pool."""
+    code = (
+        "import sys\n"
+        "import sphgas.cli\n"
+        "from sphgas.config import load_config, resolve\n"
+        "resolve(load_config(sys.argv[1]))\n"
+        "print([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, config_file], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 class TestSnapshotReader:
@@ -687,7 +715,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    # sweep imports the executor from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 

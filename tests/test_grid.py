@@ -73,10 +73,22 @@ class TestBuildMassGrid:
     def test_overflowing_ratio_rejected_before_the_widths_are_formed(self):
         """At q = 1.2 the widths sum to (q**N - 1) / (q - 1), finite up to
         N = 3884; past that the grid is refused without an overflow."""
-        assert build_mass_grid(10.0, 3884, grading=1.2).x_max == 10.0
+        with pytest.raises(ValueError, match="smallest cell width"):
+            build_mass_grid(10.0, 3884, grading=1.2)  # finite, but its first width is not usable
         for n_cells, ratio in ((3885, 1.2), (5000, 1.2), (10**6, 1.001)):
             with pytest.raises(ValueError, match="overflows the widths"):
                 build_mass_grid(10.0, n_cells, grading=ratio)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_width_near_the_conductance_overflow_rejected(self):
+        """A smallest width w with w * w * (largest double) < 1e6 is refused:
+        at q = 1.2 and x_max = 10 that is every N from 1913 (w = 6.7e-152);
+        N = 1912 (w = 8.0e-152) builds."""
+        g = build_mass_grid(10.0, 1912, grading=1.2)
+        assert g.cell_widths[0] ** 2 * np.finfo(float).max >= 1e6
+        for n_cells in (1913, 1960, 3000):
+            with pytest.raises(ValueError, match="smallest cell width"):
+                build_mass_grid(10.0, n_cells, grading=1.2)
 
     @given(
         x_max=st.floats(0.5, 100),
@@ -84,6 +96,7 @@ class TestBuildMassGrid:
         ratio=st.floats(1.0, 1.2),
     )
     @settings(max_examples=50, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_partition_properties(self, x_max, n_cells, ratio):
         g = build_mass_grid(x_max, n_cells, grading=ratio)
         assert g.n_cells == n_cells

@@ -1,4 +1,7 @@
+import importlib.machinery
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from sphgas import (
     select_dt,
     step,
 )
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
-from sphgas import radius_from_volume
+from sphgas import radius_from_volume, solver
 from sphgas.solver import (
     _MAX_SMALL_STEPS, _march, _solve_tridiag, _substep_imex, _substep_midpoint,
 )
@@ -234,6 +237,37 @@ class TestSolverStates:
         off = np.zeros(2)
         with pytest.raises(LinAlgError):
             _solve_tridiag(off, np.array([1.0, 0.0, 1.0]), off, np.ones(3))
+
+
+class TestLapackBinding:
+    """The solver loads dgtsv from scipy's compiled LAPACK module by its file,
+    without importing scipy.linalg."""
+
+    @pytest.mark.parametrize("n", [4, 64, 800])
+    def test_solutions_equal_the_public_binding_bit_for_bit(self, n):
+        from scipy.linalg.lapack import dgtsv
+
+        rng = np.random.default_rng(n)
+        sub, sup = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+        diag = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant
+        rhs = rng.standard_normal(n)
+        ours, theirs = solver.dgtsv(sub, diag, sup, rhs), dgtsv(sub, diag, sup, rhs)
+        assert ours[4] == theirs[4] == 0
+        assert ours[3].tobytes() == theirs[3].tobytes()
+
+    def test_a_loaded_module_is_reused(self, monkeypatch):
+        routine = object()
+        monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", SimpleNamespace(dgtsv=routine))
+        assert solver._load_dgtsv() is routine
+
+    def test_a_missing_extension_file_falls_back_to_the_public_import(self, monkeypatch):
+        from scipy.linalg.lapack import dgtsv
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        assert solver._load_dgtsv() is dgtsv
+        # the direct load, had it run, would have registered the module
+        assert "scipy.linalg._flapack" not in sys.modules
 
 
 class TestRun:
