@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import MassGrid, PhysParams
+from .grid import MassGrid, PhysParams, running_integral
 from .state import FlowState, Gradients, discrete_gradients, stress_sigma
 
 __all__ = [
@@ -127,15 +127,13 @@ def _unit_integrals(grid: MassGrid):
     over the unit mass intervals [k, k+1] inside the grid, k = 0, 1, ...,
     along the last axis: differences of its running integral read at the
     integers, whose cells and offsets are found once per grid."""
-    xe, h = grid.x_edges, grid.cell_widths
+    xe = grid.x_edges
     ints = np.arange(int(grid.x_max + 1e-12) + 1, dtype=float)
     cell = np.minimum(np.searchsorted(xe, ints, side="right") - 1, grid.n_cells - 1)
     offset = ints - xe[cell]
 
     def integrals(f):
-        running = np.zeros(f.shape[:-1] + (xe.size,))  # the integral up to each edge
-        np.cumsum(f * h, axis=-1, out=running[..., 1:])
-        return np.diff(running[..., cell] + f[..., cell] * offset, axis=-1)
+        return np.diff(running_integral(grid, f)[..., cell] + f[..., cell] * offset, axis=-1)
 
     return integrals
 

@@ -163,6 +163,15 @@ def build_mass_grid(x_max: float, n_cells: int, grading: str | float = "uniform"
     return grid
 
 
+def running_integral(grid: MassGrid, f: np.ndarray) -> np.ndarray:
+    """Midpoint-rule integral of the cell field ``f`` from x = 0 to every edge,
+    sum_{j<k} f_j h_j at edge k; cells run along the last axis of ``f``, so
+    each row of a 2-D ``f`` gets its own integral."""
+    running = np.zeros(f.shape[:-1] + (f.shape[-1] + 1,))
+    np.add.accumulate(f * grid.cell_widths, axis=-1, out=running[..., 1:])
+    return running
+
+
 def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
     """Radius at every edge from the specific volume field.
 
@@ -170,27 +179,12 @@ def radius_from_volume(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
     (exact for cellwise-constant v), so r(0) = 1 and r is strictly increasing.
     """
     v = np.asarray(v, dtype=float)
-    h = grid.cell_widths
-    if v.shape != h.shape:
+    if v.shape != grid.cell_widths.shape:
         raise ValueError(f"v must have one value per cell, got shape {v.shape}")
     if not (np.minimum.reduce(v) > 0):  # NaN fails too
         raise ValueError("specific volume must be positive everywhere")
-    rn = np.empty(h.size + 1)
-    rn[0] = 1.0
-    quad = np.add.accumulate(v * h, out=rn[1:])  # then 1 + n * quad, in place
-    quad *= n
-    quad += 1.0
+    rn = running_integral(grid, v)  # then 1 + n * integral, in place
+    rn *= n
+    rn += 1.0
     rn **= 1.0 / n
     return rn
-
-
-def radius_at_centers(grid: MassGrid, v: np.ndarray, n: int) -> np.ndarray:
-    """Radius at cell centers, by the same midpoint quadrature as the edges;
-    cells run along the last axis of ``v``, so each row of a 2-D ``v`` gets
-    its own radii."""
-    v = np.asarray(v, dtype=float)
-    h = grid.cell_widths
-    rn_left = np.empty_like(v)
-    rn_left[..., 0] = 1.0
-    rn_left[..., 1:] = 1.0 + n * np.cumsum(v[..., :-1] * h[:-1], axis=-1)
-    return (rn_left + n * v * (0.5 * h)) ** (1.0 / n)

@@ -302,6 +302,17 @@ def _heat_source(params, coef: FlowState, G, u):
     return sigma * G - 2.0 * params.mu * (n - 1) * _diff(ru2) / coef.grid.cell_widths
 
 
+def _volume_update(state: FlowState, dt: float, w, u, s_v):
+    """The velocity divergence G = (w u)_x and the volume v + dt G (+ dt S_v)
+    from ``state``, pinned to v = 1 in the far-field cell; returns (G, v)."""
+    G = _diff(w * u) / state.grid.cell_widths
+    v = state.v + dt * G
+    if s_v is not None:
+        v += dt * s_v
+    v[-1] = 1.0
+    return G, v
+
+
 def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None,
                   v_floor=0.0):
     """One first-order IMEX update; returns ((v, u, theta, r), resid), with
@@ -314,11 +325,7 @@ def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None,
         s_v, s_u, s_t = sources(state.t)
 
     u_new, res_u = _velocity_solve(state, params, dt, w, state.v, state.theta, s_u=s_u)
-    G_new = _diff(w * u_new) / g.cell_widths
-    v_new = state.v + dt * G_new
-    if s_v is not None:
-        v_new += dt * s_v
-    v_new[-1] = 1.0
+    G_new, v_new = _volume_update(state, dt, w, u_new, s_v)
     if not (_amin(v_new) > v_floor):
         return (v_new, u_new, None, None), res_u
     r_new = radius_from_volume(g, v_new, n)
@@ -352,11 +359,7 @@ def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=N
         state, params, dt, w_h, half.v, half.theta, s_u=s_u, implicit_weight=0.5
     )
     u_mid = 0.5 * (state.u + u_new)
-    G_mid = _diff(w_h * u_mid) / g.cell_widths
-    v_new = state.v + dt * G_mid
-    if s_v is not None:
-        v_new += dt * s_v
-    v_new[-1] = 1.0
+    G_mid, v_new = _volume_update(state, dt, w_h, u_mid, s_v)
     if not (_amin(v_new) > v_floor):
         return (v_new, u_new, None, None), res_u
 

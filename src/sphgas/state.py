@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import MassGrid, PhysParams, _readonly, radius_at_centers, radius_from_volume
+from .grid import MassGrid, PhysParams, _readonly, radius_from_volume, running_integral
 
 __all__ = [
     "FlowState",
@@ -236,7 +236,9 @@ def discrete_gradients(state: FlowState) -> Gradients:
     xc, h = g.cell_centers, g.cell_widths
     n = state.n
     u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
-    r_c = radius_at_centers(g, state.v, n)
+    # r^n at the left edge plus the half cell to the center, by the edges' quadrature
+    rn_left = 1.0 + n * running_integral(g, state.v)[..., :-1]
+    r_c = (rn_left + n * state.v * (0.5 * h)) ** (1.0 / n)
     r_pow = r_c ** (n - 1)
     u_x = _diff(state.u) / h
     ru2 = state.r ** (n - 2) * state.u**2
@@ -306,6 +308,8 @@ def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysPa
         if commas - {4} or fields[-4] or fields[-2]:
             raise ValueError("truncated: short rows or no outer edge row")
         meta = {k: float(val) for k, _, val in (tok.partition("=") for tok in header[1:].split())}
+        if not meta["n"].is_integer():  # int() would truncate 3.7 and overflow on inf
+            raise ValueError(f"dimension must be an integer, got n={meta['n']!r}")
         params = PhysParams(
             mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
             cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),

@@ -74,6 +74,18 @@ def _garble_snapshot(snap_dir):
         fh.writelines(lines)
 
 
+def _replace_in_snapshot(old, new):
+    """A spoiler that replaces ``old`` by ``new`` once in the first snapshot."""
+    def spoil(snap_dir):
+        path = os.path.join(snap_dir, "snap_000001.csv")
+        with open(path) as fh:
+            text = fh.read()
+        assert old in text
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, new, 1))
+    return spoil
+
+
 def _empty_snapshot_dir(snap_dir):
     for name in os.listdir(snap_dir):
         os.remove(os.path.join(snap_dir, name))
@@ -137,6 +149,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             resolve(raw)
 
+    def test_table_ignored_unless_the_profile_is_a_table(self, tmp_path):
+        """A profile.table beside another profile.kind is not read: a missing
+        file, which a table profile rejects, resolves."""
+        missing = str(tmp_path / "missing.csv")
+        config, _, _ = resolve({"profile.kind": "gaussian_bump", "profile.table": missing})
+        assert config.profile.kind == "gaussian_bump" and config.profile.table is None
+
     def test_malformed_grading_rejected(self):
         with pytest.raises(ConfigError):
             resolve(parse_config_text("grading=log\n"))
@@ -198,6 +217,7 @@ class TestRunCommand:
         "probe.x=4",
         "probe.k=0",
         "probe.k=12",
+        "cadence=0",
     ])
     def test_bad_run_setting_exits_config_code_before_solving(
         self, config_file, tmp_path, capsys, override
@@ -254,12 +274,16 @@ class TestRunCommand:
         "0,1,0,1\n5,nan,0,1\n12,1,0,1\n",
         "0,1,0,1,0\n5,1,0,1,0\n12,1,0,1,0\n",
         "0,1,0,1\n12,1,0,1\n5,1,0,1\n",
-    ], ids=["negative_v", "zero_theta", "nan_entry", "five_columns", "x_not_increasing"])
+        "0,1,0,1\n5,one,0,1\n12,1,0,1\n",
+        None,
+    ], ids=["negative_v", "zero_theta", "nan_entry", "five_columns", "x_not_increasing",
+            "non_numeric", "missing_file"])
     def test_bad_table_exits_config_code_before_solving(
         self, config_file, tmp_path, capsys, rows
     ):
         table = tmp_path / "init.csv"
-        table.write_text(rows)
+        if rows is not None:
+            table.write_text(rows)
         out = str(tmp_path / "nothing")
         code = main(["run", "--config", config_file, "--out", out, "--set", "N=16",
                      "--set", "profile.kind=table", "--set", f"profile.table={table}"])
@@ -582,10 +606,16 @@ class TestReportCommand:
     @pytest.mark.parametrize("spoil, expect", [
         (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
+        (_replace_in_snapshot("n=2.0", "n=3.7"),
+         "snap_000001.csv: malformed snapshot: dimension must be an integer, got n=3.7"),
+        (_replace_in_snapshot("n=2.0", "n=inf"), "dimension must be an integer, got n=inf"),
+        (_replace_in_snapshot("# t=", "t="), "snap_000001.csv: missing metadata header"),
+        (_replace_in_snapshot("x,v,u,theta,r", "x,v,u,T,r"), "unexpected columns 'x,v,u,T,r'"),
         (_empty_snapshot_dir, "no snapshots"),
         (_snapshot_from_other_grid, "samples on different grids"),
         (_delete_diagnostics, "diagnostics.csv"),
-    ], ids=["truncated", "non_numeric", "empty_dir", "mixed_grids", "missing_diagnostics"])
+    ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
+            "other_columns", "empty_dir", "mixed_grids", "missing_diagnostics"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):

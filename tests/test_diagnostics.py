@@ -652,6 +652,11 @@ class TestSampleBlocks:
             for f in fields(Gradients):
                 assert np.array_equal(getattr(bundle, f.name)[row], getattr(single, f.name))
 
+    def test_no_samples_rejected(self, bump_history):
+        _, config, params, _ = bump_history
+        with pytest.raises(ValueError, match="no samples to evaluate"):
+            evaluate_series([], params, config)
+
     def test_samples_on_different_grids_rejected(self, bump_history):
         _, config, params, states = bump_history
         other = make_initial_data(build_mass_grid(16.0, 80), InitProfile(), params)
@@ -725,6 +730,11 @@ class TestSeriesCsv:
 
     def row(self, value=0.5):
         return ",".join([repr(value)] * len(SERIES_COLUMNS))
+
+    @pytest.mark.parametrize("shape", [(3, 35), (3, 37), (36,)])
+    def test_data_of_the_wrong_width_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not match the documented columns"):
+            DiagnosticsSeries(np.zeros(shape))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write(tmp_path, SERIES_COLUMNS, [self.row(1.5), "", "  ", self.row(-2.0)])

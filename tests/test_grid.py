@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphgas import PhysParams, build_mass_grid, radius_from_volume
+from sphgas import MassGrid, PhysParams, build_mass_grid, radius_from_volume
 
 
 class TestPhysParams:
@@ -31,6 +31,19 @@ class TestPhysParams:
     def test_negative_lambda_admissible_when_bulk_positive(self):
         p = PhysParams(mu=1.0, lam=-0.9, n=2)
         assert p.beta > 0
+
+
+class TestMassGrid:
+    @pytest.mark.parametrize("edges, message", [
+        ([0.0], "at least two entries"),
+        ([[0.0, 1.0]], "at least two entries"),
+        ([0.5, 1.0, 2.0], "first edge must be 0"),
+        ([0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 2.0, 1.0], "strictly increasing"),
+    ], ids=["one_edge", "two_d", "first_edge", "repeated_edge", "decreasing"])
+    def test_bad_edges_rejected(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            MassGrid(x_edges=np.array(edges))
 
 
 class TestBuildMassGrid:
@@ -126,6 +139,13 @@ class TestRadiusFromVolume:
             v[3] = bad
             with pytest.raises(ValueError, match="must be positive"):
                 radius_from_volume(grid, v, 2)
+
+    def test_rejects_wrong_shape(self, grid):
+        """One value too few or too many per cell, or two rows of them."""
+        nc = grid.n_cells
+        for shape in ((nc - 1,), (nc + 1,), (2, nc)):
+            with pytest.raises(ValueError, match="one value per cell"):
+                radius_from_volume(grid, np.ones(shape), 2)
 
     def test_monotone_and_above_one(self, grid):
         rng = np.random.default_rng(7)

@@ -238,6 +238,10 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             convergence_order(case, params, [32, 64])
 
+    def test_unknown_mode_rejected(self, case, params):
+        with pytest.raises(ValueError, match="unknown mode 'spectral'"):
+            convergence_order(case, params, [32, 64, 128], mode="spectral")
+
     def test_report_table_format(self, case, params):
         rep = ConvergenceReport(
             mode="spatial",

@@ -42,6 +42,15 @@ class TestFlowState:
         with pytest.raises(ValueError):
             FlowState(grid=grid, t=0.0, n=2, **fields)
 
+    @pytest.mark.parametrize("field, size", [("v", -1), ("u", -1), ("theta", 1)])
+    def test_rejects_mismatched_shapes(self, grid, field, size):
+        """A field one entry short or long of the grid's cells or edges."""
+        nc = grid.n_cells
+        fields = dict(v=np.ones(nc), u=np.zeros(nc + 1), theta=np.ones(nc))
+        fields[field] = np.ones(fields[field].size + size)
+        with pytest.raises(ValueError, match="do not match grid with"):
+            FlowState(grid=grid, t=0.0, n=2, **fields)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_overflowing_radius(self, grid):
         """Finite v whose volume integral overflows gives an infinite r."""
