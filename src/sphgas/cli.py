@@ -258,7 +258,7 @@ def _cmd_report(args) -> int:
         names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
-        # mixed grids raise ValueError
+        # mixed grids or dimensions, and times that do not increase, raise ValueError
         series = evaluate_series(_snapshots(snap_dir, names), params, config)
         stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError

@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from .grid import MassGrid, PhysParams, running_integral
-from .state import FlowState, Gradients, discrete_gradients, stress_sigma
+from .state import FlowState, Gradients, _diff, _mean, discrete_gradients, stress_sigma
 
 __all__ = [
     "DiagnosticsSeries",
@@ -55,31 +55,10 @@ __all__ = [
 # Every kernel below runs along the last axis: one FlowState has 1-D fields,
 # a block of samples (a FlowState too) one sample per row of each field.
 
-def _u_sq_centers(u):
-    """u^2 averaged onto centers (average of squares keeps positivity)."""
-    return 0.5 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
-
-
-def _conduction_integral(state, w_edges):
-    """int r^(2(n-1)) theta_x^2/(v theta^2) on the native interior-edge
-    values of theta_x, with the center gaps as quadrature weights."""
-    he = state.grid.edge_gaps
-    theta_x = (state.theta[..., 1:] - state.theta[..., :-1]) / he
-    v_e = 0.5 * (state.v[..., :-1] + state.v[..., 1:])
-    th_e = 0.5 * (state.theta[..., :-1] + state.theta[..., 1:])
-    return (w_edges * theta_x**2 / (v_e * th_e**2) * he).sum(axis=-1)
-
-
-def _energy(state, params: PhysParams, u2):
-    v, th = state.v, state.theta
-    U = params.R * (v - np.log(v) - 1.0) + 0.5 * u2 + params.cv * (th - np.log(th) - 1.0)
-    return (U * state.grid.cell_widths).sum(axis=-1)
-
-
 def _cumtrapz(f, t):
     """Running trapezoid integral of the samples ``f`` over the times ``t``,
     starting from 0 at t[0]."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))))
+    return np.concatenate(([0.0], np.cumsum(_mean(f) * np.diff(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +319,10 @@ def _report(state, params: PhysParams, prev=None) -> dict:
     state, one entry per row for a block of samples (``prev`` then holds the
     rows one sample earlier)."""
     g = state.grid
-    h = g.cell_widths
+    h, he = g.cell_widths, g.edge_gaps
     v, th = state.v, state.theta
     gr = discrete_gradients(state)
-    u2 = _u_sq_centers(state.u)
+    u2 = _mean(state.u**2)  # u^2 averaged onto centers, so it stays nonnegative
     p = 2 * (params.n - 1)
     w_centers, w_edges = gr.r_centers**p, state.r[..., 1:-1] ** p  # r^(2(n-1))
 
@@ -354,9 +333,11 @@ def _report(state, params: PhysParams, prev=None) -> dict:
     d_vu2 = integral(v * u2 / (gr.r_centers**2 * th))
     d_ux = integral(w_centers * gr.u_x**2 / (v * th))
     d_divru = integral(gr.div_ru**2 / (v * th))
-    d_thx = _conduction_integral(state, w_edges)
+    # on the native interior-edge values of theta_x, with the center gaps as weights
+    d_thx = integral(w_edges * (_diff(th) / he) ** 2 / (_mean(v) * _mean(th) ** 2), he)
     out = {
-        "E": _energy(state, params, u2),
+        "E": integral(params.R * (v - np.log(v) - 1.0) + 0.5 * u2
+                      + params.cv * (th - np.log(th) - 1.0)),
         "D_vu2": d_vu2,
         "D_ux": d_ux,
         "D_divru": d_divru,
@@ -385,7 +366,7 @@ def _report(state, params: PhysParams, prev=None) -> dict:
         + params.kappa * d_thx,
         "b6_gap_min": _form_gap(params, gr),
         # second-derivative integrands (standard three-point stencils)
-        "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, g.edge_gaps),
+        "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, he),
         "int_r_thxx2": integral(
             w_centers[..., 1:-1] * _second_derivative(g.cell_centers, th) ** 2, h[1:-1]
         ),
@@ -396,7 +377,7 @@ def _report(state, params: PhysParams, prev=None) -> dict:
     else:
         dtau = np.asarray(state.t - prev.t)[..., None]
         du = (state.u - prev.u) / dtau
-        out["int_ut2"] = integral(_u_sq_centers(du))
+        out["int_ut2"] = integral(_mean(du**2))
         out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
     return out
 
@@ -420,67 +401,63 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
     the time, the superlevel measure, the extremes of the unit-interval
     averages (Jensen anchors) and the probe scalars.
 
-    Each column is a kernel along the last axis of a block of samples.  The
-    first sample goes alone, then blocks of ``rows`` samples, each stacked
-    with the sample before it, whose rows serve as ``prev``.  Only the block
-    being filled is held, and nothing is evaluated before it is full or the
-    samples end.  The samples must share one grid and the dimension of
-    ``params``, and ``config``'s probe must fit the grid (ValueError
-    otherwise).
+    The samples are read in batches of up to ``rows``, each stacked with the
+    sample before it into a block for :func:`_block_columns`.  Before the
+    first sample stands a copy of it at t = -inf, so its difference
+    quotients are 0 / inf = 0, as norm_report's without ``prev``.  Only the
+    block being read is held, and nothing is evaluated before it is full or
+    the samples end.  The samples must share one grid and the dimension of
+    ``params``, their times must increase strictly, and ``config``'s probe
+    must fit the grid (ValueError otherwise).
     """
     samples = iter(samples)
     first = next(samples, None)
     if first is None:
         raise ValueError("no samples to evaluate")
-    g, n = first.grid, first.n
-    if n != params.n:
-        raise ValueError(f"samples of dimension n={n}, parameters of n={params.n}")
+    g = first.grid
     rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
     unit = _unit_integrals(g)
     probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
-    keys = None
     reports = []  # one array per block, a row per key
+    before = FlowState._trusted(g, -np.inf, first.v, first.u, first.theta, first.r, first.n)
+    block = [before, first, *islice(samples, rows - 1)]
+    while len(block) > 1:
+        keys, report = _block_columns(block, g, params, config, unit, probe)
+        reports.append(report)
+        block = block[-1:]
+        block += islice(samples, rows)
+    return dict(zip(keys, np.concatenate(reports, axis=1)))
 
-    def keep(state, prev=None):
-        """Evaluate and keep every column of the block ``state``."""
-        nonlocal keys
-        out = _report(state, params, prev)
-        # 1 + the integral of f - 1 keeps equilibrium averages at exactly 1
-        vbar, thbar = 1.0 + unit(state.v - 1.0), 1.0 + unit(state.theta - 1.0)
-        out.update(
-            t=state.t,
-            omega_measure=superlevel_measure(state, config.superlevel_a),
-            vbar_min=vbar.min(axis=-1),
-            vbar_max=vbar.max(axis=-1),
-            thbar_min=thbar.min(axis=-1),
-            thbar_max=thbar.max(axis=-1),
-        )
-        out.update(zip(_PROBE_COLUMNS, probe(state)))
-        keys = list(out)
-        reports.append(np.array(list(out.values())))
 
-    def evaluate(block):
-        """Evaluate the samples of ``block`` after its first, which is the
-        sample before them; the very first sample goes alone, before them."""
-        if not reports:
-            keep(FlowState._trusted(g, *_stack(block[:1]), n))
-        if len(block) > 1:
-            tb, v, u, theta, r = _stack(block)
-            cur = FlowState._trusted(g, tb[1:], v[1:], u[1:], theta[1:], r[1:], n)
-            prev = FlowState._trusted(g, tb[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
-            keep(cur, prev)
-
-    block = [first]
-    for st in samples:
+def _block_columns(block, g, params: PhysParams, config, unit, probe):
+    """The keys of the columns and their values, a row per key, for the
+    samples of ``block`` after its first, each against the sample before it.
+    A function of its own, so that nothing of the block outlives the call."""
+    n = params.n
+    for st in block:
         if st.grid is not g and not np.array_equal(st.grid.x_edges, g.x_edges):
             raise ValueError("samples on different grids")
-        block.append(st)
-        if len(block) > rows:
-            evaluate(block)
-            block = block[-1:]
-    if len(block) > 1 or not reports:
-        evaluate(block)
-    return dict(zip(keys, np.concatenate(reports, axis=1)))
+        if st.n != n:
+            raise ValueError(f"samples of dimension n={st.n}, parameters of n={n}")
+    t, v, u, theta, r = _stack(block)
+    bad = np.flatnonzero(~(np.diff(t) > 0))  # NaN fails too
+    if bad.size:
+        raise ValueError(f"sample time {t[bad[0] + 1]} does not follow {t[bad[0]]}")
+    state = FlowState._trusted(g, t[1:], v[1:], u[1:], theta[1:], r[1:], n)
+    prev = FlowState._trusted(g, t[:-1], v[:-1], u[:-1], theta[:-1], r[:-1], n)
+    out = _report(state, params, prev)
+    # 1 + the integral of f - 1 keeps equilibrium averages at exactly 1
+    vbar, thbar = 1.0 + unit(state.v - 1.0), 1.0 + unit(state.theta - 1.0)
+    out.update(
+        t=state.t,
+        omega_measure=superlevel_measure(state, config.superlevel_a),
+        vbar_min=vbar.min(axis=-1),
+        vbar_max=vbar.max(axis=-1),
+        thbar_min=thbar.min(axis=-1),
+        thbar_max=thbar.max(axis=-1),
+    )
+    out.update(zip(_PROBE_COLUMNS, probe(state)))
+    return list(out), np.array(list(out.values()))
 
 
 def _stack(states):
@@ -579,8 +556,9 @@ class DiagnosticsSeries:
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     """Assemble the full diagnostics series from sampled states.
 
-    ``samples`` is any iterable of states on one grid (ValueError otherwise),
-    read once: the samples are folded in a block at a time as they arrive,
+    ``samples`` is any iterable of states on one grid, of the dimension of
+    ``params`` and at strictly increasing times (ValueError otherwise), read
+    once: the samples are folded in a block at a time as they arrive,
     and only the block being filled is held.  The time integrals (balance
     residual, accumulators and the representation) are then formed over
     whole columns.

@@ -40,7 +40,7 @@ from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 from .diagnostics import DiagnosticsSeries, _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
-from .state import FlowState, InitProfile, _diff, edge_weight, make_initial_data
+from .state import FlowState, InitProfile, _diff, _mean, edge_weight, make_initial_data
 
 __all__ = [
     "RunConfig",
@@ -265,8 +265,7 @@ def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=No
     h, he = grid.cell_widths, grid.edge_gaps
 
     w2 = r_cond[1:-1] ** (2 * (params.n - 1))
-    v_edge = 0.5 * (v_cond[:-1] + v_cond[1:])
-    K = params.kappa * w2 / (v_edge * he)  # conductance per interior edge
+    K = params.kappa * w2 / (_mean(v_cond) * he)  # conductance per interior edge
 
     kK = K if implicit_weight == 1.0 else implicit_weight * K
     # per edge, minus its conductance into the cell on its right / left; as
@@ -452,9 +451,6 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     ``on_sample``, and fold every accepted step into ``summary``, which is
     written when the march reaches t_end; ``run`` adds the sup-norms."""
     state = initial_state(config, params)
-    on_sample(state)
-    yield state
-
     # the fold: whole-run extremes of v and theta, and the running maxima
     min_v, max_v, min_t, max_t, max_u = _extremes(state)
     scale = max(max_v, max_u, max_t)
@@ -473,6 +469,8 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
     while True:
+        on_sample(state)
+        yield state
         # an overflow makes the step 0 or NaN, and the march aborts; an invalid
         # operation makes a field NaN, which fails its floor test, so the step
         # halves until PositivityError; numpy's error state is restored before
@@ -507,8 +505,6 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 summary.max_solve_residual = float(max_resid)
                 summary.r_shadow_max_dev = float(max_dev)
                 return
-        on_sample(state)
-        yield state
 
 
 def _extremes(state: FlowState):

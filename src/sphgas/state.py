@@ -12,6 +12,7 @@ ghost (zero heat flux); the outermost cell is pinned to the far-field state
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +184,11 @@ def _diff(f: np.ndarray) -> np.ndarray:
     return f[..., 1:] - f[..., :-1]
 
 
+def _mean(f: np.ndarray) -> np.ndarray:
+    """Averages of neighbours along the last axis."""
+    return 0.5 * (f[..., :-1] + f[..., 1:])
+
+
 def div_ru(state: FlowState) -> np.ndarray:
     """(r^(n-1) u)_x at cell centers (the native staggered difference)."""
     return _diff(edge_weight(state) * state.u) / state.grid.cell_widths
@@ -235,7 +241,6 @@ def discrete_gradients(state: FlowState) -> Gradients:
     g = state.grid
     xc, h = g.cell_centers, g.cell_widths
     n = state.n
-    u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
     # r^n at the left edge plus the half cell to the center, by the edges' quadrature
     rn_left = 1.0 + n * running_integral(g, state.v)[..., :-1]
     r_c = (rn_left + n * state.v * (0.5 * h)) ** (1.0 / n)
@@ -248,7 +253,7 @@ def discrete_gradients(state: FlowState) -> Gradients:
         theta_x=_center_gradient(xc, state.theta, mirror_left=True),
         div_ru=div_ru(state),
         r_pow_ux=r_pow * u_x,
-        geom_vu=(n - 1) * state.v * u_c / r_c,
+        geom_vu=(n - 1) * state.v * _mean(state.u) / r_c,
         div_ru2=_diff(ru2) / h,
         r_centers=r_c,
         r_pow=r_pow,
@@ -310,6 +315,9 @@ def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysPa
         meta = {k: float(val) for k, _, val in (tok.partition("=") for tok in header[1:].split())}
         if not meta["n"].is_integer():  # int() would truncate 3.7 and overflow on inf
             raise ValueError(f"dimension must be an integer, got n={meta['n']!r}")
+        for key, val in meta.items():  # PhysParams admits inf, and nothing else checks t
+            if not math.isfinite(val):
+                raise ValueError(f"header value {key}={val!r} is not finite")
         params = PhysParams(
             mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
             cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),

@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -83,6 +84,20 @@ def _replace_in_snapshot(old, new):
         assert old in text
         with open(path, "w") as fh:
             fh.write(text.replace(old, new, 1))
+    return spoil
+
+
+def _set_in_header(key, value, index):
+    """A spoiler that sets ``key=value`` in the header of the snapshot at
+    ``index`` in name order."""
+    def spoil(snap_dir):
+        path = os.path.join(snap_dir, sorted(os.listdir(snap_dir))[index])
+        with open(path) as fh:
+            header, body = fh.read().split("\n", 1)
+        header, count = re.subn(rf" {key}=\S+", f" {key}={value}", header)
+        assert count == 1
+        with open(path, "w") as fh:
+            fh.write(header + "\n" + body)
     return spoil
 
 
@@ -614,8 +629,15 @@ class TestReportCommand:
         (_empty_snapshot_dir, "no snapshots"),
         (_snapshot_from_other_grid, "samples on different grids"),
         (_delete_diagnostics, "diagnostics.csv"),
+        (_set_in_header("t", "0.0", 1), "sample time 0.0 does not follow 0.0"),
+        (_set_in_header("t", "nan", 2),
+         "snap_000002.csv: malformed snapshot: header value t=nan is not finite"),
+        (_set_in_header("t", "inf", -1), "header value t=inf is not finite"),
+        (_set_in_header("n", "3.0", 2), "samples of dimension n=3, parameters of n=2"),
+        (_set_in_header("mu", "inf", 1), "snap_000001.csv: malformed snapshot: header value mu=inf"),
     ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
-            "other_columns", "empty_dir", "mixed_grids", "missing_diagnostics"])
+            "other_columns", "empty_dir", "mixed_grids", "missing_diagnostics", "duplicate_t",
+            "nan_t", "inf_t_last", "other_n_later", "infinite_mu"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):

@@ -665,10 +665,26 @@ class TestSampleBlocks:
 
     def test_samples_of_another_dimension_rejected(self, bump_history):
         """States of n = 2 with parameters of n = 3 would mix the two
-        dimensions in one row; the first sample is checked."""
+        dimensions in one row; every sample is checked, the first and one
+        in a later block."""
         _, config, params, states = bump_history
         with pytest.raises(ValueError, match="dimension n=2, parameters of n=3"):
             evaluate_series(states, replace(params, n=3), config)
+        assert len(states) > _block_rows(states) + 1
+        with pytest.raises(ValueError, match="dimension n=3, parameters of n=2"):
+            evaluate_series(states[:-1] + [replace(states[-1], n=3)], params, config)
+
+    @pytest.mark.parametrize("time", ["repeated", "nan"])
+    def test_times_that_do_not_increase_rejected(self, bump_history, time):
+        """The times of a block, the sample before it included, must
+        increase strictly: the first new sample of the second block here
+        repeats the time of the last of the first, or is NaN."""
+        _, config, params, states = bump_history
+        B = _block_rows(states)
+        t = states[B - 1].t if time == "repeated" else np.nan
+        bad = states[:B] + [replace(states[B], t=t)] + states[B + 1:]
+        with pytest.raises(ValueError, match=f"sample time {t} does not follow"):
+            evaluate_series(bad, params, config)
 
 
 class TestSeriesInvariants:
