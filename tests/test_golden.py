@@ -70,6 +70,8 @@ GOLDEN = {
     ]),
     "verify_smooth_bump": ("verify", []),
     "verify_equilibrium": ("verify", ["case=equilibrium"]),
+    # the sourced scheme-1 steps at n = 3, as the dense_midpoint workload's verify runs them
+    "verify_n3": ("verify", ["n=3"]),
 }
 
 
