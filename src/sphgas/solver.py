@@ -23,8 +23,23 @@ scheme_order=1 is the plain IMEX Euler update; scheme_order=2 replaces it by
 a midpoint variant (half-step predictor, trapezoidal diffusion, midpoint
 coefficients and sources).
 
+The step kernel (:class:`_Kernel`) is bound once per grid, parameter set and
+config: the grid's widths, gaps and their shifted views, beta, R, gamma,
+kappa, c_v, 2 mu (n-1), the exponents of r, the CFL fraction, the step cap,
+the floors and the scheme.  :func:`select_dt` and :func:`step` find it by the
+identity of their arguments, so a march binds it at its first call and every
+later call reuses it.  Per state, h v, R theta and w = r^(n-1) are formed
+once and shared by the CFL limit, the velocity solve and the heat source, and
+the floor tests' minima of v and theta go to the run's summary in the
+:class:`StepReport`.
+
 Outputs are bit-reproducible, so an edit to the step kernel must keep the
-order of every floating-point operation.
+order of every floating-point operation.  Within that rule a temporary may be
+updated in place: ``t = a * b; t *= c`` is ``a * b * c``, and as IEEE
+addition and multiplication commute, ``t = b + c; t *= a`` is
+``a * (b + c)``; a subtraction or division keeps its operands' order.  An
+array that enters a state is always fresh, never a view of a temporary or of
+another state.
 """
 
 from __future__ import annotations
@@ -34,13 +49,14 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 from .diagnostics import DiagnosticsSeries, _check_probe
 from .grid import PhysParams, build_mass_grid, radius_from_volume
-from .state import FlowState, InitProfile, _diff, _mean, edge_weight, make_initial_data
+from .state import FlowState, InitProfile, _mean, make_initial_data
 
 __all__ = [
     "RunConfig",
@@ -147,11 +163,16 @@ class RunConfig:
         _check_probe(self.probe_k, self.probe_x, self.x_max)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
+    """What an accepted step took and left: its length, its halvings, the
+    worst residual of its tridiagonal solves, and the new state's least v
+    and theta, which passed the floors."""
+
     dt: float
     rejections: int
-    max_residual: float  # worst residual of the two tridiagonal solves
+    max_residual: float
+    min_v: float
+    min_theta: float
 
 
 @dataclass
@@ -194,18 +215,6 @@ def initial_state(config: RunConfig, params: PhysParams) -> FlowState:
     return state
 
 
-def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
-    """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c), with
-    c = sqrt(R * theta * gamma) and the edge weight at the cell's outer edge,
-    the larger (r^n grows by n * v * dx per cell, far more than an ulp, so
-    rounding keeps r increasing).  Capped by dt_initial.
-    """
-    w_cell = edge_weight(state)[1:]
-    c = np.sqrt(params.R * state.theta * params.gamma)
-    dt = config.cfl_fraction * float(_amin(state.grid.cell_widths * state.v / (w_cell * c)))
-    return min(dt, config.dt_initial)
-
-
 def _solve_tridiag(sub, diag, sup, rhs):
     """Direct tridiagonal solve by LAPACK ?gtsv; returns (solution, max-norm
     residual).  Raises like ``solve_banded``, which calls the same routine."""
@@ -215,160 +224,273 @@ def _solve_tridiag(sub, diag, sup, rhs):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     resid = diag * x
-    resid[:-1] += sup * x[1:]
-    resid[1:] += sub * x[:-1]
+    band = sup * x[1:]
+    resid[:-1] += band
+    np.multiply(sub, x[:-1], out=band)
+    resid[1:] += band
     resid -= rhs
     return x, float(_amax(np.abs(resid, out=resid)))
 
 
-def _velocity_solve(state, params, dt, w, v, theta, s_u=None, implicit_weight=1.0):
-    """Velocity update in delta form; returns (u_new, solve residual).
+class _Kernel:
+    """The step of one grid, parameter set and config, bound once.
 
-    The viscous operator L u = w * d_x( beta * (w u)_x / v ) uses the frozen
-    edge weight ``w`` and cell fields ``v``, ``theta``.  Independent of
-    ``implicit_weight`` the right-hand side is dt * (L u_old - pressure
-    gradient + source); the weight only enters the matrix (1 = backward
-    Euler, 0.5 = trapezoidal), and a weight of 1 is not multiplied in.
+    It holds the grid's widths, gaps and their shifted views; beta, R,
+    gamma, kappa, c_v, 2 mu (n-1) and the exponents of r; the CFL fraction,
+    the step cap, the floors and the scheme.  h v, R theta and
+    w = r^(n-1) of a state are formed once (:meth:`_coefficients`) and shared
+    by the CFL limit, the velocity solve and the heat source.  Every array a
+    step returns is fresh, so no state shares memory with the kernel or with
+    another state.
     """
-    g = state.grid
-    h, he = g.cell_widths, g.edge_gaps
 
-    cl = params.beta / (h * v)  # cellwise viscous conductance
-    scale = dt * w[1:-1] / he  # per interior edge
-    ks = scale if implicit_weight == 1.0 else implicit_weight * scale
-    # the bands leave out the couplings to the boundary edges' zero deltas
-    nks = -ks
-    sub = nks[1:] * cl[1:-1] * w[1:-2]
-    sup = nks[:-1] * cl[1:-1] * w[2:-1]
-    diag = 1.0 + ks * (cl[:-1] + cl[1:]) * w[1:-1]
+    def __init__(self, grid, params: PhysParams, config: RunConfig):
+        self.grid, self.params, self.config = grid, params, config
+        h = self.h = grid.cell_widths
+        self.he = grid.edge_gaps
+        self.h_lo, self.h_hi = h[:-1], h[1:]  # the widths left and right of each interior edge
+        n = self.n = params.n
+        self.n1, self.n2, self.n_cond = n - 1, n - 2, 2 * (n - 1)
+        self.beta, self.R, self.gamma = params.beta, params.R, params.gamma
+        self.kappa, self.cv = params.kappa, params.cv
+        self.c_dissip = 2.0 * params.mu * (n - 1)
+        self.cfl, self.dt_cap = config.cfl_fraction, config.dt_initial
+        self.v_floor, self.theta_floor = config.v_floor, config.theta_floor
+        self.midpoint = config.scheme_order == 2
+        self._last = (None, None)  # (state, its products)
 
-    flux_old = cl * _diff(w * state.u)  # beta * (w u)_x / v per cell
-    p = params.R * theta / v
-    rhs = scale * (_diff(flux_old) - _diff(p))
-    if s_u is not None:
-        rhs += dt * s_u[1:-1]
+    def _coefficients(self, v, theta, r):
+        """(h v, R theta, w = r^(n-1)) of the cell fields ``v``, ``theta`` and
+        the edge radii ``r``; at n = 2 w is r itself, which r ** 1 returns exactly."""
+        return self.h * v, self.R * theta, (r if self.n == 2 else r ** self.n1)
 
-    delta, resid = _solve_tridiag(sub, diag, sup, rhs)
-    u_new = np.zeros(state.u.shape)
-    np.add(state.u[1:-1], delta, out=u_new[1:-1])
-    return u_new, resid
+    def _products(self, state):
+        """The coefficients of ``state``; those of the last state asked for are
+        kept, so the step after ``select_dt`` reuses them."""
+        last = self._last  # read once: a kernel may serve two marches in turn
+        if last[0] is state:
+            return last[1]
+        products = self._coefficients(state.v, state.theta, state.r)
+        self._last = (state, products)
+        return products
+
+    def select_dt(self, state: FlowState) -> float:
+        hv, rtheta, w = self._products(state)
+        q = rtheta * self.gamma
+        np.sqrt(q, out=q)  # the sound speed c
+        q *= w[1:]
+        np.divide(hv, q, out=q)
+        dt = self.cfl * float(_amin(q))
+        return min(dt, self.dt_cap)
+
+    def step(self, state: FlowState, dt: float, sources) -> tuple[FlowState, StepReport]:
+        if not (dt > 0):
+            raise ValueError(f"dt must be positive, got {dt}")
+        substep = self._midpoint if self.midpoint else self._imex
+        theta_floor = self.theta_floor
+        for rejections in range(_MAX_REJECTS + 1):
+            (v, u, theta, r), resid, min_v = substep(state, dt, sources, self.v_floor)
+            if theta is not None:
+                min_theta = _amin(theta)
+                if min_theta > theta_floor:
+                    new_state = FlowState._trusted(self.grid, state.t + dt, v, u, theta, r, self.n)
+                    return new_state, StepReport(dt, rejections, resid, min_v, min_theta)
+            dt *= 0.5
+        mt = float(theta.min()) if theta is not None else np.nan
+        raise PositivityError(
+            f"positivity failure at t={state.t}: dt halved {_MAX_REJECTS + 1} times "
+            f"(min v={float(v.min()):.3e}, min theta={mt:.3e})"
+        )
+
+    def _velocity(self, u_old, dt, w, hv, rtheta, v, s_u, implicit_weight=1.0):
+        """Velocity update in delta form; returns (u_new, solve residual).
+
+        The viscous operator L u = w * d_x( beta * (w u)_x / v ) uses the
+        frozen edge weight ``w`` and the products ``hv`` = h v and ``rtheta``
+        = R theta of the cell fields ``v``, ``theta``.  Independent of
+        ``implicit_weight`` the right-hand side is dt * (L u_old - pressure
+        gradient + source); the weight only enters the matrix (1 = backward
+        Euler, 0.5 = trapezoidal), and a weight of 1 is not multiplied in.
+        """
+        cl = self.beta / hv  # cellwise viscous conductance
+        w_in = w[1:-1]
+        scale = dt * w_in
+        scale /= self.he  # per interior edge
+        ks = scale if implicit_weight == 1.0 else implicit_weight * scale
+        # the bands leave out the couplings to the boundary edges' zero deltas
+        nks = -ks
+        cl_in = cl[1:-1]
+        sub = nks[1:] * cl_in
+        sub *= w_in[:-1]
+        sup = nks[:-1] * cl_in
+        sup *= w_in[1:]
+        diag = cl[:-1] + cl[1:]
+        diag *= ks
+        diag *= w_in
+        diag += 1.0
+
+        flux_old = w * u_old
+        flux_old = flux_old[1:] - flux_old[:-1]
+        flux_old *= cl  # beta * (w u)_x / v per cell
+        p = rtheta / v
+        rhs = flux_old[1:] - flux_old[:-1]
+        rhs -= p[1:] - p[:-1]
+        rhs *= scale
+        if s_u is not None:
+            rhs += dt * s_u[1:-1]
+
+        delta, resid = _solve_tridiag(sub, diag, sup, rhs)
+        u_new = np.zeros(u_old.shape)
+        np.add(u_old[1:-1], delta, out=u_new[1:-1])
+        return u_new, resid
+
+    def _volume(self, v_old, dt, w, u, s_v):
+        """The velocity divergence G = (w u)_x and the volume v + dt G (+ dt S_v),
+        pinned to v = 1 in the far-field cell; returns (G, v)."""
+        wu = w * u
+        G = wu[1:] - wu[:-1]
+        G /= self.h
+        v = dt * G
+        v += v_old
+        if s_v is not None:
+            v += dt * s_v
+        v[-1] = 1.0
+        return G, v
+
+    def _heat(self, G, u, v, rtheta, r):
+        """Heat source sigma G - 2 mu (n-1) (r^(n-2) u^2)_x, sigma = (beta G - R theta) / v,
+        with v, R theta, r of the coefficient state; at n = 2, r^0 is exactly 1
+        and is skipped."""
+        sigma = self.beta * G
+        sigma -= rtheta
+        sigma /= v
+        sigma *= G
+        ru2 = u**2 if self.n == 2 else r ** self.n2 * u**2
+        d = ru2[1:] - ru2[:-1]
+        d *= self.c_dissip
+        d /= self.h
+        sigma -= d
+        return sigma
+
+    def _theta(self, dt, theta_old, source, v_cond, r_cond, s_theta, implicit_weight=1.0):
+        """Temperature update in delta form; returns (theta_new, solve residual).
+
+        Conduction coefficients are built from ``v_cond`` and ``r_cond``; the
+        boundary flux at x = 0 vanishes (mirror ghost) and the last cell is
+        pinned to theta = 1.
+        """
+        h_lo, h_hi = self.h_lo, self.h_hi
+        K = r_cond[1:-1] ** self.n_cond
+        K *= self.kappa
+        m = _mean(v_cond)
+        m *= self.he
+        K /= m  # conductance per interior edge
+
+        kK = K if implicit_weight == 1.0 else implicit_weight * K
+        # per edge, minus its conductance into the cell on its right / left; as
+        # (-k) / h is exactly -(k / h), diag still adds the conductances
+        nkK = -kK
+        sub, sup = nkK / h_hi, nkK / h_lo
+        nc = theta_old.size
+        diag = np.empty(nc)
+        np.subtract(self.cv / dt, sup, out=diag[:-1])
+        diag[1:-1] -= sub[:-1]
+
+        flux_old = theta_old[1:] - theta_old[:-1]
+        flux_old *= K
+        rhs = np.zeros(nc)
+        part = flux_old / h_lo
+        rhs[:-1] += part
+        np.divide(flux_old, h_hi, out=part)
+        rhs[1:] -= part
+        rhs += source
+        if s_theta is not None:
+            rhs += s_theta
+        # far-field pin on the last cell: theta_new = 1 exactly
+        diag[-1] = 1.0
+        sub[-1] = 0.0
+        rhs[-1] = 1.0 - theta_old[-1]
+
+        delta, resid = _solve_tridiag(sub, diag, sup, rhs)
+        return theta_old + delta, resid
+
+    def _imex(self, state: FlowState, dt: float, sources, v_floor):
+        """One first-order IMEX update; returns ((v, u, theta, r), resid, min v),
+        with theta = r = None unless min v > ``v_floor`` (so NaN is rejected too)."""
+        s_v = s_u = s_t = None
+        if sources is not None:
+            s_v, s_u, s_t = sources(state.t)
+        hv, rtheta, w = self._products(state)
+        v_old = state.v
+
+        u_new, res_u = self._velocity(state.u, dt, w, hv, rtheta, v_old, s_u)
+        G_new, v_new = self._volume(v_old, dt, w, u_new, s_v)
+        min_v = _amin(v_new)
+        if not (min_v > v_floor):
+            return (v_new, u_new, None, None), res_u, min_v
+        r_new = radius_from_volume(self.grid, v_new, self.n)
+
+        source = self._heat(G_new, u_new, v_old, rtheta, state.r)
+        theta_new, res_t = self._theta(dt, state.theta, source, v_new, r_new, s_t)
+        return (v_new, u_new, theta_new, r_new), max(res_u, res_t), min_v
+
+    def _midpoint(self, state: FlowState, dt: float, sources, v_floor):
+        """Midpoint variant: half-step predictor, then trapezoidal diffusion with
+        midpoint coefficients and sources over the full step.  The predictor need
+        only keep v and theta positive; the full step's v must exceed ``v_floor``
+        as in :meth:`_imex`."""
+        half_fields, res0, min_v = self._imex(state, 0.5 * dt, sources, 0.0)
+        v_h, _, theta_h, r_h = half_fields
+        if theta_h is None or not (_amin(theta_h) > 0):
+            return half_fields, res0, min_v  # rejected by the theta test in step
+
+        s_v = s_u = s_t = None
+        if sources is not None:
+            s_v, s_u, s_t = sources(state.t + 0.5 * dt)
+
+        hv_h, rtheta_h, w_h = self._coefficients(v_h, theta_h, r_h)
+        u_new, res_u = self._velocity(
+            state.u, dt, w_h, hv_h, rtheta_h, v_h, s_u, implicit_weight=0.5
+        )
+        u_mid = state.u + u_new
+        u_mid *= 0.5
+        G_mid, v_new = self._volume(state.v, dt, w_h, u_mid, s_v)
+        min_v = _amin(v_new)
+        if not (min_v > v_floor):
+            return (v_new, u_new, None, None), res_u, min_v
+
+        source = self._heat(G_mid, u_mid, v_h, rtheta_h, r_h)
+        theta_new, res_t = self._theta(
+            dt, state.theta, source, v_h, r_h, s_t, implicit_weight=0.5,
+        )
+        r_new = radius_from_volume(self.grid, v_new, self.n)
+        return (v_new, u_new, theta_new, r_new), max(res_u, res_t), min_v
 
 
-def _theta_solve(grid, params, dt, theta_old, source, v_cond, r_cond, s_theta=None,
-                 implicit_weight=1.0):
-    """Temperature update in delta form; returns (theta_new, solve residual).
+_bound = None  # the kernel bound last
 
-    Conduction coefficients are built from ``v_cond`` and ``r_cond``; the
-    boundary flux at x = 0 vanishes (mirror ghost) and the last cell is pinned
-    to theta = 1.
+
+def _kernel(state: FlowState, params: PhysParams, config: RunConfig) -> _Kernel:
+    """The kernel of ``state``'s grid, ``params`` and ``config``: the one bound
+    last when it was bound to these same objects, else a new one.  ValueError
+    unless ``state`` has the dimension of ``params``."""
+    global _bound
+    kernel = _bound
+    if (kernel is None or kernel.grid is not state.grid or kernel.params is not params
+            or kernel.config is not config):
+        kernel = _bound = _Kernel(state.grid, params, config)
+    if state.n != kernel.n:
+        raise ValueError(f"a state of dimension n={state.n}, parameters of n={kernel.n}")
+    return kernel
+
+
+def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
+    """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c), with
+    c = sqrt(R * theta * gamma) and the edge weight at the cell's outer edge,
+    the larger (r^n grows by n * v * dx per cell, far more than an ulp, so
+    rounding keeps r increasing).  Capped by dt_initial.
     """
-    h, he = grid.cell_widths, grid.edge_gaps
-
-    w2 = r_cond[1:-1] ** (2 * (params.n - 1))
-    K = params.kappa * w2 / (_mean(v_cond) * he)  # conductance per interior edge
-
-    kK = K if implicit_weight == 1.0 else implicit_weight * K
-    # per edge, minus its conductance into the cell on its right / left; as
-    # (-k) / h is exactly -(k / h), diag still adds the conductances
-    nkK = -kK
-    sub, sup = nkK / h[1:], nkK / h[:-1]
-    diag = np.empty(h.size)
-    np.subtract(params.cv / dt, sup, out=diag[:-1])
-    diag[1:-1] -= sub[:-1]
-
-    flux_old = K * _diff(theta_old)
-    rhs = np.zeros(h.size)
-    rhs[:-1] += flux_old / h[:-1]
-    rhs[1:] -= flux_old / h[1:]
-    rhs += source
-    if s_theta is not None:
-        rhs += s_theta
-    # far-field pin on the last cell: theta_new = 1 exactly
-    diag[-1] = 1.0
-    sub[-1] = 0.0
-    rhs[-1] = 1.0 - theta_old[-1]
-
-    delta, resid = _solve_tridiag(sub, diag, sup, rhs)
-    return theta_old + delta, resid
-
-
-def _heat_source(params, coef: FlowState, G, u):
-    """Heat source sigma G - 2 mu (n-1) (r^(n-2) u^2)_x, sigma = (beta G - R theta) / v,
-    with v, theta, r from ``coef``; at n = 2, r^0 is exactly 1 and is skipped."""
-    n = coef.n
-    sigma = (params.beta * G - params.R * coef.theta) / coef.v
-    ru2 = u**2 if n == 2 else coef.r ** (n - 2) * u**2
-    return sigma * G - 2.0 * params.mu * (n - 1) * _diff(ru2) / coef.grid.cell_widths
-
-
-def _volume_update(state: FlowState, dt: float, w, u, s_v):
-    """The velocity divergence G = (w u)_x and the volume v + dt G (+ dt S_v)
-    from ``state``, pinned to v = 1 in the far-field cell; returns (G, v)."""
-    G = _diff(w * u) / state.grid.cell_widths
-    v = state.v + dt * G
-    if s_v is not None:
-        v += dt * s_v
-    v[-1] = 1.0
-    return G, v
-
-
-def _substep_imex(state: FlowState, params: PhysParams, dt: float, sources=None,
-                  v_floor=0.0):
-    """One first-order IMEX update; returns ((v, u, theta, r), resid), with
-    theta = r = None unless min v > ``v_floor`` (so NaN is rejected too)."""
-    g = state.grid
-    n = state.n
-    w = edge_weight(state)
-    s_v = s_u = s_t = None
-    if sources is not None:
-        s_v, s_u, s_t = sources(state.t)
-
-    u_new, res_u = _velocity_solve(state, params, dt, w, state.v, state.theta, s_u=s_u)
-    G_new, v_new = _volume_update(state, dt, w, u_new, s_v)
-    if not (_amin(v_new) > v_floor):
-        return (v_new, u_new, None, None), res_u
-    r_new = radius_from_volume(g, v_new, n)
-
-    source = _heat_source(params, state, G_new, u_new)
-    theta_new, res_t = _theta_solve(
-        g, params, dt, state.theta, source, v_new, r_new, s_theta=s_t
-    )
-    return (v_new, u_new, theta_new, r_new), max(res_u, res_t)
-
-
-def _substep_midpoint(state: FlowState, params: PhysParams, dt: float, sources=None,
-                      v_floor=0.0):
-    """Midpoint variant: half-step predictor, then trapezoidal diffusion with
-    midpoint coefficients and sources over the full step.  The predictor need
-    only keep v and theta positive; the full step's v must exceed ``v_floor``
-    as in :func:`_substep_imex`."""
-    g = state.grid
-    n = state.n
-    half_fields, res0 = _substep_imex(state, params, 0.5 * dt, sources=sources)
-    if half_fields[2] is None or not (_amin(half_fields[2]) > 0):
-        return half_fields, res0  # rejected by the theta test in step
-    half = FlowState._trusted(g, state.t + 0.5 * dt, *half_fields, n)
-
-    s_v = s_u = s_t = None
-    if sources is not None:
-        s_v, s_u, s_t = sources(half.t)
-
-    w_h = edge_weight(half)
-    u_new, res_u = _velocity_solve(
-        state, params, dt, w_h, half.v, half.theta, s_u=s_u, implicit_weight=0.5
-    )
-    u_mid = 0.5 * (state.u + u_new)
-    G_mid, v_new = _volume_update(state, dt, w_h, u_mid, s_v)
-    if not (_amin(v_new) > v_floor):
-        return (v_new, u_new, None, None), res_u
-
-    source = _heat_source(params, half, G_mid, u_mid)
-    theta_new, res_t = _theta_solve(
-        g, params, dt, state.theta, source, half.v, half.r, s_theta=s_t,
-        implicit_weight=0.5,
-    )
-    r_new = radius_from_volume(g, v_new, n)
-    return (v_new, u_new, theta_new, r_new), max(res_u, res_t)
+    return _kernel(state, params, config).select_dt(state)
 
 
 def step(state: FlowState, params: PhysParams, dt: float,
@@ -379,20 +501,7 @@ def step(state: FlowState, params: PhysParams, dt: float,
     only theta is tested here.  ``sources``, when given, maps t to (S_v at
     centers, S_u at edges, S_theta at centers) on the state's grid.
     """
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    substep = _substep_imex if config.scheme_order == 1 else _substep_midpoint
-    for rejections in range(_MAX_REJECTS + 1):
-        (v, u, theta, r), resid = substep(state, params, dt, sources, config.v_floor)
-        if theta is not None and _amin(theta) > config.theta_floor:
-            new_state = FlowState._trusted(state.grid, state.t + dt, v, u, theta, r, state.n)
-            return new_state, StepReport(dt=dt, rejections=rejections, max_residual=resid)
-        dt *= 0.5
-    mt = float(theta.min()) if theta is not None else np.nan
-    raise PositivityError(
-        f"positivity failure at t={state.t}: dt halved {_MAX_REJECTS + 1} times "
-        f"(min v={float(v.min()):.3e}, min theta={mt:.3e})"
-    )
+    return _kernel(state, params, config).step(state, dt, sources)
 
 
 def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sources=None):
@@ -405,8 +514,6 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     small step in a row, so a violent transient may pass but a stall may not.
     ValueError unless ``state`` has the dimension of ``params``.
     """
-    if state.n != params.n:
-        raise ValueError(f"a state of dimension n={state.n}, parameters of n={params.n}")
     t_end = config.t_end
     t_stop = t_end - _T_TOL * t_end
     small = 0
@@ -452,7 +559,8 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     written when the march reaches t_end; ``run`` adds the sup-norms."""
     state = initial_state(config, params)
     # the fold: whole-run extremes of v and theta, and the running maxima
-    min_v, max_v, min_t, max_t, max_u = _extremes(state)
+    min_v, min_t = _amin(state.v), _amin(state.theta)
+    max_v, max_t, max_u = _maxima(state)
     scale = max(max_v, max_u, max_t)
     lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
     n_steps = n_rejections = 0
@@ -490,7 +598,8 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 max_resid = max(max_resid, report.max_residual)
                 max_rel_change = max(max_rel_change, _amax(d_change) / scale)
                 state = new_state
-                min_v, max_v, min_t, max_t, max_u = _extremes(state)
+                min_v, min_t = report.min_v, report.min_theta  # the floor tests' minima
+                max_v, max_t, max_u = _maxima(state)
                 lo_v, hi_v = min(lo_v, min_v), max(hi_v, max_v)
                 lo_t, hi_t = min(lo_t, min_t), max(hi_t, max_t)
                 scale = max(max_v, max_u, max_t)
@@ -507,7 +616,6 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 return
 
 
-def _extremes(state: FlowState):
-    """(min v, max v, min theta, max theta, max |u|) of one state."""
-    v, theta = state.v, state.theta
-    return _amin(v), _amax(v), _amin(theta), _amax(theta), _amax(np.abs(state.u))
+def _maxima(state: FlowState):
+    """(max v, max theta, max |u|) of one state."""
+    return _amax(state.v), _amax(state.theta), _amax(np.abs(state.u))

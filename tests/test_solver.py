@@ -21,9 +21,7 @@ from sphgas import (
 from numpy.linalg import LinAlgError
 
 from sphgas import radius_from_volume, solver
-from sphgas.solver import (
-    _MAX_SMALL_STEPS, _march, _solve_tridiag, _substep_imex, _substep_midpoint,
-)
+from sphgas.solver import _MAX_SMALL_STEPS, _Kernel, _march, _solve_tridiag
 from sphgas.state import div_ru, edge_weight
 
 from conftest import smooth_test_state
@@ -144,10 +142,12 @@ class TestStep:
         profile = InitProfile(kind="gaussian_bump", amp_v=amp_v, amp_u=-20.0,
                               center=4.0, width=width)
         st = make_initial_data(build_mass_grid(10.0, 16), profile, params)
-        half, _ = _substep_imex(st, params, 0.5 * dt)
+        cfg = RunConfig(x_max=10, n_cells=16, scheme_order=2)
+        kernel = _Kernel(st.grid, params, cfg)
+        half = kernel._imex(st, 0.5 * dt, None, 0.0)[0]
         assert (half[2] is not None) == half_ok
-        assert _substep_midpoint(st, params, dt)[0][2] is None
-        _, report = step(st, params, dt, RunConfig(x_max=10, n_cells=16, scheme_order=2))
+        assert kernel._midpoint(st, dt, None, 0.0)[0][2] is None
+        _, report = step(st, params, dt, cfg)
         assert report.rejections == 1
         assert report.dt == 0.5 * dt
 
@@ -447,13 +447,14 @@ class TestSourcedStep:
             s_v, s_t = (sink, zero) if field == "v" else (zero, sink)
             return s_v, np.zeros(g.n_cells + 1), s_t
 
-        substep = _substep_imex if order == 1 else _substep_midpoint
-        first = substep(st, params, 1.0, sources)[0]  # tested against 0 only
-        assert 0.0 < np.min(first[0 if field == "v" else 2]) <= 0.5
-        if field == "v":  # rejected before r and theta are formed
-            assert substep(st, params, 1.0, sources, 0.5)[0][2:] == (None, None)
         floors = {"v_floor": 0.5} if field == "v" else {"theta_floor": 0.5}
         cfg = RunConfig(x_max=8.0, n_cells=16, scheme_order=order, **floors)
+        kernel = _Kernel(g, params, cfg)
+        substep = kernel._imex if order == 1 else kernel._midpoint
+        first = substep(st, 1.0, sources, 0.0)[0]  # tested against 0 only
+        assert 0.0 < np.min(first[0 if field == "v" else 2]) <= 0.5
+        if field == "v":  # rejected before r and theta are formed
+            assert substep(st, 1.0, sources, 0.5)[0][2:] == (None, None)
         new, report = step(st, params, 1.0, cfg, sources=sources)
         assert (report.rejections, report.dt) == (1, 0.5)
         assert np.min(getattr(new, field)) > 0.5
@@ -473,3 +474,92 @@ class TestSourcedStep:
         cfg = RunConfig(x_max=8.0, n_cells=16, scheme_order=order)
         with pytest.raises(PositivityError, match=r"\(min v=nan, min theta=nan\)"):
             step(st, params, 1e-3, cfg, sources=sources)
+
+
+# short marches of the three kinds perfbench traces: scheme 1, scheme 2, and
+# scheme 2 with rejected steps (TestRunSummary's configs)
+_MARCHES = pytest.mark.parametrize("order, amps, floors, radius_calls", [
+    (1, (0.1, 0.1, 0.1), (1e-6, 1e-6), 8),
+    (2, (0.1, 0.1, 0.1), (1e-6, 1e-6), 16),
+    (2, (-0.69, -2.49, -0.36), (0.34, 0.6), 31),
+], ids=["scheme1", "scheme2", "scheme2_rejections"])
+
+
+def _march_config(order, amps, floors):
+    prof = InitProfile(kind="gaussian_bump", amp_v=amps[0], amp_u=amps[1],
+                       amp_theta=amps[2], center=4.0, width=0.5)
+    return RunConfig(x_max=10.0, n_cells=40, profile=prof, t_end=0.3, cadence=0.1,
+                     v_floor=floors[0], theta_floor=floors[1], cfl_fraction=1.0,
+                     scheme_order=order)
+
+
+class TestTracedLayers:
+    """perfbench's tracer counts the calls of ``step``, ``select_dt`` and
+    ``radius_from_volume`` through the solver module's names; a march that
+    went around them would make its layers read 0."""
+
+    @_MARCHES
+    def test_march_calls_the_traced_names(self, monkeypatch, params, order, amps, floors,
+                                          radius_calls):
+        calls = dict.fromkeys(("step", "select_dt", "radius_from_volume"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        summary = run(_march_config(order, amps, floors), params).summary
+        assert calls["step"] == calls["select_dt"] == summary.n_steps
+        assert (summary.n_rejections > 0) == (floors[0] > 1e-6)
+        assert calls["radius_from_volume"] == radius_calls  # as before the kernel was bound
+
+
+def _bits(state):
+    return [state.t] + [getattr(state, f).tobytes() for f in ("v", "u", "theta", "r")]
+
+
+class TestYieldedStates:
+    """Every state the march yields owns its arrays: kept to the end of the
+    run, each still holds the bits it was yielded with, and equals one
+    ``step`` from the state before it, so no later step wrote into it."""
+
+    @staticmethod
+    def _record(monkeypatch, module):
+        marches = []
+
+        def recording(state, params, config, dt=None, sources=None):
+            kept = []
+            marches.append((state, params, config, dt, sources, kept))
+            for item in _march(state, params, config, dt=dt, sources=sources):
+                kept.append((*item, _bits(item[0])))
+                yield item
+
+        monkeypatch.setattr(module, "_march", recording)
+        return marches
+
+    @staticmethod
+    def _replay(start, params, config, dt, sources, kept):
+        assert kept
+        prev = start
+        for new, report, yielded in kept:
+            assert _bits(new) == yielded
+            h = min(select_dt(prev, params, config) if dt is None else dt, config.t_end - prev.t)
+            again, report_again = step(prev, params, h, config, sources=sources)
+            assert report_again == report
+            assert _bits(again) == yielded
+            prev = new
+
+    @_MARCHES
+    def test_run(self, monkeypatch, params, order, amps, floors, radius_calls):
+        marches = self._record(monkeypatch, solver)
+        run(_march_config(order, amps, floors), params)
+        (march,) = marches
+        self._replay(*march)
+
+    def test_sourced_solve_case(self, monkeypatch, params3):
+        from sphgas import oracle
+
+        marches = self._record(monkeypatch, oracle)
+        oracle.solve_case(oracle.FIXTURE_CASES["smooth_bump"], params3, 64, 0.01, 0.1)
+        (march,) = marches
+        assert march[4] is not None and len(march[5]) == 10
+        self._replay(*march)
