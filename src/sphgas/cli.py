@@ -24,6 +24,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -235,12 +236,26 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-def _snapshots(snap_dir, names):
+def _constants(params) -> tuple[float, ...]:
+    """The physical constants, with the sign of lambda, which may be zero:
+    equal tuples of these finite values are equal bit for bit.  The dimension
+    is left out, as ``evaluate_series`` checks it for every sample."""
+    return (params.mu, params.lam, math.copysign(1.0, params.lam), params.R, params.cv,
+            params.kappa)
+
+
+def _snapshots(snap_dir, names, params):
     """The states of the snapshot files ``names``, loaded one at a time, on
-    the grid of the first wherever their x column equals its edges."""
+    the grid of the first wherever their x column equals its edges.
+    ValueError naming the first file whose constants are not those of ``params``."""
     grid = None
+    expected = _constants(params)
     for name in names:
-        state = load_snapshot(os.path.join(snap_dir, name), grid)[0]
+        path = os.path.join(snap_dir, name)
+        state, file_params = load_snapshot(path, grid)
+        if _constants(file_params) != expected:
+            raise ValueError(f"{path}: parameters {file_params.as_dict()} differ from "
+                             f"those of config.resolved, {params.as_dict()}")
         if grid is None:
             grid = state.grid
         yield state
@@ -258,8 +273,9 @@ def _cmd_report(args) -> int:
         names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
-        # mixed grids or dimensions, and times that do not increase, raise ValueError
-        series = evaluate_series(_snapshots(snap_dir, names), params, config)
+        # mixed grids or dimensions, times that do not increase, and parameters
+        # other than config.resolved's raise ValueError
+        series = evaluate_series(_snapshots(snap_dir, names, params), params, config)
         stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise UnreadableOutput(exc) from exc

@@ -261,6 +261,7 @@ def discrete_gradients(state: FlowState) -> Gradients:
 
 
 _SNAP_COLUMNS = "x,v,u,theta,r"
+_HEADER_KEYS = ("t", "mu", "lambda", "R", "cv", "kappa", "n")  # what save_snapshot writes
 
 
 def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
@@ -287,7 +288,8 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
 
 def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysParams]:
     """Read a snapshot written by :func:`save_snapshot`; a malformed file
-    raises ValueError naming ``path``.
+    raises ValueError naming ``path``.  The header must hold the keys
+    ``t mu lambda R cv kappa n``, each once, with finite values.
 
     The body is split once, and the v, u and theta columns are each
     converted in one call; the r column is not read, as the state
@@ -312,7 +314,12 @@ def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysPa
     try:
         if commas - {4} or fields[-4] or fields[-2]:
             raise ValueError("truncated: short rows or no outer edge row")
-        meta = {k: float(val) for k, _, val in (tok.partition("=") for tok in header[1:].split())}
+        pairs = [tok.partition("=") for tok in header[1:].split()]
+        meta = {k: float(val) for k, _, val in pairs}
+        if len(pairs) != len(_HEADER_KEYS) or meta.keys() != set(_HEADER_KEYS):
+            # a repeated, unknown or missing key
+            raise ValueError(f"header keys must be {' '.join(_HEADER_KEYS)}, each once; "
+                             f"got {' '.join(k for k, _, _ in pairs)}")
         if not meta["n"].is_integer():  # int() would truncate 3.7 and overflow on inf
             raise ValueError(f"dimension must be an integer, got n={meta['n']!r}")
         for key, val in meta.items():  # PhysParams admits inf, and nothing else checks t

@@ -17,7 +17,7 @@ from sphgas import cli
 from sphgas.cli import (
     EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, _check_invariants, main,
 )
-from sphgas.config import SCHEMA, ConfigError, parse_config_text, resolve
+from sphgas.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from sphgas.state import save_snapshot
 from test_golden import GOLDEN, TABLE, TABLE_TEXT
@@ -635,9 +635,16 @@ class TestReportCommand:
         (_set_in_header("t", "inf", -1), "header value t=inf is not finite"),
         (_set_in_header("n", "3.0", 2), "samples of dimension n=3, parameters of n=2"),
         (_set_in_header("mu", "inf", 1), "snap_000001.csv: malformed snapshot: header value mu=inf"),
+        (_replace_in_snapshot("n=2.0\n", "n=2.0 t=99.0\n"),
+         "snap_000001.csv: malformed snapshot: header keys must be t mu lambda R cv kappa n, "
+         "each once; got t mu lambda R cv kappa n t"),
+        (_replace_in_snapshot("n=2.0\n", "n=2.0 foo=1.0\n"),
+         "snap_000001.csv: malformed snapshot: header keys must be"),
+        (_set_in_header("mu", "2.0", 1), "snap_000001.csv: parameters {'mu': 2.0,"),
     ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
             "other_columns", "empty_dir", "mixed_grids", "missing_diagnostics", "duplicate_t",
-            "nan_t", "inf_t_last", "other_n_later", "infinite_mu"])
+            "nan_t", "inf_t_last", "other_n_later", "infinite_mu", "repeated_key",
+            "unknown_key", "other_mu"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):
@@ -717,7 +724,7 @@ class TestSnapshotReader:
     def test_run_states_come_back_bitwise_on_one_grid(self, bump_history, tmp_path):
         _, _, params, states = bump_history
         names = self._write(states, params, tmp_path)
-        loaded = list(cli._snapshots(str(tmp_path), names))
+        loaded = list(cli._snapshots(str(tmp_path), names, params))
         assert len(loaded) == len(states) > 2
         for st, back in zip(states, loaded):
             self._assert_bitwise_equal(st, back)
@@ -729,7 +736,8 @@ class TestSnapshotReader:
         out = tmp_path / "out"
         assert main(["run", "--config", config_file, "--out", str(out), "--set", "N=16"]) == EXIT_OK
         snap_dir = str(out / "snapshots")
-        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir))))
+        params = resolve(load_config(str(out / "config.resolved")))[1]
+        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir)), params))
         assert len(loaded) > 2
         assert all(st.grid is loaded[0].grid for st in loaded)
         assert "edge_text" in vars(loaded[0].grid)
@@ -742,7 +750,7 @@ class TestSnapshotReader:
         assert lines[2].startswith("0.0,")
         # "0.0" becomes "0.00", "0.1" "0.10", and so on
         path.write_text("".join(lines[:2] + [line.replace(",", "0,", 1) for line in lines[2:]]))
-        loaded = list(cli._snapshots(str(tmp_path), names))
+        loaded = list(cli._snapshots(str(tmp_path), names, params))
         assert loaded[1].grid is loaded[0].grid is loaded[2].grid
         for st, back in zip(states, loaded):
             self._assert_bitwise_equal(st, back)
