@@ -233,16 +233,8 @@ def _solve_tridiag(sub, diag, sup, rhs):
 
 
 class _Kernel:
-    """The step of one grid, parameter set and config, bound once.
-
-    It holds the grid's widths, gaps and their shifted views; beta, R,
-    gamma, kappa, c_v, 2 mu (n-1) and the exponents of r; the CFL fraction,
-    the step cap, the floors and the scheme.  h v, R theta and
-    w = r^(n-1) of a state are formed once (:meth:`_coefficients`) and shared
-    by the CFL limit, the velocity solve and the heat source.  Every array a
-    step returns is fresh, so no state shares memory with the kernel or with
-    another state.
-    """
+    """The step of one grid, parameter set and config, bound once (see the
+    module docstring for what it holds and shares)."""
 
     def __init__(self, grid, params: PhysParams, config: RunConfig):
         self.grid, self.params, self.config = grid, params, config
