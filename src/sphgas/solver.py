@@ -82,6 +82,7 @@ _MAX_CELLS = 10**6  # largest N a config may ask for
 # argument handling; the step calls them a dozen times
 _amin = np.minimum.reduce
 _amax = np.maximum.reduce
+_max_at = np.maximum.reduceat
 
 
 def _load_dgtsv():
@@ -243,9 +244,13 @@ class _Kernel:
         self.h_lo, self.h_hi = h[:-1], h[1:]  # the widths left and right of each interior edge
         n = self.n = params.n
         self.n1, self.n2, self.n_cond = n - 1, n - 2, 2 * (n - 1)
-        self.beta, self.R, self.gamma = params.beta, params.R, params.gamma
-        self.kappa, self.cv = params.kappa, params.cv
-        self.c_dissip = 2.0 * params.mu * (n - 1)
+        # the constants that multiply or divide arrays, as 0-d arrays: numpy
+        # then takes its array path, without converting a Python float on
+        # every call, and gives the same float64 results
+        self.beta, self.R, self.gamma, self.kappa, self.c_dissip = map(
+            np.array, (params.beta, params.R, params.gamma, params.kappa,
+                       2.0 * params.mu * (n - 1)))
+        self.cv = params.cv
         self.cfl, self.dt_cap = config.cfl_fraction, config.dt_initial
         self.v_floor, self.theta_floor = config.v_floor, config.theta_floor
         self.midpoint = config.scheme_order == 2
@@ -459,7 +464,7 @@ class _Kernel:
         return (v_new, u_new, theta_new, r_new), max(res_u, res_t), min_v
 
 
-_bound = None  # the kernel bound last
+_bound = None  # the kernel bound last, which keeps the coefficients of one state
 
 
 def _kernel(state: FlowState, params: PhysParams, config: RunConfig) -> _Kernel:
@@ -492,6 +497,7 @@ def step(state: FlowState, params: PhysParams, dt: float,
     The substep tests v against its floor before it forms r and theta, so
     only theta is tested here.  ``sources``, when given, maps t to (S_v at
     centers, S_u at edges, S_theta at centers) on the state's grid.
+    ValueError unless ``state`` has the dimension of ``params``.
     """
     return _kernel(state, params, config).step(state, dt, sources)
 
@@ -552,19 +558,21 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     state = initial_state(config, params)
     # the fold: whole-run extremes of v and theta, and the running maxima
     min_v, min_t = _amin(state.v), _amin(state.theta)
-    max_v, max_t, max_u = _maxima(state)
+    max_v, max_t, max_u = _amax(state.v), _amax(state.theta), _amax(np.abs(state.u))
     scale = max(max_v, max_u, max_t)
     lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
     n_steps = n_rejections = 0
     max_resid = max_rel_change = max_dev = 0.0
     r_shadow = state.r.copy()
-    # a step's differences new - old of v, u and theta, and r_shadow - r, side
-    # by side, so one abs serves all four and one max the first three
+    # per step, side by side: the differences new - old of v, u and theta,
+    # r_shadow - r, and the new v, theta and u; one abs serves them all (v
+    # and theta are positive), and one reduceat gives the maxima of the three
+    # differences together, of r_shadow - r, of v, of theta and of |u|
     nc = state.grid.n_cells
-    diffs = np.empty(4 * nc + 2)
-    d_v, d_u, d_t = diffs[:nc], diffs[nc:2 * nc + 1], diffs[2 * nc + 1:3 * nc + 1]
-    d_change, d_r = diffs[:3 * nc + 1], diffs[3 * nc + 1:]
-
+    ends = np.cumsum([nc, nc + 1, nc, nc + 1, nc, nc, nc + 1])
+    fold = np.empty(ends[-1])
+    d_v, d_u, d_t, d_r, new_v, new_t, new_u = np.split(fold, ends[:-1])
+    starts = np.concatenate(([0], ends[2:-1]))
     next_sample = config.cadence
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
@@ -579,19 +587,22 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
             for new_state, report in steps:
                 r_shadow += report.dt * new_state.u
                 r_shadow[0] = 1.0
-                np.subtract(new_state.v, state.v, out=d_v)
-                np.subtract(new_state.u, state.u, out=d_u)
-                np.subtract(new_state.theta, state.theta, out=d_t)
-                np.subtract(r_shadow, new_state.r, out=d_r)
-                np.abs(diffs, out=diffs)
-                max_dev = max(max_dev, _amax(d_r))
+                np.subtract(new_state.v, state.v, d_v)
+                np.subtract(new_state.u, state.u, d_u)
+                np.subtract(new_state.theta, state.theta, d_t)
+                np.subtract(r_shadow, new_state.r, d_r)
+                np.copyto(new_v, new_state.v)
+                np.copyto(new_t, new_state.theta)
+                np.copyto(new_u, new_state.u)
+                np.abs(fold, fold)
+                change, dev, max_v, max_t, max_u = _max_at(fold, starts).tolist()
+                max_dev = max(max_dev, dev)
                 n_steps += 1
                 n_rejections += report.rejections
                 max_resid = max(max_resid, report.max_residual)
-                max_rel_change = max(max_rel_change, _amax(d_change) / scale)
+                max_rel_change = max(max_rel_change, change / scale)
                 state = new_state
                 min_v, min_t = report.min_v, report.min_theta  # the floor tests' minima
-                max_v, max_t, max_u = _maxima(state)
                 lo_v, hi_v = min(lo_v, min_v), max(hi_v, max_v)
                 lo_t, hi_t = min(lo_t, min_t), max(hi_t, max_t)
                 scale = max(max_v, max_u, max_t)
@@ -607,7 +618,3 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 summary.r_shadow_max_dev = float(max_dev)
                 return
 
-
-def _maxima(state: FlowState):
-    """(max v, max theta, max |u|) of one state."""
-    return _amax(state.v), _amax(state.theta), _amax(np.abs(state.u))
