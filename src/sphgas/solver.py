@@ -512,6 +512,7 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     small step in a row, so a violent transient may pass but a stall may not.
     ValueError unless ``state`` has the dimension of ``params``.
     """
+    global _bound
     t_end = config.t_end
     t_stop = t_end - _T_TOL * t_end
     small = 0
@@ -527,6 +528,9 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
                               f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
         state, report = step(state, params, h, config, sources=sources)
         yield state, report
+    # the kernel keeps the last state it was asked for; a finished march drops
+    # it (a report after a run was 3% slower while the run's state stayed)
+    _bound = None
 
 
 def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:

@@ -513,6 +513,17 @@ class TestTracedLayers:
         assert calls["radius_from_volume"] == radius_calls  # as before the kernel was bound
 
 
+def test_finished_march_keeps_no_state(params):
+    """The step kernel keeps the last state it was asked for; a march that
+    reaches t_end drops it, so a finished run holds none of its states."""
+    march = _march(equilibrium_state(n_cells=16), params, RunConfig(t_end=0.1))
+    next(march)
+    assert solver._bound is not None
+    for _ in march:
+        pass
+    assert solver._bound is None
+
+
 def _bits(state):
     return [state.t] + [getattr(state, f).tobytes() for f in ("v", "u", "theta", "r")]
 
