@@ -27,11 +27,12 @@ The step kernel (:class:`_Kernel`) is bound once per grid, parameter set and
 config: the grid's widths, gaps and their shifted views, beta, R, gamma,
 kappa, c_v, 2 mu (n-1), the exponents of r, the CFL fraction, the step cap,
 the floors and the scheme.  :func:`select_dt` and :func:`step` find it by the
-identity of their arguments, so a march binds it at its first call and every
-later call reuses it.  Per state, h v, R theta and w = r^(n-1) are formed
-once and shared by the CFL limit, the velocity solve and the heat source, and
-the floor tests' minima of v and theta go to the run's summary in the
-:class:`StepReport`.
+identity of their arguments, so a march binds it at its first call, every
+later call reuses it, and the march drops it when it ends.  Per state, h v,
+R theta and w = r^(n-1) are formed once and shared by the CFL limit, the
+velocity solve and the heat source; the floor tests' minima of v and theta
+go to the run's summary in the :class:`StepReport`, and the summary's other
+per-step maxima come from one reduction.
 
 Outputs are bit-reproducible, so an edit to the step kernel must keep the
 order of every floating-point operation.  Within that rule a temporary may be
