@@ -578,6 +578,7 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     fold = np.empty(ends[-1])
     d_v, d_u, d_t, d_r, new_v, new_t, new_u = np.split(fold, ends[:-1])
     starts = np.concatenate(([0], ends[2:-1]))
+
     next_sample = config.cadence
     t_eps = _T_TOL * config.t_end
     steps = _march(state, params, config)
