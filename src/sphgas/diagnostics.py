@@ -4,16 +4,15 @@ Everything here is a pure function of sampled states.  The series produced by
 :func:`evaluate_series` contains, per sample time:
 
 * the entropy-type energy E = int R(v - ln v - 1) + u^2/2 + cv(theta - ln theta - 1),
-* the four nonnegative dissipation integrals
-  int v u^2/(r^2 theta), int r^(2(n-1)) u_x^2/(v theta),
-  int (r^(n-1)u)_x^2/(v theta), int r^(2(n-1)) theta_x^2/(v theta^2),
+* the four nonnegative dissipation integrals D_vu2 = int v u^2/(r^2 theta),
+  D_ux = int r^(2(n-1)) u_x^2/(v theta), D_divru = int (r^(n-1)u)_x^2/(v theta)
+  and D_thx = int r^(2(n-1)) theta_x^2/(v theta^2); the paper's weighted
+  functionals are f(t) = D_thx and g(t) = D_vu2 + D_ux,
 * the running defect of the exact energy-dissipation identity
   d/dt int U + int [beta (r^(n-1)u)_x^2/(v theta)
   - 2 mu (n-1) (r^(n-2)u^2)_x/theta + kappa r^(2(n-1)) theta_x^2/(v theta^2)] = 0
   (the boundary flux vanishes under u(0)=0, theta_x(0)=0 and the far field),
 * L2 and sup norms of (v-1, u, theta-1) and weighted gradient norms,
-* the weighted functionals f(t) = int r^(2(n-1)) theta_x^2/(v theta^2) and
-  g(t) = int v u^2/(r^2 theta) + int r^(2(n-1)) u_x^2/(v theta),
 * the measure of the temperature superlevel set with its energy bound,
 * the pointwise gap of the viscous quadratic form,
 * unit-interval averages of v and theta (Jensen anchors),
@@ -355,8 +354,6 @@ def _report(state, params: PhysParams, prev=None) -> dict:
         "max_v": v.max(axis=-1),
         "min_theta": th.min(axis=-1),
         "max_theta": th.max(axis=-1),
-        "f_thx": d_thx,
-        "g_u": d_vu2 + d_ux,
         "grad2_v": integral(gr.v_x**2),
         "grad2_u": integral(gr.u_x**2),
         "grad2_theta": integral(gr.theta_x**2),
@@ -486,8 +483,6 @@ SERIES_COLUMNS = [
     "max_v",
     "min_theta",
     "max_theta",
-    "f_thx",
-    "g_u",
     "omega_measure",
     "omega_bound",
     "b6_gap_min",

@@ -6,8 +6,7 @@ One step advances, in order,
             beta * r^(n-1) d_x( (r^(n-1) u)_x / v ) with geometry and v
             frozen at the old state (tridiagonal solve),
     v:      v += dt * (r^(n-1) u_new)_x,
-    r:      recomputed from v by quadrature (the canonical value; a shadow
-            copy integrated by r_t = u is kept as a consistency diagnostic),
+    r:      recomputed from v by quadrature,
     theta:  implicit conduction kappa * d_x( r^(2(n-1)) theta_x / v )
             (tridiagonal solve), explicit work and dissipation sources
             sigma * (r^(n-1)u)_x - 2 mu (n-1) (r^(n-2) u^2)_x.
@@ -28,7 +27,7 @@ config: the grid's widths, gaps and their shifted views, beta, R, gamma,
 kappa, c_v, 2 mu (n-1), the exponents of r, the CFL fraction, the step cap,
 the floors and the scheme.  :func:`select_dt` and :func:`step` find it by the
 identity of their arguments, so a march binds it at its first call, every
-later call reuses it, and the march drops it when it ends.  Per state, h v,
+later call reuses it, and the march drops it however it ends.  Per state, h v,
 R theta and w = r^(n-1) are formed once and shared by the CFL limit, the
 velocity solve and the heat source; the floor tests' minima of v and theta
 go to the run's summary in the :class:`StepReport`, and the summary's other
@@ -190,7 +189,6 @@ class RunSummary:
     max_theta: float = -np.inf
     max_step_rel_change: float = 0.0
     max_solve_residual: float = 0.0
-    r_shadow_max_dev: float = 0.0
     sup_norm_initial: float = 0.0
     sup_norm_final: float = 0.0
 
@@ -517,21 +515,24 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     t_end = config.t_end
     t_stop = t_end - _T_TOL * t_end
     small = 0
-    while state.t < t_stop:
-        left = t_end - state.t
-        h = min(select_dt(state, params, config) if dt is None else dt, left)
-        if not (state.t + h > state.t):
-            raise SolverAbort(f"step {h:.3e} at t={state.t} does not advance t, so it "
-                              f"cannot reach t_end={t_end}")
-        small = small + 1 if h * _MAX_STEPS < left else 0
-        if small == _MAX_SMALL_STEPS:
-            raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
-                              f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
-        state, report = step(state, params, h, config, sources=sources)
-        yield state, report
-    # the kernel keeps the last state it was asked for; a finished march drops
-    # it (a report after a run was 3% slower while the run's state stayed)
-    _bound = None
+    try:
+        while state.t < t_stop:
+            left = t_end - state.t
+            h = min(select_dt(state, params, config) if dt is None else dt, left)
+            if not (state.t + h > state.t):
+                raise SolverAbort(f"step {h:.3e} at t={state.t} does not advance t, so it "
+                                  f"cannot reach t_end={t_end}")
+            small = small + 1 if h * _MAX_STEPS < left else 0
+            if small == _MAX_SMALL_STEPS:
+                raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
+                                  f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
+            state, report = step(state, params, h, config, sources=sources)
+            yield state, report
+    finally:
+        # the kernel keeps the last state it was asked for; a march drops it
+        # however it ends, at t_end, on an exception or closed by its consumer
+        # (a report after a run was 3% slower while the run's state stayed)
+        _bound = None
 
 
 def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
@@ -567,16 +568,15 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
     scale = max(max_v, max_u, max_t)
     lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
     n_steps = n_rejections = 0
-    max_resid = max_rel_change = max_dev = 0.0
-    r_shadow = state.r.copy()
+    max_resid = max_rel_change = 0.0
     # per step, side by side: the differences new - old of v, u and theta,
-    # r_shadow - r, and the new v, theta and u; one abs serves them all (v
-    # and theta are positive), and one reduceat gives the maxima of the three
-    # differences together, of r_shadow - r, of v, of theta and of |u|
+    # and the new v, theta and u; one abs serves them all (v and theta are
+    # positive), and one reduceat gives the maxima of the three differences
+    # together, of v, of theta and of |u|
     nc = state.grid.n_cells
-    ends = np.cumsum([nc, nc + 1, nc, nc + 1, nc, nc, nc + 1])
+    ends = np.cumsum([nc, nc + 1, nc, nc, nc, nc + 1])
     fold = np.empty(ends[-1])
-    d_v, d_u, d_t, d_r, new_v, new_t, new_u = np.split(fold, ends[:-1])
+    d_v, d_u, d_t, new_v, new_t, new_u = np.split(fold, ends[:-1])
     starts = np.concatenate(([0], ends[2:-1]))
 
     next_sample = config.cadence
@@ -591,18 +591,14 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
         # each yield, so the caller keeps its own
         with np.errstate(over="ignore", invalid="ignore"):
             for new_state, report in steps:
-                r_shadow += report.dt * new_state.u
-                r_shadow[0] = 1.0
                 np.subtract(new_state.v, state.v, d_v)
                 np.subtract(new_state.u, state.u, d_u)
                 np.subtract(new_state.theta, state.theta, d_t)
-                np.subtract(r_shadow, new_state.r, d_r)
                 np.copyto(new_v, new_state.v)
                 np.copyto(new_t, new_state.theta)
                 np.copyto(new_u, new_state.u)
                 np.abs(fold, fold)
-                change, dev, max_v, max_t, max_u = _max_at(fold, starts).tolist()
-                max_dev = max(max_dev, dev)
+                change, max_v, max_t, max_u = _max_at(fold, starts).tolist()
                 n_steps += 1
                 n_rejections += report.rejections
                 max_resid = max(max_resid, report.max_residual)
@@ -621,6 +617,5 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 summary.min_theta, summary.max_theta = float(lo_t), float(hi_t)
                 summary.max_step_rel_change = float(max_rel_change)
                 summary.max_solve_residual = float(max_resid)
-                summary.r_shadow_max_dev = float(max_dev)
                 return
 

@@ -407,8 +407,8 @@ class TestRunCommand:
         """run + report hold one block of samples, not the history.
 
         At N=64 a state's fields take 2 KB and a full block of 63 samples
-        about 1 MB of temporaries.  The series keeps 36 values a sample and
-        the fold some 42, about 380 bytes, so from 65 to 257 samples the
+        about 1 MB of temporaries.  The series keeps 34 values a sample and
+        the fold some 42, about 360 bytes, so from 65 to 257 samples the
         peak may grow by that much per sample, which is 7%, but not by a
         state per sample.
 

@@ -546,7 +546,7 @@ class TestNormReport:
     def test_equilibrium_all_zero(self, params):
         rep = norm_report(equilibrium(), params)
         for key in ("l2_v", "l2_u", "l2_theta", "l2_rvx", "l2_rux", "l2_rthx",
-                    "sup_v", "sup_u", "sup_theta", "f_thx", "g_u"):
+                    "sup_v", "sup_u", "sup_theta", "D_vu2", "D_ux", "D_thx"):
             assert rep[key] == 0.0
         assert rep["min_v"] == rep["max_v"] == 1.0
         assert rep["min_theta"] == rep["max_theta"] == 1.0
@@ -566,12 +566,12 @@ class TestNormReport:
         """f depends on theta only through (ln theta)_x, so scaling theta by
         a constant leaves it unchanged (exactly for binary scalings)."""
         st = smooth_test_state(grid, params.n)
-        f0 = norm_report(st, params)["f_thx"]
-        f2 = norm_report(replace(st, theta=2.0 * st.theta), params)["f_thx"]
+        f0 = norm_report(st, params)["D_thx"]
+        f2 = norm_report(replace(st, theta=2.0 * st.theta), params)["D_thx"]
         assert f2 == f0
         rng = np.random.default_rng(1)
         c = rng.uniform(0.3, 3.0)
-        fc = norm_report(replace(st, theta=c * st.theta), params)["f_thx"]
+        fc = norm_report(replace(st, theta=c * st.theta), params)["D_thx"]
         assert fc == pytest.approx(f0, rel=1e-12)
 
     def test_time_quotients_need_prev(self, grid, params):
@@ -736,6 +736,12 @@ class TestSeriesInvariants:
         assert np.array_equal(np.isnan(loaded.data), nan_mask)
 
 
+WIDTH = len(SERIES_COLUMNS)
+# the header of a file written while f and g had columns of their own
+_FG = SERIES_COLUMNS.index("omega_measure")
+OLD_HEADER = SERIES_COLUMNS[:_FG] + ["f_thx", "g_u"] + SERIES_COLUMNS[_FG:]
+
+
 class TestSeriesCsv:
     """A malformed diagnostics.csv raises ValueError naming the file."""
 
@@ -747,7 +753,7 @@ class TestSeriesCsv:
     def row(self, value=0.5):
         return ",".join([repr(value)] * len(SERIES_COLUMNS))
 
-    @pytest.mark.parametrize("shape", [(3, 35), (3, 37), (36,)])
+    @pytest.mark.parametrize("shape", [(3, WIDTH - 1), (3, WIDTH + 1), (WIDTH,)])
     def test_data_of_the_wrong_width_rejected(self, shape):
         with pytest.raises(ValueError, match="does not match the documented columns"):
             DiagnosticsSeries(np.zeros(shape))
@@ -759,13 +765,14 @@ class TestSeriesCsv:
         assert np.all(data[0] == 1.5) and np.all(data[1] == -2.0)
 
     @pytest.mark.parametrize("header, rows, message", [
-        (SERIES_COLUMNS, ["1,2,3"], "a row of 3 values, not 36"),
-        (SERIES_COLUMNS, ["0.5," * 36 + "0.5"], "a row of 37 values, not 36"),
-        (SERIES_COLUMNS, ["x" + ",0.5" * 35], "could not convert"),
+        (SERIES_COLUMNS, ["1,2,3"], f"a row of 3 values, not {WIDTH}"),
+        (SERIES_COLUMNS, ["0.5," * WIDTH + "0.5"], f"a row of {WIDTH + 1} values, not {WIDTH}"),
+        (SERIES_COLUMNS, ["x" + ",0.5" * (WIDTH - 1)], "could not convert"),
         (SERIES_COLUMNS, [], "no rows"),
         (SERIES_COLUMNS, ["", " "], "no rows"),
-        (SERIES_COLUMNS[::-1], ["0.5" + ",0.5" * 35], "unexpected series columns"),
+        (SERIES_COLUMNS[::-1], ["0.5" + ",0.5" * (WIDTH - 1)], "unexpected series columns"),
         ([], [], "unexpected series columns"),
+        (OLD_HEADER, ["0.5" + ",0.5" * (len(OLD_HEADER) - 1)], "unexpected series columns"),
     ])
     def test_malformed_file_rejected(self, tmp_path, header, rows, message):
         path = self.write(tmp_path, header, rows)

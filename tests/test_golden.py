@@ -5,7 +5,8 @@ and the digest of each file it writes: for ``run`` the resolved config,
 ``diagnostics.csv``, ``summary.json`` and every snapshot; for ``verify``
 ``orders.json`` and ``orders.txt``.  A change that alters any of these bits
 on purpose regenerates the table and says why; the script first prints the
-names of the entries whose digests changed:
+names of the entries that changed, and under each the files whose digest
+changed, appeared or vanished:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -117,6 +118,17 @@ def test_outputs_match_the_table(name, golden, tmp_path):
     assert outputs(name, str(tmp_path)) == golden[name]
 
 
+def moved(old, new) -> list[str]:
+    """The files whose digest differs between table entries ``old`` and
+    ``new``, each marked changed, appeared or vanished, and a changed exit code."""
+    was, now = old.get("sha256", {}), new["sha256"]
+    files = [f"{f} ({'changed' if f in was and f in now else 'appeared' if f in now else 'vanished'})"
+             for f in sorted(was.keys() | now.keys()) if was.get(f) != now.get(f)]
+    if old.get("exit") != new["exit"]:
+        files.insert(0, f"exit code {old.get('exit')} -> {new['exit']}")
+    return files
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: outputs(name, tmp) for name in GOLDEN}
@@ -124,6 +136,8 @@ if __name__ == "__main__":
         committed = json.load(fh)
     changed = [name for name in table if table[name] != committed.get(name)]
     print(f"changed: {', '.join(changed) or 'none'}")
+    for name in changed:
+        print(f"  {name}: {', '.join(moved(committed.get(name, {}), table[name]))}")
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
