@@ -3,7 +3,8 @@
 ``tests/golden.json`` maps each config of :data:`GOLDEN` to its exit code
 and the digest of each file it writes: for ``run`` the resolved config,
 ``diagnostics.csv``, ``summary.json`` and every snapshot; for ``verify``
-``orders.json`` and ``orders.txt``.  A change that alters any of these bits
+``orders.json`` and ``orders.txt``; for ``report``, run on the outputs of
+the ``run`` config it names, ``report.json`` and its stdout.  A change that alters any of these bits
 on purpose regenerates the table and says why; the script first prints the
 names of the entries that changed, and under each the files whose digest
 changed, appeared or vanished:
@@ -74,6 +75,9 @@ GOLDEN = {
     # the sourced scheme-1 steps at n = 3, as the dense_midpoint workload's verify runs them
     "verify_n3": ("verify", ["n=3"]),
 }
+# report on the outputs of a run config, a uniform and a graded grid
+GOLDEN.update({f"report_{name}": ("report", GOLDEN[name][1])
+               for name in ("bump_n2", "n3_graded_scheme2")})
 
 
 def _sha256(path) -> str:
@@ -83,7 +87,9 @@ def _sha256(path) -> str:
 
 def outputs(name, workdir) -> dict:
     """The exit code of golden config ``name``, run in ``workdir``, and the
-    digest of each file it wrote, keyed by its path in the output directory."""
+    digest of each file it wrote, keyed by its path in the output directory;
+    for a ``report`` config, the digests of ``report.json`` and of the
+    report's stdout, keyed ``stdout``."""
     verb, lines = GOLDEN[name]
     with open(os.path.join(workdir, TABLE), "w") as fh:
         fh.write(TABLE_TEXT)
@@ -93,10 +99,19 @@ def outputs(name, workdir) -> dict:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([verb, "--config", f"{name}.cfg", "--out", name])
+            code = main(["run" if verb == "report" else verb, "--config", f"{name}.cfg",
+                         "--out", name])
+        if verb == "report":
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code = main(["report", "--out", name])
     finally:
         os.chdir(cwd)
     out = os.path.join(workdir, name)
+    if verb == "report":
+        stdout = hashlib.sha256(text.getvalue().encode()).hexdigest()
+        return {"exit": code,
+                "sha256": {"report.json": _sha256(os.path.join(out, "report.json")),
+                           "stdout": stdout}}
     files = sorted(
         os.path.relpath(os.path.join(d, f), out) for d, _, fs in os.walk(out) for f in fs
     )
