@@ -34,9 +34,11 @@ import numpy as np
 from .config import SCHEMA, ConfigError, format_config, load_config, parse_setting, resolve
 from .diagnostics import (
     DiagnosticsSeries,
+    _check_series_header,
     anchor_roots,
     evaluate_series,
 )
+from .grid import build_mass_grid
 from .oracle import FIXTURE_CASES, convergence_order
 from .solver import SolverAbort, run
 from .state import load_snapshot, save_snapshot
@@ -56,8 +58,9 @@ class UnreadableOutput(Exception):
     """Run outputs that ``report`` cannot read."""
 
 
-def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
+def _check_invariants(series: DiagnosticsSeries, config) -> dict:
     """The always-true bound ledger, evaluated on a diagnostics series."""
+    e0 = float(series["E"][0])
     tol = 1e-8
     round_tol = 1e-12 * (1.0 + abs(e0))
     alpha1, alpha2 = anchor_roots(e0)
@@ -94,6 +97,13 @@ def _check_invariants(series: DiagnosticsSeries, config, e0: float) -> dict:
         "series_finite": bool(np.all(np.isfinite(series.data))),
     }
     return checks
+
+
+def _ledger_exit(checks: dict, lines=()) -> int:
+    """Print ``lines``, then the ledger's PASS/FAIL lines; the ledger's exit code."""
+    for line in [*lines, *(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks.items())]:
+        print(line)
+    return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
 
 
 # what a run writes besides config.resolved and its snapshots
@@ -138,20 +148,17 @@ def _cmd_run(args) -> int:
         fh.write(format_config(raw))
     result = run(config, params, on_sample=_snapshot_writer(snap_dir, params))
     result.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
-    e0 = float(result.series["E"][0])
-    checks = _check_invariants(result.series, config, e0)
+    checks = _check_invariants(result.series, config)
     summary = {
         "params": params.as_dict(),
-        "E_initial": e0,
+        "E_initial": float(result.series["E"][0]),
         "E_final": float(result.series["E"][-1]),
         "invariants": checks,
         **result.summary.as_dict(),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    for name, ok in checks.items():
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
+    return _ledger_exit(checks)
 
 
 def _order_ok(report, field: str, window) -> bool:
@@ -244,11 +251,10 @@ def _constants(params) -> tuple[float, ...]:
             params.kappa)
 
 
-def _snapshots(snap_dir, names, params):
-    """The states of the snapshot files ``names``, loaded one at a time, on
-    the grid of the first wherever their x column equals its edges.
-    ValueError naming the first file whose constants are not those of ``params``."""
-    grid = None
+def _snapshots(snap_dir, names, params, grid):
+    """The states of the snapshot files ``names`` on ``grid``, the run's,
+    loaded one at a time.  ValueError naming the first file whose x column
+    is not the edges of ``grid`` or whose constants are not those of ``params``."""
     expected = _constants(params)
     for name in names:
         path = os.path.join(snap_dir, name)
@@ -256,8 +262,6 @@ def _snapshots(snap_dir, names, params):
         if _constants(file_params) != expected:
             raise ValueError(f"{path}: parameters {file_params.as_dict()} differ from "
                              f"those of config.resolved, {params.as_dict()}")
-        if grid is None:
-            grid = state.grid
         yield state
 
 
@@ -266,16 +270,19 @@ def _cmd_report(args) -> int:
     snap_dir = os.path.join(run_dir, "snapshots")
     try:
         config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
-        # looked for first, as a solver abort leaves none, but parsed after the
-        # snapshots, so that it is not held while they are folded
+        grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
+        # its header checked first (an abort leaves no file, an older run other
+        # columns), its body parsed after the fold, so that it is not held then
         diagnostics = os.path.join(run_dir, "diagnostics.csv")
-        os.stat(diagnostics)
+        with open(diagnostics) as fh:
+            _check_series_header(fh, diagnostics)
+        del fh  # a closed file keeps the text it read ahead (17 KB at N=64) until freed
         names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
-        # mixed grids or dimensions, times that do not increase, and parameters
-        # other than config.resolved's raise ValueError
-        series = evaluate_series(_snapshots(snap_dir, names, params), params, config)
+        # a grid, dimension or parameters other than config.resolved's, and
+        # times that do not increase raise ValueError
+        series = evaluate_series(_snapshots(snap_dir, names, params, grid), params, config)
         stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise UnreadableOutput(exc) from exc
@@ -291,14 +298,11 @@ def _cmd_report(args) -> int:
         max_dev = float(np.max(dev))
         lines = [f"reproduction max deviation vs stored diagnostics: {max_dev!r}"]
 
-    e0 = float(series["E"][0])
-    checks = _check_invariants(series, config, e0)
+    checks = _check_invariants(series, config)
     checks["diagnostics_reproduced"] = max_dev == 0.0
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump({"invariants": checks, "reproduction_max_dev": max_dev}, fh, indent=2, sort_keys=True)
-    for line in lines + [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks.items()]:
-        print(line)
-    return EXIT_OK if all(checks.values()) else EXIT_INVARIANT
+    return _ledger_exit(checks, lines)
 
 
 @functools.cache

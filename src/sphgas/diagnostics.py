@@ -500,6 +500,12 @@ SERIES_COLUMNS = [
 ]
 
 
+def _check_series_header(fh, path) -> None:
+    """ValueError naming ``path`` unless the next line of ``fh`` lists SERIES_COLUMNS."""
+    if fh.readline().strip().split(",") != SERIES_COLUMNS:
+        raise ValueError(f"{path}: unexpected series columns")
+
+
 @dataclass(frozen=True)
 class DiagnosticsSeries:
     """Column-oriented time series of all runtime functionals."""
@@ -532,8 +538,7 @@ class DiagnosticsSeries:
         width = len(SERIES_COLUMNS)
         chunks = []
         with open(path) as fh:
-            if fh.readline().strip().split(",") != SERIES_COLUMNS:
-                raise ValueError(f"{path}: unexpected series columns")
+            _check_series_header(fh, path)
             rows = filter(str.strip, fh)
             while lines := list(islice(rows, _BLOCK_ELEMENTS // width)):
                 commas = set(map(str.count, lines, [","] * len(lines))) - {width - 1}

@@ -22,12 +22,12 @@ scheme_order=1 is the plain IMEX Euler update; scheme_order=2 replaces it by
 a midpoint variant (half-step predictor, trapezoidal diffusion, midpoint
 coefficients and sources).
 
-The step kernel (:class:`_Kernel`) is bound once per grid, parameter set and
-config: the grid's widths, gaps and their shifted views, beta, R, gamma,
-kappa, c_v, 2 mu (n-1), the exponents of r, the CFL fraction, the step cap,
-the floors and the scheme.  :func:`select_dt` and :func:`step` find it by the
-identity of their arguments, so a march binds it at its first call, every
-later call reuses it, and the march drops it however it ends.  Per state, h v,
+The step kernel (:class:`_Kernel`) binds a grid, parameter set and config:
+the grid's widths, gaps and their shifted views, beta, R, gamma, kappa, c_v,
+2 mu (n-1), the exponents of r, the CFL fraction, the step cap, the floors
+and the scheme.  A march binds one when it starts and hands it to every
+:func:`select_dt` and :func:`step` call, so it goes with the march however
+the march ends; a call without a kernel binds its own.  Per state, h v,
 R theta and w = r^(n-1) are formed once and shared by the CFL limit, the
 velocity solve and the heat source; the floor tests' minima of v and theta
 go to the run's summary in the :class:`StepReport`, and the summary's other
@@ -237,7 +237,7 @@ class _Kernel:
     module docstring for what it holds and shares)."""
 
     def __init__(self, grid, params: PhysParams, config: RunConfig):
-        self.grid, self.params, self.config = grid, params, config
+        self.grid = grid
         h = self.h = grid.cell_widths
         self.he = grid.edge_gaps
         self.h_lo, self.h_hi = h[:-1], h[1:]  # the widths left and right of each interior edge
@@ -263,9 +263,8 @@ class _Kernel:
     def _products(self, state):
         """The coefficients of ``state``; those of the last state asked for are
         kept, so the step after ``select_dt`` reuses them."""
-        last = self._last  # read once: a kernel may serve two marches in turn
-        if last[0] is state:
-            return last[1]
+        if self._last[0] is state:
+            return self._last[1]
         products = self._coefficients(state.v, state.theta, state.r)
         self._last = (state, products)
         return products
@@ -463,42 +462,39 @@ class _Kernel:
         return (v_new, u_new, theta_new, r_new), max(res_u, res_t), min_v
 
 
-_bound = None  # the kernel bound last, which keeps the coefficients of one state
-
-
-def _kernel(state: FlowState, params: PhysParams, config: RunConfig) -> _Kernel:
-    """The kernel of ``state``'s grid, ``params`` and ``config``: the one bound
-    last when it was bound to these same objects, else a new one.  ValueError
-    unless ``state`` has the dimension of ``params``."""
-    global _bound
-    kernel = _bound
-    if (kernel is None or kernel.grid is not state.grid or kernel.params is not params
-            or kernel.config is not config):
-        kernel = _bound = _Kernel(state.grid, params, config)
+def _kernel(state: FlowState, params: PhysParams, config: RunConfig, kernel=None) -> _Kernel:
+    """``kernel``, or when None a new one of ``state``'s grid, ``params`` and
+    ``config``.  ValueError unless ``state`` has the dimension of ``params``."""
+    if kernel is None:
+        kernel = _Kernel(state.grid, params, config)
     if state.n != kernel.n:
         raise ValueError(f"a state of dimension n={state.n}, parameters of n={kernel.n}")
     return kernel
 
 
-def select_dt(state: FlowState, params: PhysParams, config: RunConfig) -> float:
+def select_dt(state: FlowState, params: PhysParams, config: RunConfig, *,
+              kernel=None) -> float:
     """Acoustic step limit: cfl * min over cells of dx*v / (r^(n-1) * c), with
     c = sqrt(R * theta * gamma) and the edge weight at the cell's outer edge,
     the larger (r^n grows by n * v * dx per cell, far more than an ulp, so
-    rounding keeps r increasing).  Capped by dt_initial.
+    rounding keeps r increasing).  Capped by dt_initial.  ``kernel`` is a
+    march's bound kernel of these arguments; without one the call binds its own.
     """
-    return _kernel(state, params, config).select_dt(state)
+    return _kernel(state, params, config, kernel).select_dt(state)
 
 
 def step(state: FlowState, params: PhysParams, dt: float,
-         config: RunConfig = RunConfig(), sources=None) -> tuple[FlowState, StepReport]:
+         config: RunConfig = RunConfig(), sources=None, *,
+         kernel=None) -> tuple[FlowState, StepReport]:
     """Advance one time step, rejecting and halving dt on floor violations.
 
     The substep tests v against its floor before it forms r and theta, so
     only theta is tested here.  ``sources``, when given, maps t to (S_v at
     centers, S_u at edges, S_theta at centers) on the state's grid.
-    ValueError unless ``state`` has the dimension of ``params``.
+    ``kernel`` is as for :func:`select_dt`.  ValueError unless ``state`` has
+    the dimension of ``params``.
     """
-    return _kernel(state, params, config).step(state, dt, sources)
+    return _kernel(state, params, config, kernel).step(state, dt, sources)
 
 
 def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sources=None):
@@ -511,28 +507,22 @@ def _march(state: FlowState, params: PhysParams, config: RunConfig, dt=None, sou
     small step in a row, so a violent transient may pass but a stall may not.
     ValueError unless ``state`` has the dimension of ``params``.
     """
-    global _bound
+    kernel = _kernel(state, params, config)
     t_end = config.t_end
     t_stop = t_end - _T_TOL * t_end
     small = 0
-    try:
-        while state.t < t_stop:
-            left = t_end - state.t
-            h = min(select_dt(state, params, config) if dt is None else dt, left)
-            if not (state.t + h > state.t):
-                raise SolverAbort(f"step {h:.3e} at t={state.t} does not advance t, so it "
-                                  f"cannot reach t_end={t_end}")
-            small = small + 1 if h * _MAX_STEPS < left else 0
-            if small == _MAX_SMALL_STEPS:
-                raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
-                                  f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
-            state, report = step(state, params, h, config, sources=sources)
-            yield state, report
-    finally:
-        # the kernel keeps the last state it was asked for; a march drops it
-        # however it ends, at t_end, on an exception or closed by its consumer
-        # (a report after a run was 3% slower while the run's state stayed)
-        _bound = None
+    while state.t < t_stop:
+        left = t_end - state.t
+        h = min(select_dt(state, params, config, kernel=kernel) if dt is None else dt, left)
+        if not (state.t + h > state.t):
+            raise SolverAbort(f"step {h:.3e} at t={state.t} does not advance t, so it "
+                              f"cannot reach t_end={t_end}")
+        small = small + 1 if h * _MAX_STEPS < left else 0
+        if small == _MAX_SMALL_STEPS:
+            raise SolverAbort(f"step {h:.3e} at t={state.t} cannot reach t_end={t_end} "
+                              f"in {_MAX_STEPS} steps, nor could the {small - 1} before it")
+        state, report = step(state, params, h, config, sources=sources, kernel=kernel)
+        yield state, report
 
 
 def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:

@@ -286,17 +286,17 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
         fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
-def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysParams]:
-    """Read a snapshot written by :func:`save_snapshot`; a malformed file
-    raises ValueError naming ``path``.  The header must hold the keys
-    ``t mu lambda R cv kappa n``, each once, with finite values.
+def load_snapshot(path, grid: MassGrid) -> tuple[FlowState, PhysParams]:
+    """Read a snapshot that :func:`save_snapshot` wrote on ``grid``, the grid
+    of the run's config.resolved; a malformed file, or one whose x column is
+    not the edges of ``grid``, raises ValueError naming ``path``.  The header
+    must hold the keys ``t mu lambda R cv kappa n``, each once, with finite values.
 
     The body is split once, and the v, u and theta columns are each
     converted in one call; the r column is not read, as the state
-    recomputes it.  ``grid`` is reused when its edges equal the file's x
-    column, so the states of one run share one grid: a file whose x column
-    is the ``edge_text`` of ``grid``, as :func:`save_snapshot` wrote it,
-    reuses ``grid`` without converting x.
+    recomputes it.  An x column that is the ``edge_text`` of ``grid``, as
+    :func:`save_snapshot` wrote it, matches without being converted; other
+    x text is compared by value.  So the states of one run share one grid.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -330,10 +330,8 @@ def load_snapshot(path, grid: MassGrid | None = None) -> tuple[FlowState, PhysPa
             cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
         )
         x = tuple(fields[0::5])
-        if grid is None or x != grid.edge_text:
-            xe = np.array(x, dtype=float)
-            if grid is None or not np.array_equal(xe, grid.x_edges):
-                grid = MassGrid(x_edges=xe)
+        if x != grid.edge_text and not np.array_equal(np.array(x, dtype=float), grid.x_edges):
+            raise ValueError("x column is not the grid of config.resolved")
         u = np.array(fields[2::5], dtype=float)
         v = np.array(fields[1:-5:5], dtype=float)
         theta = np.array(fields[3:-5:5], dtype=float)

@@ -20,6 +20,7 @@ from sphgas.cli import (
 from sphgas.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from sphgas.state import save_snapshot
+from test_diagnostics import OLD_HEADER
 from test_golden import GOLDEN, TABLE, TABLE_TEXT
 
 
@@ -110,6 +111,18 @@ def _snapshot_from_other_grid(snap_dir):
     params = PhysParams()
     state = make_initial_data(build_mass_grid(12.0, 20), InitProfile(), params)
     save_snapshot(state, params, os.path.join(snap_dir, "snap_000001.csv"))
+
+
+def _set_in_config(key, value):
+    """A spoiler that sets ``key=value`` in the run's config.resolved, which
+    then describes another grid than the snapshots'."""
+    def spoil(snap_dir):
+        path = os.path.join(os.path.dirname(snap_dir), "config.resolved")
+        with open(path) as fh:
+            lines = [line for line in fh if not line.startswith(f"{key}=")]
+        with open(path, "w") as fh:
+            fh.writelines(lines + [f"{key}={value}\n"])
+    return spoil
 
 
 def _delete_diagnostics(snap_dir):
@@ -466,13 +479,12 @@ class TestRunCommand:
 class TestInvariantLedger:
     def test_series_finite_fails_on_nan_or_inf(self, bump_run):
         result, config, params = bump_run
-        e0 = float(result.series["E"][0])
-        assert _check_invariants(result.series, config, e0)["series_finite"]
+        assert _check_invariants(result.series, config)["series_finite"]
         col = SERIES_COLUMNS.index("repr_residual")
         for bad in (np.nan, np.inf):
             data = result.series.data.copy()
             data[3, col] = bad
-            checks = _check_invariants(DiagnosticsSeries(data=data), config, e0)
+            checks = _check_invariants(DiagnosticsSeries(data=data), config)
             assert not checks["series_finite"]
             assert sum(not ok for ok in checks.values()) == 1
 
@@ -589,9 +601,16 @@ class TestReportCommand:
 
     def test_missing_diagnostics_fails_before_reading_a_snapshot(self, config_file, tmp_path,
                                                                   capsys, monkeypatch):
+        """A diagnostics.csv whose header is not the series columns (one
+        written while f and g had columns of their own), and then none at
+        all, is refused before a snapshot is read."""
         out = str(tmp_path / "out")
         assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
-        os.remove(os.path.join(out, "diagnostics.csv"))
+        path = os.path.join(out, "diagnostics.csv")
+        with open(path) as fh:
+            rows = fh.readlines()[1:]
+        with open(path, "w") as fh:
+            fh.writelines([",".join(OLD_HEADER) + "\n"] + rows)
         read, load = [], cli.load_snapshot
 
         def spy(path, *args):
@@ -599,10 +618,16 @@ class TestReportCommand:
             return load(path, *args)
 
         monkeypatch.setattr(cli, "load_snapshot", spy)
-        capsys.readouterr()
-        assert main(["report", "--out", out]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("unreadable run output: ") and "diagnostics.csv" in err
+
+        def refused(expect):
+            capsys.readouterr()
+            assert main(["report", "--out", out]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("unreadable run output: ") and expect in err
+
+        refused("diagnostics.csv: unexpected series columns")
+        os.remove(path)
+        refused("diagnostics.csv")
         assert read == []
 
     def test_report_reads_only_snapshot_files(self, config_file, tmp_path, capsys):
@@ -627,7 +652,11 @@ class TestReportCommand:
         (_replace_in_snapshot("# t=", "t="), "snap_000001.csv: missing metadata header"),
         (_replace_in_snapshot("x,v,u,theta,r", "x,v,u,T,r"), "unexpected columns 'x,v,u,T,r'"),
         (_empty_snapshot_dir, "no snapshots"),
-        (_snapshot_from_other_grid, "samples on different grids"),
+        (_snapshot_from_other_grid,
+         "snap_000001.csv: malformed snapshot: x column is not the grid of config.resolved"),
+        (_set_in_config("N", "32"), "snap_000000.csv: malformed snapshot: x column is not"),
+        (_set_in_config("X_max", "11"), "snap_000000.csv: malformed snapshot: x column is not"),
+        (_set_in_config("grading", "1.01"), "snap_000000.csv: malformed snapshot: x column is not"),
         (_delete_diagnostics, "diagnostics.csv"),
         (_set_in_header("t", "0.0", 1), "sample time 0.0 does not follow 0.0"),
         (_set_in_header("t", "nan", 2),
@@ -642,7 +671,8 @@ class TestReportCommand:
          "snap_000001.csv: malformed snapshot: header keys must be"),
         (_set_in_header("mu", "2.0", 1), "snap_000001.csv: parameters {'mu': 2.0,"),
     ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
-            "other_columns", "empty_dir", "mixed_grids", "missing_diagnostics", "duplicate_t",
+            "other_columns", "empty_dir", "mixed_grids", "other_config_n", "other_config_x_max",
+            "other_config_grading", "missing_diagnostics", "duplicate_t",
             "nan_t", "inf_t_last", "other_n_later", "infinite_mu", "repeated_key",
             "unknown_key", "other_mu"])
     def test_report_unreadable_outputs_exit_config_code(
@@ -721,10 +751,15 @@ class TestSnapshotReader:
         for f in ("v", "u", "theta", "r"):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
 
+    @staticmethod
+    def _grid(config):
+        """The grid ``report`` builds from a run's config."""
+        return build_mass_grid(config.x_max, config.n_cells, config.grading)
+
     def test_run_states_come_back_bitwise_on_one_grid(self, bump_history, tmp_path):
-        _, _, params, states = bump_history
+        _, config, params, states = bump_history
         names = self._write(states, params, tmp_path)
-        loaded = list(cli._snapshots(str(tmp_path), names, params))
+        loaded = list(cli._snapshots(str(tmp_path), names, params, self._grid(config)))
         assert len(loaded) == len(states) > 2
         for st, back in zip(states, loaded):
             self._assert_bitwise_equal(st, back)
@@ -736,21 +771,22 @@ class TestSnapshotReader:
         out = tmp_path / "out"
         assert main(["run", "--config", config_file, "--out", str(out), "--set", "N=16"]) == EXIT_OK
         snap_dir = str(out / "snapshots")
-        params = resolve(load_config(str(out / "config.resolved")))[1]
-        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir)), params))
+        config, params, _ = resolve(load_config(str(out / "config.resolved")))
+        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir)), params,
+                                     self._grid(config)))
         assert len(loaded) > 2
         assert all(st.grid is loaded[0].grid for st in loaded)
         assert "edge_text" in vars(loaded[0].grid)
 
     def test_non_canonical_x_text_loads_on_the_first_grid(self, bump_history, tmp_path):
-        _, _, params, states = bump_history
+        _, config, params, states = bump_history
         names = self._write(states[:3], params, tmp_path)
         path = tmp_path / names[1]
         lines = path.read_text().splitlines(keepends=True)
         assert lines[2].startswith("0.0,")
         # "0.0" becomes "0.00", "0.1" "0.10", and so on
         path.write_text("".join(lines[:2] + [line.replace(",", "0,", 1) for line in lines[2:]]))
-        loaded = list(cli._snapshots(str(tmp_path), names, params))
+        loaded = list(cli._snapshots(str(tmp_path), names, params, self._grid(config)))
         assert loaded[1].grid is loaded[0].grid is loaded[2].grid
         for st, back in zip(states, loaded):
             self._assert_bitwise_equal(st, back)

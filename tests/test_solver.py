@@ -1,5 +1,8 @@
+import gc
 import importlib.machinery
+import itertools
 import sys
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -528,27 +531,59 @@ def _crushed_state():
 
 @pytest.mark.parametrize("end", ["t_end", "positivity", "closed"])
 def test_finished_march_keeps_no_state(params, end):
-    """The step kernel keeps the last state it was asked for; a march drops
-    it however it ends: at t_end, on an exception, or closed by its consumer
-    after its first step.  So a finished run holds none of its states."""
+    """A march's kernel keeps the last state it was asked for; however the
+    march ends, at t_end, on an exception, or closed by its consumer after
+    its first step, a dropped march keeps none of the states it saw."""
     if end == "positivity":
-        cfg = RunConfig(t_end=1.0, v_floor=1e-3, theta_floor=1e-6)
-        with pytest.raises(PositivityError):
-            next(_march(_crushed_state(), params, cfg))
+        start, cfg = _crushed_state(), RunConfig(t_end=1.0, v_floor=1e-3, theta_floor=1e-6)
     else:
-        march = _march(equilibrium_state(n_cells=16), params, RunConfig(t_end=0.1))
-        next(march)
-        assert solver._bound is not None
+        start, cfg = equilibrium_state(n_cells=16), RunConfig(t_end=0.1)
+    seen = [weakref.ref(start)]
+    march = _march(start, params, cfg)
+    del start
+    if end == "positivity":
+        with pytest.raises(PositivityError):
+            next(march)
+    else:
+        seen.append(weakref.ref(next(march)[0]))
         if end == "closed":
             march.close()
         else:
-            for _ in march:
-                pass
-    assert solver._bound is None
+            seen += [weakref.ref(state) for state, _ in march]
+    del march
+    gc.collect()
+    assert [ref() for ref in seen] == [None] * len(seen)
 
 
 def _bits(state):
     return [state.t] + [getattr(state, f).tobytes() for f in ("v", "u", "theta", "r")]
+
+
+def test_interleaved_marches_bind_one_kernel_each(monkeypatch, params):
+    """Two marches on different grids, with schemes 1 and 2, stepped in
+    turn: each gives the bits it gives alone, and each binds one kernel."""
+    starts = [smooth_test_state(build_mass_grid(10.0, 40), 2),
+              smooth_test_state(build_mass_grid(8.0, 24, 1.05), 2)]
+    cfgs = [RunConfig(t_end=0.6, scheme_order=1), RunConfig(t_end=0.6, scheme_order=2)]
+    alone = [[_bits(state) for state, _ in _march(start, params, cfg)]
+             for start, cfg in zip(starts, cfgs)]
+    assert min(map(len, alone)) > 2
+    built = []
+
+    class Counted(_Kernel):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_Kernel", Counted)
+    together = [[], []]
+    marches = [_march(start, params, cfg) for start, cfg in zip(starts, cfgs)]
+    for pair in itertools.zip_longest(*marches):
+        for kept, item in zip(together, pair):
+            if item is not None:
+                kept.append(_bits(item[0]))
+    assert together == alone
+    assert len(built) == 2
 
 
 class TestYieldedStates:

@@ -231,7 +231,7 @@ class TestSnapshotIO:
         st = replace(smooth_test_state(grid, params.n), t=1.25)
         path = tmp_path / "snap.csv"
         save_snapshot(st, params, path)
-        loaded, loaded_params = load_snapshot(path)
+        loaded, loaded_params = load_snapshot(path, grid)
         assert loaded.t == st.t
         assert np.array_equal(loaded.v, st.v)
         assert np.array_equal(loaded.u, st.u)
