@@ -24,7 +24,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -243,26 +242,11 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-def _constants(params) -> tuple[float, ...]:
-    """The physical constants, with the sign of lambda, which may be zero:
-    equal tuples of these finite values are equal bit for bit.  The dimension
-    is left out, as ``evaluate_series`` checks it for every sample."""
-    return (params.mu, params.lam, math.copysign(1.0, params.lam), params.R, params.cv,
-            params.kappa)
-
-
 def _snapshots(snap_dir, names, params, grid):
-    """The states of the snapshot files ``names`` on ``grid``, the run's,
-    loaded one at a time.  ValueError naming the first file whose x column
-    is not the edges of ``grid`` or whose constants are not those of ``params``."""
-    expected = _constants(params)
+    """The states of the snapshot files ``names`` on ``grid`` with ``params``,
+    the run's, loaded one at a time."""
     for name in names:
-        path = os.path.join(snap_dir, name)
-        state, file_params = load_snapshot(path, grid)
-        if _constants(file_params) != expected:
-            raise ValueError(f"{path}: parameters {file_params.as_dict()} differ from "
-                             f"those of config.resolved, {params.as_dict()}")
-        yield state
+        yield load_snapshot(os.path.join(snap_dir, name), grid, params)
 
 
 def _cmd_report(args) -> int:
@@ -280,8 +264,8 @@ def _cmd_report(args) -> int:
         names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
-        # a grid, dimension or parameters other than config.resolved's, and
-        # times that do not increase raise ValueError
+        # a snapshot whose grid or header is not what config.resolved gives,
+        # and times that do not increase, raise ValueError
         series = evaluate_series(_snapshots(snap_dir, names, params, grid), params, config)
         stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
@@ -301,7 +285,9 @@ def _cmd_report(args) -> int:
     checks = _check_invariants(series, config)
     checks["diagnostics_reproduced"] = max_dev == 0.0
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        json.dump({"invariants": checks, "reproduction_max_dev": max_dev}, fh, indent=2, sort_keys=True)
+        json.dump({"invariants": checks, "reproduction_max_dev": max_dev,
+                   "samples": len(series), "E_initial": float(series["E"][0]),
+                   "E_final": float(series["E"][-1])}, fh, indent=2, sort_keys=True)
     return _ledger_exit(checks, lines)
 
 

@@ -459,7 +459,7 @@ class _Kernel:
             dt, state.theta, source, v_h, r_h, s_t, implicit_weight=0.5,
         )
         r_new = radius_from_volume(self.grid, v_new, self.n)
-        return (v_new, u_new, theta_new, r_new), max(res_u, res_t), min_v
+        return (v_new, u_new, theta_new, r_new), max(res0, res_u, res_t), min_v
 
 
 def _kernel(state: FlowState, params: PhysParams, config: RunConfig, kernel=None) -> _Kernel:

@@ -261,7 +261,13 @@ def discrete_gradients(state: FlowState) -> Gradients:
 
 
 _SNAP_COLUMNS = "x,v,u,theta,r"
-_HEADER_KEYS = ("t", "mu", "lambda", "R", "cv", "kappa", "n")  # what save_snapshot writes
+
+
+def _params_text(params: PhysParams) -> str:
+    """The physical parameters as a snapshot header spells them, each by repr:
+    ``mu=… lambda=… R=… cv=… kappa=… n=…``.  Two such texts are equal
+    exactly when the values are equal bit for bit, the sign of zero included."""
+    return " ".join(f"{k}={float(v)!r}" for k, v in params.as_dict().items())
 
 
 def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
@@ -269,11 +275,10 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
 
     Row j carries edge quantities u[j], r[j] and the values of cell j for v
     and theta; the final edge row leaves v and theta empty.  The header
-    comment carries t and the physical parameters; floats are written with
-    repr so the file round-trips losslessly.  The x column is the grid's
-    ``edge_text``, which each grid formats once.
+    comment is ``# t=<t> `` and the parameters' :func:`_params_text`; floats
+    are written with repr so the file round-trips losslessly.  The x column
+    is the grid's ``edge_text``, which each grid formats once.
     """
-    meta = {"t": state.t, **params.as_dict()}
     x = state.grid.edge_text
     u, r = state.u.tolist(), state.r.tolist()
     rows = [
@@ -282,15 +287,16 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
     ]
     rows.append(f"{x[-1]},,{u[-1]!r},,{r[-1]!r}\n")
     with open(path, "w") as fh:
-        fh.write("# " + " ".join(f"{k}={float(v)!r}" for k, v in meta.items()) + "\n")
+        fh.write(f"# t={float(state.t)!r} {_params_text(params)}\n")
         fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
 
 
-def load_snapshot(path, grid: MassGrid) -> tuple[FlowState, PhysParams]:
-    """Read a snapshot that :func:`save_snapshot` wrote on ``grid``, the grid
-    of the run's config.resolved; a malformed file, or one whose x column is
-    not the edges of ``grid``, raises ValueError naming ``path``.  The header
-    must hold the keys ``t mu lambda R cv kappa n``, each once, with finite values.
+def load_snapshot(path, grid: MassGrid, params: PhysParams) -> FlowState:
+    """Read a snapshot that :func:`save_snapshot` wrote on ``grid`` with
+    ``params``, the grid and parameters of the run's config.resolved; a
+    malformed file, one whose x column is not the edges of ``grid``, or one
+    whose header is not ``# t=<t> `` and the :func:`_params_text` of
+    ``params``, with a finite t written by repr, raises ValueError naming ``path``.
 
     The body is split once, and the v, u and theta columns are each
     converted in one call; the r column is not read, as the state
@@ -314,28 +320,20 @@ def load_snapshot(path, grid: MassGrid) -> tuple[FlowState, PhysParams]:
     try:
         if commas - {4} or fields[-4] or fields[-2]:
             raise ValueError("truncated: short rows or no outer edge row")
-        pairs = [tok.partition("=") for tok in header[1:].split()]
-        meta = {k: float(val) for k, _, val in pairs}
-        if len(pairs) != len(_HEADER_KEYS) or meta.keys() != set(_HEADER_KEYS):
-            # a repeated, unknown or missing key
-            raise ValueError(f"header keys must be {' '.join(_HEADER_KEYS)}, each once; "
-                             f"got {' '.join(k for k, _, _ in pairs)}")
-        if not meta["n"].is_integer():  # int() would truncate 3.7 and overflow on inf
-            raise ValueError(f"dimension must be an integer, got n={meta['n']!r}")
-        for key, val in meta.items():  # PhysParams admits inf, and nothing else checks t
-            if not math.isfinite(val):
-                raise ValueError(f"header value {key}={val!r} is not finite")
-        params = PhysParams(
-            mu=meta["mu"], lam=meta["lambda"], R=meta["R"],
-            cv=meta["cv"], kappa=meta["kappa"], n=int(meta["n"]),
-        )
+        text = _params_text(params)
+        t_text = header[4:].partition(" ")[0]  # what follows "# t=", up to a space
+        if header != f"# t={t_text} {text}\n" or t_text != repr(float(t_text)):
+            raise ValueError(f"header is not '# t=<t> {text}', as run writes it for "
+                             f"config.resolved: {header.rstrip()!r}")
+        t = float(t_text)
+        if not math.isfinite(t):
+            raise ValueError(f"header value t={t!r} is not finite")
         x = tuple(fields[0::5])
         if x != grid.edge_text and not np.array_equal(np.array(x, dtype=float), grid.x_edges):
             raise ValueError("x column is not the grid of config.resolved")
         u = np.array(fields[2::5], dtype=float)
         v = np.array(fields[1:-5:5], dtype=float)
         theta = np.array(fields[3:-5:5], dtype=float)
-        state = FlowState(grid=grid, t=meta["t"], v=v, u=u, theta=theta, n=params.n)
-    except (IndexError, KeyError, ValueError) as exc:
+        return FlowState(grid=grid, t=t, v=v, u=u, theta=theta, n=params.n)
+    except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed snapshot: {exc}") from exc
-    return state, params

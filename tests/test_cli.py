@@ -102,6 +102,13 @@ def _set_in_header(key, value, index):
     return spoil
 
 
+def _header_refused(index):
+    """report's message for the header of snapshot ``index`` of a BASE_CONFIG
+    run at N=16, when it is not the text run writes."""
+    return (f"snap_{index:06d}.csv: malformed snapshot: header is not '# t=<t> mu=1.0 "
+            "lambda=0.0 R=1.0 cv=1.5 kappa=1.0 n=2.0', as run writes it for config.resolved: ")
+
+
 def _empty_snapshot_dir(snap_dir):
     for name in os.listdir(snap_dir):
         os.remove(os.path.join(snap_dir, name))
@@ -581,6 +588,23 @@ class TestReportCommand:
         assert report["reproduction_max_dev"] == 0.0
         assert all(report["invariants"].values())
 
+    def test_report_json_records_the_run(self, config_file, tmp_path):
+        """report.json holds the sample count and E at both ends of the
+        recomputed series: the rows of diagnostics.csv and summary.json's E."""
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config_file, "--out", out, "--set", "N=16"]) == EXIT_OK
+        assert main(["report", "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            rows = len(fh.readlines()) - 1
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        assert report["samples"] == rows > 2
+        assert report["E_initial"] == summary["E_initial"]
+        assert report["E_final"] == summary["E_final"]
+        assert report["E_final"] < report["E_initial"]
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "ghost")]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -646,9 +670,8 @@ class TestReportCommand:
     @pytest.mark.parametrize("spoil, expect", [
         (_truncate_snapshot, "snap_000001.csv: malformed snapshot"),
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
-        (_replace_in_snapshot("n=2.0", "n=3.7"),
-         "snap_000001.csv: malformed snapshot: dimension must be an integer, got n=3.7"),
-        (_replace_in_snapshot("n=2.0", "n=inf"), "dimension must be an integer, got n=inf"),
+        (_replace_in_snapshot("n=2.0", "n=3.7"), _header_refused(1)),
+        (_replace_in_snapshot("n=2.0", "n=inf"), _header_refused(1)),
         (_replace_in_snapshot("# t=", "t="), "snap_000001.csv: missing metadata header"),
         (_replace_in_snapshot("x,v,u,theta,r", "x,v,u,T,r"), "unexpected columns 'x,v,u,T,r'"),
         (_empty_snapshot_dir, "no snapshots"),
@@ -662,19 +685,22 @@ class TestReportCommand:
         (_set_in_header("t", "nan", 2),
          "snap_000002.csv: malformed snapshot: header value t=nan is not finite"),
         (_set_in_header("t", "inf", -1), "header value t=inf is not finite"),
-        (_set_in_header("n", "3.0", 2), "samples of dimension n=3, parameters of n=2"),
-        (_set_in_header("mu", "inf", 1), "snap_000001.csv: malformed snapshot: header value mu=inf"),
-        (_replace_in_snapshot("n=2.0\n", "n=2.0 t=99.0\n"),
-         "snap_000001.csv: malformed snapshot: header keys must be t mu lambda R cv kappa n, "
-         "each once; got t mu lambda R cv kappa n t"),
-        (_replace_in_snapshot("n=2.0\n", "n=2.0 foo=1.0\n"),
-         "snap_000001.csv: malformed snapshot: header keys must be"),
-        (_set_in_header("mu", "2.0", 1), "snap_000001.csv: parameters {'mu': 2.0,"),
+        (_set_in_header("n", "3.0", 2), _header_refused(2)),
+        (_set_in_header("mu", "inf", 1), _header_refused(1)),
+        (_replace_in_snapshot("n=2.0\n", "n=2.0 t=99.0\n"), _header_refused(1)),
+        (_replace_in_snapshot("n=2.0\n", "n=2.0 foo=1.0\n"), _header_refused(1)),
+        (_set_in_header("mu", "2.0", 1), _header_refused(1)),
+        (_replace_in_snapshot("mu=1.0 lambda=0.0", "lambda=0.0 mu=1.0"), _header_refused(1)),
+        (_set_in_header("mu", "1.00", 1), _header_refused(1)),
+        (_replace_in_snapshot(" R=1.0", "  R=1.0"), _header_refused(1)),
+        (_set_in_header("lambda", "-0.0", 1), _header_refused(1)),
+        (_set_in_header("t", "0.40", -1), _header_refused(4)),
     ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
             "other_columns", "empty_dir", "mixed_grids", "other_config_n", "other_config_x_max",
             "other_config_grading", "missing_diagnostics", "duplicate_t",
             "nan_t", "inf_t_last", "other_n_later", "infinite_mu", "repeated_key",
-            "unknown_key", "other_mu"])
+            "unknown_key", "other_mu", "reordered_keys", "other_float_text", "double_space",
+            "minus_zero_lambda", "other_t_text"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):

@@ -155,6 +155,18 @@ class TestStep:
         assert report.rejections == 1
         assert report.dt == 0.5 * dt
 
+    def test_midpoint_residual_covers_its_predictor(self):
+        """A scheme-2 step reports the largest residual of all its solves,
+        the half-step predictor's included."""
+        params = PhysParams(n=3)
+        profile = InitProfile(kind="gaussian_bump", amp_v=0.5, amp_u=0.5, amp_theta=0.5)
+        st = make_initial_data(build_mass_grid(10.0, 32), profile, params)
+        cfg = RunConfig(x_max=10, n_cells=32, scheme_order=2)
+        predictor = _Kernel(st.grid, params, cfg)._imex(st, 0.01, None, 0.0)[1]
+        _, report = step(st, params, 0.02, cfg)
+        assert report.rejections == 0
+        assert report.max_residual >= predictor > 0.0
+
 
 class TestMarch:
     def test_fixed_dt_matches_step_and_clips_last_step(self, params):

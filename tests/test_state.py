@@ -231,13 +231,16 @@ class TestSnapshotIO:
         st = replace(smooth_test_state(grid, params.n), t=1.25)
         path = tmp_path / "snap.csv"
         save_snapshot(st, params, path)
-        loaded, loaded_params = load_snapshot(path, grid)
+        loaded = load_snapshot(path, grid, params)
         assert loaded.t == st.t
         assert np.array_equal(loaded.v, st.v)
         assert np.array_equal(loaded.u, st.u)
         assert np.array_equal(loaded.theta, st.theta)
         assert np.array_equal(loaded.r, st.r)
-        assert loaded_params == params
+        other = tmp_path / "other.csv"
+        save_snapshot(st, replace(params, mu=2.0 * params.mu), other)
+        with pytest.raises(ValueError, match=r"other\.csv: malformed snapshot: header is not '# t=<t> "):
+            load_snapshot(other, grid, params)
 
     def test_golden_bytes(self, tmp_path):
         """The snapshot layout, byte for byte, that readers of the CSV rely on:
@@ -275,12 +278,12 @@ class TestSnapshotIO:
         lines[7] = ",".join(row7) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"snap\.csv: malformed snapshot: truncated"):
-            load_snapshot(path, grid)
+            load_snapshot(path, grid, params)
 
     def test_whitespace_only_lines_skipped(self, grid, params, tmp_path):
         st, path, lines = self._saved_lines(grid, params, tmp_path)
         path.write_text("".join(lines[:5] + [" \t\n"] + lines[5:] + ["\n", "  \n"]))
-        loaded = load_snapshot(path, grid)[0]
+        loaded = load_snapshot(path, grid, params)
         assert loaded.grid is grid
         for f in ("v", "u", "theta", "r"):
             assert getattr(loaded, f).tobytes() == getattr(st, f).tobytes()
