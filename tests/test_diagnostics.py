@@ -181,14 +181,13 @@ class TestEnergyBalance:
             g = build_mass_grid(case.x_max, n_cells)
             state = case.exact_state(g, params, 0.0)
             cfg = RunConfig(x_max=case.x_max, n_cells=n_cells, t_end=0.2, cadence=1.0)
-            hook = case.source_fn(params, g)
+            hook = case.source_fn(params, g, dt)
             states = [state] + [s for s, _ in _march(state, params, cfg, dt=dt, sources=hook)]
             resid = evaluate_series(states, params, cfg)["balance_residual"][-1]
 
             work = []
             for s in states:
-                sv, _, stheta = manufactured_source(case, params, g.cell_centers, s.t)
-                _, su, _ = manufactured_source(case, params, g.x_edges, s.t)
+                sv, su, stheta = manufactured_source(case, params, g.cell_centers, g.x_edges, s.t)
                 su_c = 0.5 * (su[:-1] * s.u[:-1] + su[1:] * s.u[1:])
                 w = (params.R * (1 - 1 / s.v) * sv + su_c + (1 - 1 / s.theta) * stheta)
                 work.append(np.sum(w * g.cell_widths))

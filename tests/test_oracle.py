@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphgas import PhysParams, build_mass_grid
+from sphgas import PhysParams, build_mass_grid, oracle
 from sphgas.oracle import (
     FIXTURE_CASES,
     ConvergenceReport,
@@ -82,25 +82,46 @@ class TestWindow:
 class TestManufacturedSource:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_grid_bound_hook_equals_fresh_source(self, case, n):
-        """The hook's once-per-grid window changes no bit of the sources, at
-        t = 0, a generic t and a midpoint half-step t."""
+        """The hook's once-per-grid window and its blocks of step starts change
+        no bit of the sources: along 20 starts formed as the march forms them
+        (three blocks), at a midpoint half step and after a halved step, each
+        row equals a fresh call at its time alone, and none can be written."""
         p = PhysParams(n=n)
         g = build_mass_grid(case.x_max, 177)
-        hook = case.source_fn(p, g)
-        t, dt = 0.37, 1.6e-3
-        for tt in (0.0, t, t + 0.5 * dt):
-            s_v, s_u, s_t = hook(tt)
-            at_centers = manufactured_source(case, p, g.cell_centers, tt)
-            at_edges = manufactured_source(case, p, g.x_edges, tt)
-            assert np.array_equal(s_v, at_centers[0])
-            assert np.array_equal(s_u, at_edges[1])
-            assert np.array_equal(s_t, at_centers[2])
+        dt = 1.6e-3
+        hook = case.source_fn(p, g, dt)
+        starts = [0.37]
+        while len(starts) < 20:
+            starts.append(starts[-1] + dt)
+        t = starts[-1]
+        # the half step of t's step; a halved step: its half step, its end,
+        # and the start after that
+        others = [t + 0.5 * dt, t + 0.25 * dt, t + 0.5 * dt, t + 0.5 * dt + dt]
+        for tt in starts + others:
+            got = hook(tt)
+            fresh = manufactured_source(case, p, g.cell_centers, g.x_edges, tt)
+            for row, want in zip(got, fresh):
+                assert row.tobytes() == want.tobytes()
+                assert not row.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_column_of_times_equals_single_calls(self, case, n):
+        """A (k, 1) column of times gives k rows with the bits of k calls at
+        one time each."""
+        p = PhysParams(n=n)
+        g = build_mass_grid(case.x_max, 177)
+        times = [0.0, 0.37, 0.37 + 1.6e-3, 1.9, 2.5]
+        rows = manufactured_source(case, p, g.cell_centers, g.x_edges, np.array(times)[:, None])
+        for i, tt in enumerate(times):
+            fresh = manufactured_source(case, p, g.cell_centers, g.x_edges, tt)
+            for block, want in zip(rows, fresh):
+                assert block[i].tobytes() == want.tobytes()
 
     def test_equilibrium_case_sources_vanish(self, params):
         eq = FIXTURE_CASES["equilibrium"]
         x = np.linspace(0, eq.x_max, 301)
         for t in (0.0, 0.8):
-            sv, su, st = manufactured_source(eq, params, x, t)
+            sv, su, st = manufactured_source(eq, params, x, x, t)
             assert np.all(sv == 0.0)
             assert np.all(su == 0.0)
             assert np.all(st == 0.0)
@@ -110,7 +131,7 @@ class TestManufacturedSource:
         is forced, by S_u = r^{n-1} R (1/v)_x written out by hand."""
         case = ManufacturedCase(amp_u=0.0, amp_theta=0.0, freq_v=0.0)
         x = np.linspace(0.1, case.x_max - 0.1, 401)
-        sv, su, st = manufactured_source(case, params, x, 0.7)
+        sv, su, st = manufactured_source(case, params, x, x, 0.7)
         assert np.max(np.abs(sv)) == 0.0
         assert np.max(np.abs(st)) < 1e-13
 
@@ -159,7 +180,7 @@ class TestManufacturedSource:
 
         xs = np.linspace(3.2, 6.8, 41)  # inside the window, tanh unsaturated
         for tt in (0.0, 0.37, 1.9):
-            got = manufactured_source(case, p, xs, tt)
+            got = manufactured_source(case, p, xs, xs, tt)
             for g_arr, fn in zip(got, fns):
                 want = fn(xs, tt)
                 assert np.allclose(g_arr, want, rtol=1e-9, atol=1e-11)
@@ -171,6 +192,21 @@ class TestSolveCase:
         live in the convergence study)."""
         _, _, err = solve_case(case, params, 200, 1e-3, 1e-3)
         assert max(err.values()) < 5e-4
+
+    @pytest.mark.parametrize("scheme_order, calls", [(1, 2), (2, 12)])
+    def test_source_calls_per_march(self, case, params, monkeypatch, scheme_order, calls):
+        """Ten fixed steps take their starts from two blocks; scheme 2 adds
+        its ten half steps, each evaluated alone."""
+        made = []
+        real = oracle.manufactured_source
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "manufactured_source", counted)
+        solve_case(case, params, 64, 0.01, 0.1, scheme_order)
+        assert len(made) == calls
 
     def test_error_decreases_with_resolution(self, case, params):
         _, _, coarse = solve_case(case, params, 64, 4e-3, 0.2)
