@@ -188,13 +188,13 @@ def _cmd_verify(args) -> int:
     with open(os.path.join(args.out, "orders.txt"), "w") as fh:
         fh.write(table)
     with open(os.path.join(args.out, "orders.json"), "w") as fh:
-        json.dump(
+        json.dump(  # null for an order not fitted: at the floor or non-monotone
             {
-                "spatial": {f: spatial.orders[f] for f in spatial.orders},
-                "temporal": {f: temporal.orders[f] for f in temporal.orders},
+                "spatial": {f: None if np.isnan(o) else o for f, o in spatial.orders.items()},
+                "temporal": {f: None if np.isnan(o) else o for f, o in temporal.orders.items()},
                 "verdict": verdict,
             },
-            fh, indent=2, sort_keys=True,
+            fh, indent=2, sort_keys=True, allow_nan=False,
         )
     print(table)
     for field, passed in verdict.items():

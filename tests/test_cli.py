@@ -944,6 +944,22 @@ class TestVerifyCommand:
             assert 0.9 <= orders["temporal"][f] <= 1.1
         assert "PASS spatial order v" in captured
 
+    def test_equilibrium_orders_json_is_strict_json(self, tmp_path):
+        """The equilibrium case's errors sit at the rounding floor, so no order
+        is fitted: orders.json writes each as null, which a parser that
+        refuses NaN accepts, and the verdicts pass."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--out", out, "--set", "case=equilibrium"]) == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        with open(os.path.join(out, "orders.json")) as fh:
+            orders = json.load(fh, parse_constant=refuse)
+        for mode in ("spatial", "temporal"):
+            assert orders[mode] == {"v": None, "u": None, "theta": None}
+        assert all(all(modes.values()) for modes in orders["verdict"].values())
+
     def test_verify_unknown_case(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("case=unknown_case\n")
