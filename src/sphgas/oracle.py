@@ -155,22 +155,24 @@ class ManufacturedCase:
         window = self._shape(np.concatenate((centers, edges)))
         block, last = {}, None
 
+        def evaluate(t):
+            rows = manufactured_source(self, params, centers, edges, t, window)
+            for a in rows:
+                a.flags.writeable = False
+            return rows
+
         def hook(t):
             nonlocal block, last
             if t in block:
                 return block[t]
+            if last is not None and t != last + dt:
+                return evaluate(t)
             times = [t]
-            if last is None or t == last + dt:
-                while len(times) < SOURCE_BLOCK:
-                    times.append(times[-1] + dt)
-                last = times[-1]
-            rows = manufactured_source(self, params, centers, edges, np.array(times)[:, None], window)
-            for a in rows:
-                a.flags.writeable = False
-            found = dict(zip(times, zip(*rows)))
-            if len(times) > 1:
-                block = found
-            return found[t]
+            while len(times) < SOURCE_BLOCK:
+                times.append(times[-1] + dt)
+            last = times[-1]
+            block = dict(zip(times, zip(*evaluate(np.array(times)[:, None]))))
+            return block[t]
 
         return hook
 
