@@ -27,7 +27,7 @@ derivative accumulators use backward difference quotients between samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -313,10 +313,10 @@ def _second_derivative(x, f):
     )
 
 
-def _report(state, params: PhysParams, prev=None) -> dict:
+def _report(state, params: PhysParams, prev) -> dict:
     """The body of :func:`norm_report`, along the last axis: scalars for one
-    state, one entry per row for a block of samples (``prev`` then holds the
-    rows one sample earlier)."""
+    state, one entry per row for a block of samples, with ``prev`` the state
+    or rows one sample earlier."""
     g = state.grid
     h, he = g.cell_widths, g.edge_gaps
     v, th = state.v, state.theta
@@ -369,19 +369,22 @@ def _report(state, params: PhysParams, prev=None) -> dict:
         ),
         "int_theta_vx2": integral((1.0 + th) * gr.v_x**2),
     }
-    if prev is None:
-        out["int_ut2"] = out["int_tht2"] = np.zeros(np.shape(out["E"]))
-    else:
-        dtau = np.asarray(state.t - prev.t)[..., None]
-        du = (state.u - prev.u) / dtau
-        out["int_ut2"] = integral(_mean(du**2))
-        out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
+    dtau = np.asarray(state.t - prev.t)[..., None]
+    out["int_ut2"] = integral(_mean(((state.u - prev.u) / dtau) ** 2))
+    out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
     return out
 
 
+def _before(state: FlowState) -> FlowState:
+    """A copy of ``state`` at t = -inf, against which its difference
+    quotients are 0 / inf = 0."""
+    return FlowState._trusted(state.grid, -np.inf, state.v, state.u, state.theta, state.r, state.n)
+
+
 def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = None) -> dict:
-    """Instantaneous functionals of one state (plus difference-quotient
-    integrals against ``prev`` when given)."""
+    """Instantaneous functionals of one state, with difference-quotient
+    integrals against ``prev`` (0 without it)."""
+    prev = _before(state) if prev is None else prev
     return {key: float(val) for key, val in _report(state, params, prev).items()}
 
 
@@ -400,8 +403,8 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
 
     The samples are read in batches of up to ``rows``, each stacked with the
     sample before it into a block for :func:`_block_columns`.  Before the
-    first sample stands a copy of it at t = -inf, so its difference
-    quotients are 0 / inf = 0, as norm_report's without ``prev``.  Only the
+    first sample stands its copy at t = -inf (:func:`_before`), as in
+    norm_report without ``prev``.  Only the
     block being read is held, and nothing is evaluated before it is full or
     the samples end.  The samples must share one grid and the dimension of
     ``params``, their times must increase strictly, and ``config``'s probe
@@ -416,8 +419,7 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
     unit = _unit_integrals(g)
     probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
     reports = []  # one array per block, a row per key
-    before = FlowState._trusted(g, -np.inf, first.v, first.u, first.theta, first.r, first.n)
-    block = [before, first, *islice(samples, rows - 1)]
+    block = [_before(first), first, *islice(samples, rows - 1)]
     while len(block) > 1:
         keys, report = _block_columns(block, g, params, config, unit, probe)
         reports.append(report)
@@ -530,27 +532,22 @@ class DiagnosticsSeries:
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
-        """Read a series written by :meth:`to_csv`, skipping whitespace-only
-        lines; a malformed file raises ValueError naming ``path``.  The rows
-        are converted a chunk at a time, each chunk split once and converted
-        in one call, so the file's text is never held whole: as Python
-        strings its values take about eight times the memory of the floats."""
-        width = len(SERIES_COLUMNS)
-        chunks = []
+        """Read a series written by :meth:`to_csv` with numpy's reader,
+        skipping whitespace-only lines; a malformed file raises ValueError
+        naming ``path``."""
         with open(path) as fh:
             _check_series_header(fh, path)
             rows = filter(str.strip, fh)
-            while lines := list(islice(rows, _BLOCK_ELEMENTS // width)):
-                commas = set(map(str.count, lines, [","] * len(lines))) - {width - 1}
-                if commas:
-                    raise ValueError(f"{path}: a row of {min(commas) + 1} values, not {width}")
-                try:
-                    chunks.append(np.array(",".join(lines).split(","), dtype=float))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from exc
-        if not chunks:
-            raise ValueError(f"{path}: no rows")
-        return cls(data=np.concatenate(chunks).reshape(-1, width))
+            first = next(rows, None)  # numpy warns of an empty input
+            if first is None:
+                raise ValueError(f"{path}: no rows")
+            try:
+                data = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        if data.shape[1] != len(SERIES_COLUMNS):
+            raise ValueError(f"{path}: a row of {data.shape[1]} values, not {len(SERIES_COLUMNS)}")
+        return cls(data=data)
 
 
 def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:

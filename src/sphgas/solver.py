@@ -549,16 +549,14 @@ def run(config: RunConfig, params: PhysParams, on_sample=None) -> RunResult:
 
 def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_sample):
     """Yield the sampled states of the march, each after handing it to
-    ``on_sample``, and fold every accepted step into ``summary``, which is
-    written when the march reaches t_end; ``run`` adds the sup-norms."""
+    ``on_sample``, and fold the initial state and every accepted step
+    into ``summary``; ``run`` adds the sup-norms."""
     state = initial_state(config, params)
     # the fold: whole-run extremes of v and theta, and the running maxima
-    min_v, min_t = _amin(state.v), _amin(state.theta)
-    max_v, max_t, max_u = _amax(state.v), _amax(state.theta), _amax(np.abs(state.u))
-    scale = max(max_v, max_u, max_t)
-    lo_v, hi_v, lo_t, hi_t = min_v, max_v, min_t, max_t
-    n_steps = n_rejections = 0
-    max_resid = max_rel_change = 0.0
+    s = summary
+    s.min_v, s.max_v = _amin(state.v), _amax(state.v)
+    s.min_theta, s.max_theta = _amin(state.theta), _amax(state.theta)
+    scale = max(s.max_v, _amax(np.abs(state.u)), s.max_theta)
     # per step, side by side: the differences new - old of v, u and theta,
     # and the new v, theta and u; one abs serves them all (v and theta are
     # positive), and one reduceat gives the maxima of the three differences
@@ -589,23 +587,17 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 np.copyto(new_u, new_state.u)
                 np.abs(fold, fold)
                 change, max_v, max_t, max_u = _max_at(fold, starts).tolist()
-                n_steps += 1
-                n_rejections += report.rejections
-                max_resid = max(max_resid, report.max_residual)
-                max_rel_change = max(max_rel_change, change / scale)
+                s.n_steps += 1
+                s.n_rejections += report.rejections
+                s.max_solve_residual = max(s.max_solve_residual, report.max_residual)
+                s.max_step_rel_change = max(s.max_step_rel_change, change / scale)
+                s.min_v = min(s.min_v, report.min_v)  # the floor tests' minima
+                s.min_theta = min(s.min_theta, report.min_theta)
+                s.max_v, s.max_theta = max(s.max_v, max_v), max(s.max_theta, max_t)
                 state = new_state
-                min_v, min_t = report.min_v, report.min_theta  # the floor tests' minima
-                lo_v, hi_v = min(lo_v, min_v), max(hi_v, max_v)
-                lo_t, hi_t = min(lo_t, min_t), max(hi_t, max_t)
                 scale = max(max_v, max_u, max_t)
                 if state.t >= min(next_sample, config.t_end) - t_eps:
                     next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
                     break
             else:  # the march reached t_end, whose state was the last sample
-                summary.n_steps, summary.n_rejections = n_steps, n_rejections
-                summary.min_v, summary.max_v = float(lo_v), float(hi_v)
-                summary.min_theta, summary.max_theta = float(lo_t), float(hi_t)
-                summary.max_step_rel_change = float(max_rel_change)
-                summary.max_solve_residual = float(max_resid)
                 return
-
