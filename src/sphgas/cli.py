@@ -57,12 +57,15 @@ class UnreadableOutput(Exception):
     """Run outputs that ``report`` cannot read."""
 
 
-def _check_invariants(series: DiagnosticsSeries, config) -> dict:
-    """The always-true bound ledger, evaluated on a diagnostics series."""
+def _check_invariants(series: DiagnosticsSeries, config, params) -> dict:
+    """The always-true bound ledger, evaluated on a diagnostics series of a
+    run with ``params``."""
     e0 = float(series["E"][0])
     tol = 1e-8
     round_tol = 1e-12 * (1.0 + abs(e0))
-    alpha1, alpha2 = anchor_roots(e0)
+    # by Jensen, R phi(vbar) and cv phi(thbar) are at most E(0), phi(y) = y - ln y - 1
+    v_lo, v_hi = anchor_roots(e0 / params.R)
+    th_lo, th_hi = anchor_roots(e0 / params.cv)
     e = series["E"]
     bal = series["balance_residual"]
     checks = {
@@ -88,10 +91,10 @@ def _check_invariants(series: DiagnosticsSeries, config) -> dict:
             np.all(series["omega_measure"] <= series["omega_bound"] + round_tol)
         ),
         "anchor_sandwich": bool(
-            np.all(series["vbar_min"] >= alpha1 - tol)
-            and np.all(series["vbar_max"] <= alpha2 + tol)
-            and np.all(series["thbar_min"] >= alpha1 - tol)
-            and np.all(series["thbar_max"] <= alpha2 + tol)
+            np.all(series["vbar_min"] >= v_lo - tol)
+            and np.all(series["vbar_max"] <= v_hi + tol)
+            and np.all(series["thbar_min"] >= th_lo - tol)
+            and np.all(series["thbar_max"] <= th_hi + tol)
         ),
         "series_finite": bool(np.all(np.isfinite(series.data))),
     }
@@ -147,7 +150,7 @@ def _cmd_run(args) -> int:
         fh.write(format_config(raw))
     result = run(config, params, on_sample=_snapshot_writer(snap_dir, params))
     result.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
-    checks = _check_invariants(result.series, config)
+    checks = _check_invariants(result.series, config, params)
     summary = {
         "params": params.as_dict(),
         "E_initial": float(result.series["E"][0]),
@@ -282,7 +285,7 @@ def _cmd_report(args) -> int:
         max_dev = float(np.max(dev))
         lines = [f"reproduction max deviation vs stored diagnostics: {max_dev!r}"]
 
-    checks = _check_invariants(series, config)
+    checks = _check_invariants(series, config, params)
     checks["diagnostics_reproduced"] = max_dev == 0.0
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump({"invariants": checks, "reproduction_max_dev": max_dev,

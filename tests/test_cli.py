@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sphgas.cli import (
     EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, _check_invariants, main,
 )
 from sphgas.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve
-from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
+from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries, anchor_roots
 from sphgas.state import save_snapshot
 from test_diagnostics import OLD_HEADER
 from test_golden import GOLDEN, TABLE, TABLE_TEXT
@@ -486,14 +487,49 @@ class TestRunCommand:
 class TestInvariantLedger:
     def test_series_finite_fails_on_nan_or_inf(self, bump_run):
         result, config, params = bump_run
-        assert _check_invariants(result.series, config)["series_finite"]
+        assert _check_invariants(result.series, config, params)["series_finite"]
         col = SERIES_COLUMNS.index("repr_residual")
         for bad in (np.nan, np.inf):
             data = result.series.data.copy()
             data[3, col] = bad
-            checks = _check_invariants(DiagnosticsSeries(data=data), config)
+            checks = _check_invariants(DiagnosticsSeries(data=data), config, params)
             assert not checks["series_finite"]
             assert sum(not ok for ok in checks.values()) == 1
+
+    @pytest.mark.parametrize("column", ["vbar_min", "vbar_max", "thbar_min", "thbar_max"])
+    def test_anchor_sandwich_holds_each_average_to_its_own_roots(self, bump_run, column):
+        """R phi(vbar) and cv phi(thbar) are at most E(0), phi(y) = y - ln y - 1,
+        so vbar lies between the roots of phi = E(0)/R and thbar between those
+        of phi = E(0)/cv.  With R = 0.3 and cv = 1.5 the two pairs differ from
+        each other and from the roots of phi = E(0).  A sample on a root
+        passes; one 2e-8 beyond it, past the ledger's 1e-8, fails the
+        sandwich and nothing else."""
+        result, config, params = bump_run
+        params = replace(params, R=0.3)
+        e0 = float(result.series["E"][0])
+        lo, hi = anchor_roots(e0 / (params.R if column.startswith("v") else params.cv))
+        root, beyond = (lo, lo - 2e-8) if column.endswith("min") else (hi, hi + 2e-8)
+        assert all(_check_invariants(result.series, config, params).values())
+        for value, passes in ((root, True), (beyond, False)):
+            data = result.series.data.copy()
+            data[3, SERIES_COLUMNS.index(column)] = value
+            checks = _check_invariants(DiagnosticsSeries(data=data), config, params)
+            assert checks["anchor_sandwich"] is passes
+            assert sum(not ok for ok in checks.values()) == (0 if passes else 1)
+
+    def test_anchor_sandwich_passes_a_correct_run_at_small_R(self, config_file, tmp_path):
+        """A volume bump at R = 0.3 takes vbar beyond the roots of
+        phi = E(0), which hold vbar only when R >= 1, but not beyond those
+        of phi = E(0)/R: the run passes its ledger."""
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in ["profile.amplitudes=1,0,0", "t_end=0.2", "R=0.3"]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        with open(os.path.join(out, "summary.json")) as fh:
+            assert all(json.load(fh)["invariants"].values())
+        series = DiagnosticsSeries.from_csv(os.path.join(out, "diagnostics.csv"))
+        assert series["vbar_max"].max() > anchor_roots(float(series["E"][0]))[1]
 
 
 # Per key a default, boundary values and extremes; the base config keeps the
