@@ -996,6 +996,15 @@ class TestVerifyCommand:
             assert orders[mode] == {"v": None, "u": None, "theta": None}
         assert all(all(modes.values()) for modes in orders["verdict"].values())
 
+    def test_verify_fixture_passes_windows_at_n3(self, tmp_path):
+        """At n = 3 the weights r^(n-2) and r^(n-1) differ, so an operator
+        that takes one for the other leaves its orders' windows."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--out", out, "--set", "n=3"]) == EXIT_OK
+        with open(os.path.join(out, "orders.json")) as fh:
+            verdict = json.load(fh)["verdict"]
+        assert verdict == {f: {"spatial": True, "temporal": True} for f in ("v", "u", "theta")}
+
     def test_verify_unknown_case(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("case=unknown_case\n")

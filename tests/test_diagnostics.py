@@ -398,6 +398,20 @@ class TestSuperlevel:
             E = energy(st, params)
             assert superlevel_measure(st, a) <= superlevel_bound(E, a, params) + 1e-12
 
+    def test_bound_equals_its_closed_form_at_cv_other_than_one(self):
+        """E / (cv (a - ln a - 1)), written out here, for the function and
+        for the omega_bound column of a run, at cv = 2.5."""
+        params, a = PhysParams(cv=2.5), 1.5
+        E = np.array([0.0, 0.04, 1.0, 7.5])
+        np.testing.assert_allclose(superlevel_bound(E, a, params),
+                                   E / (2.5 * (a - np.log(a) - 1.0)), rtol=1e-15)
+        profile = InitProfile(kind="gaussian_bump", amp_v=0.1, amp_u=0.1, amp_theta=0.3)
+        config = RunConfig(x_max=12.0, n_cells=48, profile=profile, t_end=0.2, superlevel_a=a)
+        series = run(config, params).series
+        assert series["E"][0] > 0.0
+        np.testing.assert_allclose(series["omega_bound"],
+                                   series["E"] / (2.5 * (a - np.log(a) - 1.0)), rtol=1e-15)
+
 
 class TestCutoffPhi:
     def test_plateau(self):
@@ -767,11 +781,14 @@ class TestSeriesCsv:
         (SERIES_COLUMNS, ["1,2,3"], f"a row of 3 values, not {WIDTH}"),
         (SERIES_COLUMNS, ["0.5," * WIDTH + "0.5"], f"a row of {WIDTH + 1} values, not {WIDTH}"),
         (SERIES_COLUMNS, ["x" + ",0.5" * (WIDTH - 1)], "could not convert"),
-        (SERIES_COLUMNS, [], "no rows"),
-        (SERIES_COLUMNS, ["", " "], "no rows"),
+        # an empty body is refused before numpy's reader, which would warn
+        pytest.param(SERIES_COLUMNS, [], "no rows", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(SERIES_COLUMNS, ["", " "], "no rows",
+                     marks=pytest.mark.filterwarnings("error")),
         (SERIES_COLUMNS[::-1], ["0.5" + ",0.5" * (WIDTH - 1)], "unexpected series columns"),
         ([], [], "unexpected series columns"),
         (OLD_HEADER, ["0.5" + ",0.5" * (len(OLD_HEADER) - 1)], "unexpected series columns"),
+        (SERIES_COLUMNS, ["0.5" + ",0.5" * (WIDTH - 1), "1,2,3"], f"from {WIDTH} to 3"),
     ])
     def test_malformed_file_rejected(self, tmp_path, header, rows, message):
         path = self.write(tmp_path, header, rows)
