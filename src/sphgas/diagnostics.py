@@ -121,11 +121,14 @@ _ANCHOR_TOL = 1e-12  # absolute tolerance of the roots in anchor_roots
 
 def anchor_roots(cbar: float) -> tuple[float, float]:
     """The two roots alpha1 <= 1 <= alpha2 of y - ln y - 1 = cbar, by
-    bisection to absolute tolerance :data:`_ANCHOR_TOL`."""
+    bisection to absolute tolerance :data:`_ANCHOR_TOL`; 0 and inf for an
+    infinite bound."""
     if cbar < 0:
         raise ValueError(f"the bound must be nonnegative, got {cbar}")
     if cbar == 0.0:
         return 1.0, 1.0
+    if cbar == np.inf:  # no bisection: its midpoints would be inf - inf
+        return 0.0, np.inf
 
     def f(y):
         return y - np.log(y) - 1.0 - cbar

@@ -343,6 +343,12 @@ class TestAnchorRoots:
         assert a1 == 0.0
         assert a2 - np.log(a2) - 1 == pytest.approx(6.3e5, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_bound(self):
+        """E(0)/R overflows for a finite E(0) when R is tiny; the roots
+        are then the ends of (0, inf), without an invalid operation."""
+        assert anchor_roots(np.inf) == (0.0, np.inf)
+
     @given(c1=st.floats(1e-6, 10.0), c2=st.floats(1e-6, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_bound(self, c1, c2):
