@@ -407,9 +407,8 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
     The samples are read in batches of up to ``rows``, each stacked with the
     sample before it into a block for :func:`_block_columns`.  Before the
     first sample stands its copy at t = -inf (:func:`_before`), as in
-    norm_report without ``prev``.  Only the
-    block being read is held, and nothing is evaluated before it is full or
-    the samples end.  The samples must share one grid and the dimension of
+    norm_report without ``prev``.  Only the block being read is held, and
+    nothing is evaluated before it is full or the samples end.  The samples must share one grid and the dimension of
     ``params``, their times must increase strictly, and ``config``'s probe
     must fit the grid (ValueError otherwise).
     """
