@@ -115,33 +115,27 @@ class ManufacturedCase:
     # -- analytic derivative bundle -----------------------------------------
 
     def _bundle(self, x, window, t, n):
-        """All pointwise quantities entering the sources at (x, t), from the
-        window ``self._shape(x)``."""
-        s, sx, sxx, S = window
+        """The fields, their x-derivatives and the radius at (x, t), from the
+        window ``self._shape(x)``: (v, v_x, u, u_x, theta, theta_x, r)."""
+        s, sx, _, S = window
         cv_, cu, ct = np.cos(self.freq_v * t), np.cos(self.freq_u * t), np.cos(self.freq_theta * t)
-        sv, su, st = np.sin(self.freq_v * t), np.sin(self.freq_u * t), np.sin(self.freq_theta * t)
 
         v = 1.0 + self.amp_v * cv_ * s
         v_x = self.amp_v * cv_ * sx
-        v_t = -self.amp_v * self.freq_v * sv * s
         u = self.amp_u * cu * s
         u_x = self.amp_u * cu * sx
-        u_xx = self.amp_u * cu * sxx
-        u_t = -self.amp_u * self.freq_u * su * s
         th = 1.0 + self.amp_theta * ct * s
         th_x = self.amp_theta * ct * sx
-        th_xx = self.amp_theta * ct * sxx
-        th_t = -self.amp_theta * self.freq_theta * st * s
 
         integral_v = x + self.amp_v * cv_ * S
         r = (1.0 + n * integral_v) ** (1.0 / n)
-        return v, v_x, v_t, u, u_x, u_xx, u_t, th, th_x, th_xx, th_t, r
+        return v, v_x, u, u_x, th, th_x, r
 
     def exact_stress(self, x, t, params: PhysParams):
         """The reduced normal stress of the exact fields at (x, t)."""
         n = params.n
         x = np.asarray(x, float)
-        v, v_x, _, u, u_x, _, _, th, _, _, _, r = self._bundle(x, self._shape(x), t, n)
+        v, v_x, u, u_x, th, _, r = self._bundle(x, self._shape(x), t, n)
         A = r ** (n - 1) * u_x + (n - 1) * v * u / r
         return (params.beta * A - params.R * th) / v
 
@@ -196,7 +190,7 @@ def manufactured_source(case: ManufacturedCase, params: PhysParams, centers, edg
     x = np.concatenate((np.asarray(centers, dtype=float), np.asarray(edges, dtype=float)))
     if window is None:
         window = case._shape(x)
-    v, v_x, v_t, u, u_x, u_xx, u_t, th, th_x, th_xx, th_t, r = case._bundle(x, window, t, n)
+    v, v_x, u, u_x, th, th_x, r = case._bundle(x, window, t, n)
 
     # A = (r^(n-1) u)_x and the stress sigma * v, at every point
     rp = r ** (n - 1)
@@ -204,17 +198,26 @@ def manufactured_source(case: ManufacturedCase, params: PhysParams, centers, edg
     stress = beta * A - R * th
     c, e = np.s_[..., :len(centers)], np.s_[..., len(centers):]
 
+    # the time derivatives and second x-derivatives, each only where it is read:
+    # u_t and u_xx at the edges, v_t, theta_t and theta_xx at the centers
+    s, _, sxx, _ = window
+    u_t = -case.amp_u * case.freq_u * np.sin(case.freq_u * t) * s[e]
+    u_xx = case.amp_u * np.cos(case.freq_u * t) * sxx[e]
+    v_t = -case.amp_v * case.freq_v * np.sin(case.freq_v * t) * s[c]
+    th_t = -case.amp_theta * case.freq_theta * np.sin(case.freq_theta * t) * s[c]
+    th_xx = case.amp_theta * np.cos(case.freq_theta * t) * sxx[c]
+
     # at the edges, sigma_x from A_x, using r_x = v r^(1-n)
     ve, vxe, ue, uxe, re = v[e], v_x[e], u[e], u_x[e], r[e]
     v2 = ve**2
     A_x = (
         (n - 1) * ve * uxe / re
-        + rp[e] * u_xx[e]
+        + rp[e] * u_xx
         + (n - 1) * (vxe * ue + ve * uxe) / re
         - (n - 1) * v2 * ue / re ** (n + 1)
     )
     sigma_x = (beta * A_x - R * th_x[e]) / ve - stress[e] * vxe / v2
-    s_u = u_t[e] - rp[e] * sigma_x
+    s_u = u_t - rp[e] * sigma_x
 
     # at the centers, the conduction flux divergence (r^(2(n-1)) theta_x / v)_x
     # and (r^(n-2) u^2)_x
@@ -222,13 +225,13 @@ def manufactured_source(case: ManufacturedCase, params: PhysParams, centers, edg
     r_n2, r_2n2 = rc ** (n - 2), rc ** (2 * (n - 1))
     flux_x = (
         2.0 * (n - 1) * r_n2 * thxc
-        + r_2n2 * th_xx[c] / vc
+        + r_2n2 * th_xx / vc
         - r_2n2 * thxc * vxc / vc**2
     )
     ru2_x = (n - 2) * vc * uc**2 / rc**2 + 2.0 * r_n2 * uc * u_x[c]
 
-    s_v = v_t[c] - A[c]
-    s_theta = (params.cv * th_t[c] - params.kappa * flux_x - A[c] * (stress[c] / vc)
+    s_v = v_t - A[c]
+    s_theta = (params.cv * th_t - params.kappa * flux_x - A[c] * (stress[c] / vc)
                + 2.0 * params.mu * (n - 1) * ru2_x)
     return s_v, s_u, s_theta
 
