@@ -249,11 +249,12 @@ def solve_case(case: ManufacturedCase, params: PhysParams, n_cells: int, dt: flo
     for state, _ in _march(state, params, config, dt=dt, sources=case.source_fn(params, grid, dt)):
         pass
     exact = case.exact_state(grid, params, state.t)
-    return state, exact, _max_errors(state, exact)
+    return state, exact, _max_errors(state, {f: getattr(exact, f) for f in ("v", "u", "theta")})
 
 
-def _max_errors(state: FlowState, ref: FlowState) -> dict:
-    return {f: float(np.max(np.abs(getattr(state, f) - getattr(ref, f)))) for f in ("v", "u", "theta")}
+def _max_errors(state: FlowState, ref: dict) -> dict:
+    """Max-norm distance of each field of ``state`` from ``ref[field]``."""
+    return {f: float(np.max(np.abs(getattr(state, f) - r))) for f, r in ref.items()}
 
 
 ERROR_FLOOR = 1e-12
@@ -315,9 +316,14 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
                      exact fields isolate the second-order space
                      discretization under the first-order scheme);
     mode="temporal": ``resolutions`` are time steps at a fixed fine grid;
-                     errors are measured against a same-grid reference run at
-                     an eightfold smaller step, which removes the fixed
-                     spatial error floor from the slope.
+                     errors are measured against a same-grid reference, which
+                     removes the fixed spatial error floor from the slope.
+                     The reference is the Richardson extrapolation
+                     (2^p u(h/2) - u(h)) / (2^p - 1) of the finest step
+                     h = min(resolutions) and one more run at h/2.  It
+                     assumes that the leading time error is C h^p with
+                     p = ``scheme_order``, the scheme's formal order, and
+                     cancels that term.
     """
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions")
@@ -334,13 +340,16 @@ def convergence_order(case: ManufacturedCase, params: PhysParams, resolutions,
                 errors[f].append(err[f])
             scales.append(case.x_max / n_cells)
     elif mode == "temporal":
-        dt_ref = min(float(d) for d in resolutions) / 8.0
-        ref, _, _ = solve_case(case, params, n_cells_fixed, dt_ref, t_end, scheme_order)
-        for dt in resolutions:
-            state, _, _ = solve_case(case, params, n_cells_fixed, float(dt), t_end, scheme_order)
+        scales = [float(dt) for dt in resolutions]
+        states = [solve_case(case, params, n_cells_fixed, dt, t_end, scheme_order)[0]
+                  for dt in scales]
+        h = min(scales)
+        half, _, _ = solve_case(case, params, n_cells_fixed, h / 2, t_end, scheme_order)
+        fine, gain = states[scales.index(h)], 2.0 ** scheme_order
+        ref = {f: (gain * getattr(half, f) - getattr(fine, f)) / (gain - 1.0) for f in errors}
+        for state in states:
             for f, e in _max_errors(state, ref).items():
                 errors[f].append(e)
-            scales.append(float(dt))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

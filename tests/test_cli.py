@@ -1005,6 +1005,18 @@ class TestVerifyCommand:
             verdict = json.load(fh)["verdict"]
         assert verdict == {f: {"spatial": True, "temporal": True} for f in ("v", "u", "theta")}
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_temporal_orders_are_one_to_two_percent(self, tmp_path, n):
+        """Against the extrapolated reference the scheme-1 temporal slopes
+        sit at 1; a reference run at h/8 leaves an error C h/8 in every
+        level and reads 1.07 at both n."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--out", out, "--set", f"n={n}"]) == EXIT_OK
+        with open(os.path.join(out, "orders.json")) as fh:
+            temporal = json.load(fh)["temporal"]
+        for f in ("v", "u", "theta"):
+            assert 0.98 <= temporal[f] <= 1.02
+
     def test_verify_unknown_case(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("case=unknown_case\n")

@@ -247,6 +247,22 @@ class TestConvergenceOrder:
             assert rep.monotone[f]
             assert 0.9 <= rep.orders[f] <= 1.1
 
+    def test_temporal_reference_is_one_run_at_half_the_finest_step(self, case, params,
+                                                                   monkeypatch):
+        """The temporal mode marches the ladder's steps and, for its
+        extrapolated reference, half the finest one: four runs, no more."""
+        steps = []
+        real = oracle.solve_case
+
+        def recorded(case, params, n_cells, dt, *args):
+            steps.append(dt)
+            return real(case, params, n_cells, dt, *args)
+
+        monkeypatch.setattr(oracle, "solve_case", recorded)
+        convergence_order(case, params, [0.0032, 0.0016, 0.0008], t_end=0.01,
+                          mode="temporal", n_cells_fixed=32)
+        assert sorted(steps) == [0.0004, 0.0008, 0.0016, 0.0032]
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_sourced_midpoint_beats_euler(self, case, n):
         """The sourced midpoint scheme: errors fall with dt for every field
