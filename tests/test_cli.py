@@ -1007,9 +1007,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_temporal_orders_are_one_to_two_percent(self, tmp_path, n):
-        """Against the extrapolated reference the scheme-1 temporal slopes
-        sit at 1; a reference run at h/8 leaves an error C h/8 in every
-        level and reads 1.07 at both n."""
+        """The extrapolated reference cancels the leading time error, so
+        the scheme-1 temporal slopes sit at 1, well inside their window; a
+        reference that kept an error of its own would bias them."""
         out = str(tmp_path / "verify")
         assert main(["verify", "--out", out, "--set", f"n={n}"]) == EXIT_OK
         with open(os.path.join(out, "orders.json")) as fh:
