@@ -3,7 +3,7 @@
 Everything here is a pure function of sampled states.  The series produced by
 :func:`evaluate_series` contains, per sample time:
 
-* the entropy-type energy E = int R(v - ln v - 1) + u^2/2 + cv(theta - ln theta - 1),
+* the entropy-type energy E = int R phi(v) + u^2/2 + cv phi(theta) (:func:`_phi`),
 * the four nonnegative dissipation integrals D_vu2 = int v u^2/(r^2 theta),
   D_ux = int r^(2(n-1)) u_x^2/(v theta), D_divru = int (r^(n-1)u)_x^2/(v theta)
   and D_thx = int r^(2(n-1)) theta_x^2/(v theta^2); the paper's weighted
@@ -58,6 +58,11 @@ def _cumtrapz(f, t):
     """Running trapezoid integral of the samples ``f`` over the times ``t``,
     starting from 0 at t[0]."""
     return np.concatenate(([0.0], np.cumsum(_mean(f) * np.diff(t))))
+
+
+def _phi(y):
+    """The paper's convex phi(y) = y - ln y - 1 >= 0, zero only at y = 1."""
+    return y - np.log(y) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +125,7 @@ _ANCHOR_TOL = 1e-12  # absolute tolerance of the roots in anchor_roots
 
 
 def anchor_roots(cbar: float) -> tuple[float, float]:
-    """The two roots alpha1 <= 1 <= alpha2 of y - ln y - 1 = cbar, by
+    """The two roots alpha1 <= 1 <= alpha2 of phi(y) = cbar, by
     bisection to absolute tolerance :data:`_ANCHOR_TOL`; 0 and inf for an
     infinite bound."""
     if cbar < 0:
@@ -130,16 +135,13 @@ def anchor_roots(cbar: float) -> tuple[float, float]:
     if cbar == np.inf:  # no bisection: its midpoints would be inf - inf
         return 0.0, np.inf
 
-    def f(y):
-        return y - np.log(y) - 1.0 - cbar
-
     def bisect(lo, hi):
-        f_lo = f(lo)
+        f_lo = _phi(lo) - cbar
         for _ in range(200):
             if hi - lo <= _ANCHOR_TOL:
                 break
             mid = 0.5 * (lo + hi)
-            f_mid = f(mid)
+            f_mid = _phi(mid) - cbar
             if (f_mid > 0) == (f_lo > 0):
                 lo, f_lo = mid, f_mid
             else:
@@ -153,20 +155,23 @@ def anchor_roots(cbar: float) -> tuple[float, float]:
     return float(alpha1), float(alpha2)
 
 
+def _threshold(a: float) -> float:
+    """The superlevel threshold a, which must exceed 1 (ValueError otherwise)."""
+    if not (a > 1.0):
+        raise ValueError(f"threshold must exceed 1, got {a}")
+    return a
+
+
 def superlevel_measure(state, a: float):
     """Total width of cells whose temperature exceeds the threshold a > 1,
     along the last axis (one per row for a block of samples)."""
-    if not (a > 1.0):
-        raise ValueError(f"threshold must exceed 1, got {a}")
-    return (state.grid.cell_widths * (state.theta > a)).sum(axis=-1)
+    return (state.grid.cell_widths * (state.theta > _threshold(a))).sum(axis=-1)
 
 
 def superlevel_bound(energy, a: float, params: PhysParams):
-    """Explicit energy bound E / (cv (a - ln a - 1)) on the superlevel
-    measure, elementwise for an array of energies."""
-    if not (a > 1.0):
-        raise ValueError(f"threshold must exceed 1, got {a}")
-    return energy / (params.cv * (a - np.log(a) - 1.0))
+    """Explicit energy bound E / (cv phi(a)) on the superlevel measure,
+    elementwise for an array of energies."""
+    return energy / (params.cv * _phi(_threshold(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +343,7 @@ def _report(state, params: PhysParams, prev) -> dict:
     # on the native interior-edge values of theta_x, with the center gaps as weights
     d_thx = integral(w_edges * (_diff(th) / he) ** 2 / (_mean(v) * _mean(th) ** 2), he)
     out = {
-        "E": integral(params.R * (v - np.log(v) - 1.0) + 0.5 * u2
-                      + params.cv * (th - np.log(th) - 1.0)),
+        "E": integral(params.R * _phi(v) + 0.5 * u2 + params.cv * _phi(th)),
         "D_vu2": d_vu2,
         "D_ux": d_ux,
         "D_divru": d_divru,

@@ -99,45 +99,37 @@ class ManufacturedCase:
 
     # -- exact fields -------------------------------------------------------
 
+    def _fields(self, window, t):
+        """(v, v_x, u, u_x, theta, theta_x, int_0^x (v - 1)) at time t and the
+        points x of ``window``, which is ``self._shape(x)``."""
+        s, sx, _, S = window
+        av = self.amp_v * np.cos(self.freq_v * t)
+        au = self.amp_u * np.cos(self.freq_u * t)
+        at = self.amp_theta * np.cos(self.freq_theta * t)
+        return 1.0 + av * s, av * sx, au * s, au * sx, 1.0 + at * s, at * sx, av * S
+
     def fields(self, x, t):
-        s = self._shape(x)[0]
-        return (
-            1.0 + self.amp_v * np.cos(self.freq_v * t) * s,
-            self.amp_u * np.cos(self.freq_u * t) * s,
-            1.0 + self.amp_theta * np.cos(self.freq_theta * t) * s,
-        )
+        v, _, u, _, theta, _, _ = self._fields(self._shape(x), t)
+        return v, u, theta
 
     def exact_state(self, grid, params: PhysParams, t: float) -> FlowState:
-        v, _, theta = self.fields(grid.cell_centers, t)
-        _, u, _ = self.fields(grid.x_edges, t)
-        return FlowState(grid=grid, t=t, v=v, u=u, theta=theta, n=params.n)
+        c = grid.n_cells
+        v, u, theta = self.fields(np.concatenate((grid.cell_centers, grid.x_edges)), t)
+        return FlowState(grid=grid, t=t, v=v[:c], u=u[c:], theta=theta[:c], n=params.n)
 
     # -- analytic derivative bundle -----------------------------------------
 
     def _bundle(self, x, window, t, n):
         """The fields, their x-derivatives and the radius at (x, t), from the
         window ``self._shape(x)``: (v, v_x, u, u_x, theta, theta_x, r)."""
-        s, sx, _, S = window
-        cv_, cu, ct = np.cos(self.freq_v * t), np.cos(self.freq_u * t), np.cos(self.freq_theta * t)
-
-        v = 1.0 + self.amp_v * cv_ * s
-        v_x = self.amp_v * cv_ * sx
-        u = self.amp_u * cu * s
-        u_x = self.amp_u * cu * sx
-        th = 1.0 + self.amp_theta * ct * s
-        th_x = self.amp_theta * ct * sx
-
-        integral_v = x + self.amp_v * cv_ * S
-        r = (1.0 + n * integral_v) ** (1.0 / n)
-        return v, v_x, u, u_x, th, th_x, r
+        *fields, integral_v1 = self._fields(window, t)
+        return (*fields, (1.0 + n * (x + integral_v1)) ** (1.0 / n))
 
     def exact_stress(self, x, t, params: PhysParams):
         """The reduced normal stress of the exact fields at (x, t)."""
-        n = params.n
         x = np.asarray(x, float)
-        v, v_x, u, u_x, th, _, r = self._bundle(x, self._shape(x), t, n)
-        A = r ** (n - 1) * u_x + (n - 1) * v * u / r
-        return (params.beta * A - params.R * th) / v
+        v, _, u, u_x, th, _, r = self._bundle(x, self._shape(x), t, params.n)
+        return _stress(v, u, u_x, th, r, params)[2] / v
 
     def source_fn(self, params: PhysParams, grid, dt: float):
         """Solver hook of a march on ``grid`` with fixed step ``dt``: t -> read-only
@@ -171,6 +163,14 @@ class ManufacturedCase:
         return hook
 
 
+def _stress(v, u, u_x, theta, r, params: PhysParams):
+    """r^(n-1), A = (r^(n-1) u)_x and the stress sigma v = beta A - R theta."""
+    n = params.n
+    rp = r ** (n - 1)
+    A = rp * u_x + (n - 1) * v * u / r
+    return rp, A, params.beta * A - params.R * theta
+
+
 def manufactured_source(case: ManufacturedCase, params: PhysParams, centers, edges, t,
                         window=None):
     """Defect of the exact fields in the reduced system: S_v and S_theta at
@@ -191,11 +191,7 @@ def manufactured_source(case: ManufacturedCase, params: PhysParams, centers, edg
     if window is None:
         window = case._shape(x)
     v, v_x, u, u_x, th, th_x, r = case._bundle(x, window, t, n)
-
-    # A = (r^(n-1) u)_x and the stress sigma * v, at every point
-    rp = r ** (n - 1)
-    A = rp * u_x + (n - 1) * v * u / r
-    stress = beta * A - R * th
+    rp, A, stress = _stress(v, u, u_x, th, r, params)  # at every point
     c, e = np.s_[..., :len(centers)], np.s_[..., len(centers):]
 
     # the time derivatives and second x-derivatives, each only where it is read:

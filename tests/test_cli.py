@@ -996,11 +996,12 @@ class TestVerifyCommand:
             assert orders[mode] == {"v": None, "u": None, "theta": None}
         assert all(all(modes.values()) for modes in orders["verdict"].values())
 
-    def test_verify_fixture_passes_windows_at_n3(self, tmp_path):
-        """At n = 3 the weights r^(n-2) and r^(n-1) differ, so an operator
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_verify_fixture_passes_windows_at_n(self, tmp_path, n):
+        """At n >= 3 the weights r^(n-2) and r^(n-1) differ, so an operator
         that takes one for the other leaves its orders' windows."""
         out = str(tmp_path / "verify")
-        assert main(["verify", "--out", out, "--set", "n=3"]) == EXIT_OK
+        assert main(["verify", "--out", out, "--set", f"n={n}"]) == EXIT_OK
         with open(os.path.join(out, "orders.json")) as fh:
             verdict = json.load(fh)["verdict"]
         assert verdict == {f: {"spatial": True, "temporal": True} for f in ("v", "u", "theta")}

@@ -197,6 +197,38 @@ class TestEnergyBalance:
         assert gaps[0] < 0.02 * abs(W) + 1e-8
         assert gaps[1] < 0.6 * gaps[0]
 
+    def test_bracket_converges_to_its_closed_form_at_n3(self):
+        """balance_phi of exact manufactured states converges at second order
+        to the integral of beta A^2/(v theta) - 2 mu (n-1) (r^(n-2) u^2)_x/theta
+        + kappa r^(2(n-1)) theta_x^2/(v theta^2), with A = (r^(n-1) u)_x and
+        r_x = v r^(1-n).  At n = 2 a one-window case integrates the mu term to
+        0, since u and theta are both functions of psi; at n = 3 with theta far
+        from 1 it does not, so its sign is seen."""
+        from scipy.integrate import quad
+
+        from sphgas.oracle import ManufacturedCase
+
+        case, p, t = ManufacturedCase(amp_theta=0.8, amp_u=0.5), PhysParams(n=3), 0.0
+        n = p.n
+
+        def bracket(x):
+            v, _, u, u_x, th, th_x, r = case._bundle(x, case._shape(x), t, n)
+            A = r ** (n - 1) * u_x + (n - 1) * v * u / r
+            ru2_x = (n - 2) * v * u**2 / r**2 + 2.0 * r ** (n - 2) * u * u_x
+            return (p.beta * A**2 / (v * th) - 2.0 * p.mu * (n - 1) * ru2_x / th
+                    + p.kappa * r ** (2 * (n - 1)) * th_x**2 / (v * th**2))
+
+        lo, hi = case.window_lo, case.window_hi
+        cuts = [0.0, lo - 1.0, lo, lo + 1.0, hi - 1.0, hi, hi + 1.0, case.x_max]
+        exact = sum(quad(bracket, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts, cuts[1:]))
+        errors = []
+        for n_cells in (100, 200, 400):
+            g = build_mass_grid(case.x_max, n_cells, "uniform")
+            errors.append(abs(norm_report(case.exact_state(g, p, t), p)["balance_phi"] - exact))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)
+
 
 class TestViscousFormGap:
     def test_reference_value_n2(self):
@@ -459,6 +491,16 @@ class TestLocalRepresentation:
         expect_Y = np.exp(-params.R * times / params.beta)
         assert np.allclose(np.exp(ln_Y), expect_Y, rtol=1e-12)
         assert np.allclose(np.exp(ln_B), 1.0, rtol=1e-14)
+
+    def test_log_y_falls_linearly_under_a_constant_w(self):
+        """With S = 0 and a constant W > 0 at n = 3, ln Y(t) =
+        -(n-1) W (t - t0) / beta: the tail's u^2 term can only draw Y down."""
+        p = PhysParams(n=3)
+        times = np.array([0.5, 0.75, 1.5, 2.0, 3.25])
+        ones, W = np.ones_like(times), 0.4
+        ln_Y, _ = _representation(times, 0.0 * ones, 0.0 * ones, W * ones, ones, p)
+        expect = -(p.n - 1) * W * (times - times[0]) / p.beta
+        assert np.allclose(ln_Y, expect, rtol=1e-14, atol=0.0)
 
     def test_initial_time_recovers_v0(self, bump_history):
         _, _, p, states = bump_history
