@@ -125,9 +125,11 @@ _ANCHOR_TOL = 1e-12  # absolute tolerance of the roots in anchor_roots
 
 
 def anchor_roots(cbar: float) -> tuple[float, float]:
-    """The two roots alpha1 <= 1 <= alpha2 of phi(y) = cbar, by
-    bisection to absolute tolerance :data:`_ANCHOR_TOL`; 0 and inf for an
-    infinite bound."""
+    """The two roots alpha1 <= 1 <= alpha2 of phi(y) = cbar; 0 and inf for an
+    infinite bound.  Each is bisected to absolute tolerance :data:`_ANCHOR_TOL`
+    between y = 1, where phi < cbar, and an outer end where phi > cbar is known
+    unevaluated: 0 for alpha1, cbar + 2 + ln(1 + cbar) for alpha2.  The outer
+    end is returned: alpha1 is never above its exact root, alpha2 never below."""
     if cbar < 0:
         raise ValueError(f"the bound must be nonnegative, got {cbar}")
     if cbar == 0.0:
@@ -135,24 +137,19 @@ def anchor_roots(cbar: float) -> tuple[float, float]:
     if cbar == np.inf:  # no bisection: its midpoints would be inf - inf
         return 0.0, np.inf
 
-    def bisect(lo, hi):
-        f_lo = _phi(lo) - cbar
+    def bisect(outside):
+        inside = 1.0
         for _ in range(200):
-            if hi - lo <= _ANCHOR_TOL:
+            if abs(outside - inside) <= _ANCHOR_TOL:
                 break
-            mid = 0.5 * (lo + hi)
-            f_mid = _phi(mid) - cbar
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
+            mid = inside + 0.5 * (outside - inside)
+            if _phi(mid) > cbar:
+                outside = mid
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                inside = mid
+        return float(outside)
 
-    lower_bracket = min(0.5, np.exp(-(cbar + 1.0)))
-    # once the bracket underflows to 0 the root lies below the smallest double
-    alpha1 = bisect(lower_bracket, 1.0) if lower_bracket > 0.0 else 0.0
-    alpha2 = bisect(1.0, 2.0 * cbar + 2.0)
-    return float(alpha1), float(alpha2)
+    return bisect(0.0), bisect(cbar + 2.0 + np.log1p(cbar))
 
 
 def _threshold(a: float) -> float:

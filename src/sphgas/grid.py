@@ -9,6 +9,7 @@ cell centers, velocity and radius on cell edges.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,8 +42,10 @@ class PhysParams:
     def __post_init__(self):
         if not (self.mu > 0):
             raise ValueError(f"shear viscosity must be positive, got mu={self.mu}")
-        if not (int(self.n) == self.n and self.n >= 2):
-            raise ValueError(f"dimension must be an integer >= 2, got n={self.n}")
+        # the range test first: int() of inf, and float arithmetic on an
+        # integer past the double range, raise OverflowError
+        if not (2 <= self.n <= sys.float_info.max and int(self.n) == self.n):
+            raise ValueError(f"dimension must be an integer >= 2 that a float holds, got n={self.n}")
         if not (2.0 * self.mu + self.n * self.lam > 0):
             raise ValueError(
                 f"inadmissible viscosities: 2*mu + n*lambda = "

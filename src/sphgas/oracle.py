@@ -46,28 +46,6 @@ def _logcosh(z):
 
 
 @dataclass(frozen=True)
-class _Window:
-    """tanh-window bump with value, two derivatives and the antiderivative."""
-
-    a: float
-    b: float
-    w: float
-
-    def __call__(self, x):
-        """(psi, psi_x, psi_xx, int_0^x psi) at the points x."""
-        za, zb = (x - self.a) / self.w, (x - self.b) / self.w
-        ta, tb = np.tanh(za), np.tanh(zb)
-        sa, sb = 1.0 / np.cosh(za) ** 2, 1.0 / np.cosh(zb) ** 2
-        z0a, z0b = -self.a / self.w, -self.b / self.w
-        return (
-            0.5 * (ta - tb),
-            0.5 * (sa - sb) / self.w,
-            (tb * sb - ta * sa) / self.w**2,
-            0.5 * self.w * ((_logcosh(za) - _logcosh(zb)) - (_logcosh(z0a) - _logcosh(z0b))),
-        )
-
-
-@dataclass(frozen=True)
 class ManufacturedCase:
     """Closed-form fields v*, u*, theta* and their induced sources.
 
@@ -93,9 +71,20 @@ class ManufacturedCase:
         if self.window_lo < 20 * self.width or self.x_max - self.window_hi < 20 * self.width:
             raise ValueError("window must clear 20 widths from both boundaries")
 
-    @property
-    def _shape(self) -> _Window:
-        return _Window(self.window_lo, self.window_hi, self.width)
+    def _shape(self, x):
+        """The tanh window psi of the case at the points x, with two
+        derivatives and the antiderivative: (psi, psi_x, psi_xx, int_0^x psi)."""
+        a, b, w = self.window_lo, self.window_hi, self.width
+        za, zb = (x - a) / w, (x - b) / w
+        ta, tb = np.tanh(za), np.tanh(zb)
+        sa, sb = 1.0 / np.cosh(za) ** 2, 1.0 / np.cosh(zb) ** 2
+        z0a, z0b = -a / w, -b / w
+        return (
+            0.5 * (ta - tb),
+            0.5 * (sa - sb) / w,
+            (tb * sb - ta * sa) / w**2,
+            0.5 * w * ((_logcosh(za) - _logcosh(zb)) - (_logcosh(z0a) - _logcosh(z0b))),
+        )
 
     # -- exact fields -------------------------------------------------------
 

@@ -185,6 +185,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             resolve(raw)
 
+    def test_dimension_past_the_float_range_rejected(self):
+        """An integer n that no float holds is refused before n * lambda
+        would raise OverflowError."""
+        with pytest.raises(ConfigError, match="dimension"):
+            resolve({"n": "1" + "0" * 400})
+
     def test_table_ignored_unless_the_profile_is_a_table(self, tmp_path):
         """A profile.table beside another profile.kind is not read: a missing
         file, which a table profile rejects, resolves."""
@@ -531,12 +537,27 @@ class TestInvariantLedger:
         series = DiagnosticsSeries.from_csv(os.path.join(out, "diagnostics.csv"))
         assert series["vbar_max"].max() > anchor_roots(float(series["E"][0]))[1]
 
+    def test_anchor_sandwich_passes_a_correct_run_with_large_data(
+        self, config_file, tmp_path, capsys
+    ):
+        """A velocity bump of amplitude 10 gives E(0) ~ 63, past the bound
+        32.5 beyond which phi(y) - E(0) rounds to 0 at y = exp(-(E(0) + 1)):
+        the lower roots are found all the same and the run passes."""
+        out = str(tmp_path / "out")
+        argv = ["run", "--config", config_file, "--out", out]
+        for item in ["N=16", "profile.amplitudes=0,10,0"]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        assert "PASS anchor_sandwich" in capsys.readouterr().out.splitlines()
+        with open(os.path.join(out, "summary.json")) as fh:
+            assert json.load(fh)["E_initial"] / 1.5 > 32.5
+
 
 # Per key a default, boundary values and extremes; the base config keeps the
 # grid at N <= 16 and t_end <= 0.2, and the one larger N is above the bound
 # that RunConfig rejects, so no drawn value allocates a large grid.
 _PROPERTY_VALUES = {
-    "n": ["2", "3", "1", "2.5", "1e300"],
+    "n": ["2", "3", "1", "2.5", "1e300", "1" + "0" * 400],
     "mu": ["1.0", "1e-300", "1e300", "0", "-1"],
     "lambda": ["0.0", "-1", "1e300", "-1e300"],
     "R": ["1.0", "1e-300", "1e300", "0", "-1"],

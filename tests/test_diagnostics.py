@@ -26,6 +26,7 @@ from sphgas.diagnostics import (
     DiagnosticsSeries,
     _integral_linear_exp,
     _interp_at,
+    _phi,
     _probe_scalars,
     _representation,
     _sample_columns,
@@ -197,6 +198,32 @@ class TestEnergyBalance:
         assert gaps[0] < 0.02 * abs(W) + 1e-8
         assert gaps[1] < 0.6 * gaps[0]
 
+    @staticmethod
+    def _closed_form_errors(key, integrand):
+        """|norm_report[key] - exact| on the exact states of
+        ManufacturedCase(amp_theta=0.8, amp_u=0.5) at n = 3, t = 0 and
+        N = 100, 200, 400, with ``exact`` the quad integral over [0, x_max]
+        of integrand(v, u, u_x, theta, theta_x, r, params); and ``exact``."""
+        from scipy.integrate import quad
+
+        from sphgas.oracle import ManufacturedCase
+
+        case, p, t = ManufacturedCase(amp_theta=0.8, amp_u=0.5), PhysParams(n=3), 0.0
+
+        def f(x):
+            v, _, u, u_x, th, th_x, r = case._bundle(x, case._shape(x), t, p.n)
+            return integrand(v, u, u_x, th, th_x, r, p)
+
+        lo, hi = case.window_lo, case.window_hi
+        cuts = [0.0, lo - 1.0, lo, lo + 1.0, hi - 1.0, hi, hi + 1.0, case.x_max]
+        exact = sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts, cuts[1:]))
+        errors = []
+        for n_cells in (100, 200, 400):
+            g = build_mass_grid(case.x_max, n_cells, "uniform")
+            errors.append(abs(norm_report(case.exact_state(g, p, t), p)[key] - exact))
+        return np.array(errors), exact
+
     def test_bracket_converges_to_its_closed_form_at_n3(self):
         """balance_phi of exact manufactured states converges at second order
         to the integral of beta A^2/(v theta) - 2 mu (n-1) (r^(n-2) u^2)_x/theta
@@ -204,30 +231,45 @@ class TestEnergyBalance:
         r_x = v r^(1-n).  At n = 2 a one-window case integrates the mu term to
         0, since u and theta are both functions of psi; at n = 3 with theta far
         from 1 it does not, so its sign is seen."""
-        from scipy.integrate import quad
 
-        from sphgas.oracle import ManufacturedCase
-
-        case, p, t = ManufacturedCase(amp_theta=0.8, amp_u=0.5), PhysParams(n=3), 0.0
-        n = p.n
-
-        def bracket(x):
-            v, _, u, u_x, th, th_x, r = case._bundle(x, case._shape(x), t, n)
+        def bracket(v, u, u_x, th, th_x, r, p):
+            n = p.n
             A = r ** (n - 1) * u_x + (n - 1) * v * u / r
             ru2_x = (n - 2) * v * u**2 / r**2 + 2.0 * r ** (n - 2) * u * u_x
             return (p.beta * A**2 / (v * th) - 2.0 * p.mu * (n - 1) * ru2_x / th
                     + p.kappa * r ** (2 * (n - 1)) * th_x**2 / (v * th**2))
 
-        lo, hi = case.window_lo, case.window_hi
-        cuts = [0.0, lo - 1.0, lo, lo + 1.0, hi - 1.0, hi, hi + 1.0, case.x_max]
-        exact = sum(quad(bracket, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-                    for a, b in zip(cuts, cuts[1:]))
-        errors = []
-        for n_cells in (100, 200, 400):
-            g = build_mass_grid(case.x_max, n_cells, "uniform")
-            errors.append(abs(norm_report(case.exact_state(g, p, t), p)["balance_phi"] - exact))
-        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        errors, _ = self._closed_form_errors("balance_phi", bracket)
+        orders = np.log2(errors[:-1] / errors[1:])
         assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)
+
+    @pytest.mark.parametrize("key, integrand", [
+        ("D_vu2", lambda v, u, u_x, th, th_x, r, p: v * u**2 / (r**2 * th)),
+        ("D_ux", lambda v, u, u_x, th, th_x, r, p: r ** (2 * (p.n - 1)) * u_x**2 / (v * th)),
+        ("D_divru", lambda v, u, u_x, th, th_x, r, p:
+            (r ** (p.n - 1) * u_x + (p.n - 1) * v * u / r) ** 2 / (v * th)),
+        ("D_thx", lambda v, u, u_x, th, th_x, r, p:
+            r ** (2 * (p.n - 1)) * th_x**2 / (v * th**2)),
+    ])
+    def test_dissipation_converges_to_its_closed_form_at_n3(self, key, integrand):
+        """Each dissipation integral of exact manufactured states converges
+        at second order to the integral of its integrand, with
+        A = (r^(n-1) u)_x = r^(n-1) u_x + (n-1) v u / r."""
+        errors, _ = self._closed_form_errors(key, integrand)
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)
+
+    def test_energy_matches_its_closed_form_at_n3(self):
+        """E of exact manufactured states is a midpoint sum of a smooth
+        integrand that vanishes with all its derivatives at both ends, so it
+        converges faster than any power: no order is fitted, its relative
+        error is below 1e-8 at every N."""
+
+        def density(v, u, u_x, th, th_x, r, p):
+            return p.R * (v - np.log(v) - 1.0) + 0.5 * u**2 + p.cv * (th - np.log(th) - 1.0)
+
+        errors, exact = self._closed_form_errors("E", density)
+        assert np.all(errors / exact < 1e-8), (errors, exact)
 
 
 class TestViscousFormGap:
@@ -381,16 +423,35 @@ class TestAnchorRoots:
         are then the ends of (0, inf), without an invalid operation."""
         assert anchor_roots(np.inf) == (0.0, np.inf)
 
-    @given(c1=st.floats(1e-6, 10.0), c2=st.floats(1e-6, 10.0))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [32.5, 40.0, 100.0, 744.0, 8.9e307])
+    def test_large_bound(self, c):
+        """From cbar = 32.5 phi(y) - cbar rounds to 0 at y = exp(-(cbar + 1)),
+        and 2 cbar + 2 overflows above 9e307: neither end is evaluated, the
+        lower root stays at or below its bound exp(-cbar) and the upper root
+        on its far side from 1."""
+        a1, a2 = anchor_roots(c)
+        assert 0.0 <= a1 <= np.exp(-c)
+        assert _phi(a2) >= c
+        assert _phi(a2) == pytest.approx(c, rel=1e-12)
+
+    @given(e1=st.floats(-12.0, np.log10(1.7e308)), e2=st.floats(-12.0, np.log10(1.7e308)))
     @settings(max_examples=60, deadline=None)
-    def test_monotone_in_bound(self, c1, c2):
-        lo, hi = sorted((c1, c2))
+    def test_monotone_in_bound(self, e1, e2):
+        """Bounds drawn log-uniform over [1e-12, 1.7e308]: each pair of roots
+        brackets 1 from the far side of its exact roots, and the roots move
+        apart as the bound grows (to within the accuracy of either root)."""
+        lo, hi = sorted((10.0**e1, 10.0**e2))
+        roots = [anchor_roots(c) for c in (lo, hi)]
+        for c, (a1, a2) in zip((lo, hi), roots):
+            assert 0.0 <= a1 <= 1.0 <= a2 < np.inf
+            assert a1 == 0.0 or _phi(a1) > c
+            assert _phi(a2) >= c
         if hi - lo < 1e-9:
             return
-        a1_lo, a2_lo = anchor_roots(lo)
-        a1_hi, a2_hi = anchor_roots(hi)
+        (a1_lo, a2_lo), (a1_hi, a2_hi) = roots
         assert a1_hi <= a1_lo + 1e-9
-        assert a2_hi >= a2_lo - 1e-9
+        assert a2_hi >= a2_lo - max(1e-9, 2.0 * np.spacing(a2_lo))
 
 
 class TestSuperlevel:
