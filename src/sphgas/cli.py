@@ -245,18 +245,13 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-def _snapshots(snap_dir, names, params, grid):
-    """The states of the snapshot files ``names`` on ``grid`` with ``params``,
-    the run's, loaded one at a time."""
-    for name in names:
-        yield load_snapshot(os.path.join(snap_dir, name), grid, params)
-
-
 def _cmd_report(args) -> int:
     run_dir = args.out
     snap_dir = os.path.join(run_dir, "snapshots")
     try:
-        config, params, _ = resolve(load_config(os.path.join(run_dir, "config.resolved")))
+        raw = load_config(os.path.join(run_dir, "config.resolved"))
+        # the first snapshot is the initial state: the profile, and a table it names, go unread
+        config, params, _ = resolve({k: v for k, v in raw.items() if SCHEMA[k].target != "profile"})
         grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
         # its header checked first (an abort leaves no file, an older run other
         # columns), its body parsed after the fold, so that it is not held then
@@ -268,8 +263,9 @@ def _cmd_report(args) -> int:
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
         # a snapshot whose grid or header is not what config.resolved gives,
-        # and times that do not increase, raise ValueError
-        series = evaluate_series(_snapshots(snap_dir, names, params, grid), params, config)
+        # and times that do not increase, raise ValueError; one is held at a time
+        states = (load_snapshot(os.path.join(snap_dir, name), grid, params) for name in names)
+        series = evaluate_series(states, params, config)
         stored = DiagnosticsSeries.from_csv(diagnostics)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise UnreadableOutput(exc) from exc

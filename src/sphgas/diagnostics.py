@@ -27,7 +27,7 @@ derivative accumulators use backward difference quotients between samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -153,9 +153,10 @@ def anchor_roots(cbar: float) -> tuple[float, float]:
 
 
 def _threshold(a: float) -> float:
-    """The superlevel threshold a, which must exceed 1 (ValueError otherwise)."""
-    if not (a > 1.0):
-        raise ValueError(f"threshold must exceed 1, got {a}")
+    """The superlevel threshold a: finite, above 1, and with phi(a), the bound's
+    divisor, positive, which rounding can break up to 1 + 1.5e-8 (ValueError otherwise)."""
+    if not (1.0 < a < np.inf and _phi(a) > 0.0):
+        raise ValueError(f"superlevel threshold must be finite with phi(a) > 0 (a > 1), got {a!r}")
     return a
 
 
@@ -197,22 +198,26 @@ def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
     # where exp(-z) would overflow or exp(-ell0) underflow, their product is
     # formed in one exponent, exp(-ell1), below
     fold = ~small & ((z < -_EXP_SAFE) | (ell0 > _EXP_SAFE))
-    z_safe = np.where(small | fold, 1.0, z)
+    # each form sees z only where it is kept, and a harmless stand-in elsewhere
+    zs, z_safe = np.where(small, z, 0.0), np.where(small | fold, 1.0, z)
     em = np.exp(-z_safe)
-    a0 = np.where(small, 1.0 - z / 2 + z**2 / 6 - z**3 / 24, -np.expm1(-z_safe) / z_safe)
-    a1 = np.where(
-        small,
-        0.5 - z / 3 + z**2 / 8 - z**3 / 30,
-        (1.0 - (1.0 + z_safe) * em) / z_safe**2,
-    )
+    a0 = np.where(small, 1.0 - zs / 2 + zs**2 / 6 - zs**3 / 24, -np.expm1(-z_safe) / z_safe)
+    a1 = np.where(small, 0.5 - zs / 3 + zs**2 / 8 - zs**3 / 30,
+                  (1.0 - (1.0 + z_safe) * em) / _square(z_safe))
     out = dtau * np.exp(-ell0) * (h0 * a0 + (h1 - h0) * a1)
     if fold.any():
         h0, h1, ell0, ell1, dtau, z = (
             np.broadcast_to(a, fold.shape)[fold] for a in (h0, h1, ell0, ell1, dtau, z)
         )
         e0, e1 = np.exp(-ell0), np.exp(-ell1)
-        out[fold] = dtau * (h0 * (e0 - e1) / z + (h1 - h0) * (e0 - (1.0 + z) * e1) / z**2)
+        out[fold] = dtau * (h0 * (e0 - e1) / z + (h1 - h0) * (e0 - (1.0 + z) * e1) / _square(z))
     return out
+
+
+def _square(z):
+    """z**2, inf without a warning past |z| = 1.3e154, where a quotient by it is 0."""
+    with np.errstate(over="ignore"):
+        return z**2
 
 
 def _interp_at(nodes, x: float):
@@ -374,8 +379,10 @@ def _report(state, params: PhysParams, prev) -> dict:
         "int_theta_vx2": integral((1.0 + th) * gr.v_x**2),
     }
     dtau = np.asarray(state.t - prev.t)[..., None]
-    out["int_ut2"] = integral(_mean(((state.u - prev.u) / dtau) ** 2))
-    out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
+    # a quotient squared past the float range is inf in acc_ut or acc_tht: series_finite fails
+    with np.errstate(over="ignore"):
+        out["int_ut2"] = integral(_mean(((state.u - prev.u) / dtau) ** 2))
+        out["int_tht2"] = integral(((th - prev.theta) / dtau) ** 2)
     return out
 
 
@@ -506,8 +513,9 @@ SERIES_COLUMNS = [
 
 
 def _check_series_header(fh, path) -> None:
-    """ValueError naming ``path`` unless the next line of ``fh`` lists SERIES_COLUMNS."""
-    if fh.readline().strip().split(",") != SERIES_COLUMNS:
+    """ValueError naming ``path`` unless the next line of ``fh`` is the header
+    :meth:`DiagnosticsSeries.to_csv` writes, SERIES_COLUMNS and a newline."""
+    if fh.readline() != ",".join(SERIES_COLUMNS) + "\n":
         raise ValueError(f"{path}: unexpected series columns")
 
 
@@ -535,19 +543,20 @@ class DiagnosticsSeries:
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
-        """Read a series written by :meth:`to_csv` with numpy's reader,
-        skipping whitespace-only lines; a malformed file raises ValueError
-        naming ``path``."""
+        """Read a series as :meth:`to_csv` wrote it, rows by numpy's reader;
+        any other file (a blank line or no final newline included) raises
+        ValueError naming ``path``."""
         with open(path) as fh:
             _check_series_header(fh, path)
-            rows = filter(str.strip, fh)
-            first = next(rows, None)  # numpy warns of an empty input
-            if first is None:
-                raise ValueError(f"{path}: no rows")
-            try:
-                data = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+            *rows, end = fh.read().split("\n")  # end: what follows the final newline
+        if not (rows or end):  # numpy warns of an empty input
+            raise ValueError(f"{path}: no rows")
+        if end or not all(rows):  # no final newline, or an empty line
+            raise ValueError(f"{path}: a blank line or no final newline")
+        try:
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if data.shape[1] != len(SERIES_COLUMNS):
             raise ValueError(f"{path}: a row of {data.shape[1]} values, not {len(SERIES_COLUMNS)}")
         return cls(data=data)

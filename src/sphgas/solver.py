@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
-from .diagnostics import DiagnosticsSeries, _check_probe
+from .diagnostics import DiagnosticsSeries, _check_probe, _threshold
 from .grid import PhysParams, build_mass_grid, radius_from_volume
 from .state import FlowState, InitProfile, _mean, make_initial_data
 
@@ -159,8 +159,7 @@ class RunConfig:
             raise ValueError(f"scheme_order must be 1 or 2, got {self.scheme_order}")
         if not (self.dt_initial > 0):
             raise ValueError("dt_initial must be positive")
-        if not (self.superlevel_a > 1.0):
-            raise ValueError(f"superlevel threshold must exceed 1, got {self.superlevel_a}")
+        _threshold(self.superlevel_a)
         _check_probe(self.probe_k, self.probe_x, self.x_max)
 
 
@@ -597,7 +596,9 @@ def _samples(config: RunConfig, params: PhysParams, summary: RunSummary, on_samp
                 state = new_state
                 scale = max(max_v, max_u, max_t)
                 if state.t >= min(next_sample, config.t_end) - t_eps:
-                    next_sample = (np.floor((state.t + t_eps) / config.cadence) + 1.0) * config.cadence
+                    # a quotient past the float range (a subnormal cadence) samples every step
+                    q = np.floor((state.t + t_eps) / config.cadence) + 1.0
+                    next_sample = q * config.cadence if q < np.inf else state.t
                     break
             else:  # the march reached t_end, whose state was the last sample
                 return

@@ -260,7 +260,7 @@ def discrete_gradients(state: FlowState) -> Gradients:
     )
 
 
-_SNAP_COLUMNS = "x,v,u,theta,r"
+_SNAP_COLUMNS = "x,v,u,theta,r\n"  # the second line of a snapshot
 
 
 def _params_text(params: PhysParams) -> str:
@@ -288,37 +288,30 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
     rows.append(f"{x[-1]},,{u[-1]!r},,{r[-1]!r}\n")
     with open(path, "w") as fh:
         fh.write(f"# t={float(state.t)!r} {_params_text(params)}\n")
-        fh.write(_SNAP_COLUMNS + "\n" + "".join(rows))
+        fh.write(_SNAP_COLUMNS + "".join(rows))
 
 
 def load_snapshot(path, grid: MassGrid, params: PhysParams) -> FlowState:
-    """Read a snapshot that :func:`save_snapshot` wrote on ``grid`` with
-    ``params``, the grid and parameters of the run's config.resolved; a
-    malformed file, one whose x column is not the edges of ``grid``, or one
-    whose header is not ``# t=<t> `` and the :func:`_params_text` of
-    ``params``, with a finite t written by repr, raises ValueError naming ``path``.
+    """Read a snapshot exactly as :func:`save_snapshot` wrote it on ``grid``
+    with ``params``, the run's config.resolved's; any other text raises
+    ValueError naming ``path``: a header that is not ``# t=<t> `` and the
+    :func:`_params_text` of ``params`` with a finite t written by repr, a
+    row of other than five fields (a blank line included), no final newline,
+    no outer edge row, or an x column other than the ``edge_text`` of ``grid``.
 
-    The body is split once, and the v, u and theta columns are each
-    converted in one call; the r column is not read, as the state
-    recomputes it.  An x column that is the ``edge_text`` of ``grid``, as
-    :func:`save_snapshot` wrote it, matches without being converted; other
-    x text is compared by value.  So the states of one run share one grid.
+    The body is split once; v, u and theta are each converted in one call,
+    and r, which the state recomputes, not at all.  The states of one run share one grid.
     """
     with open(path) as fh:
         header = fh.readline()
-        cols = fh.readline().strip()
-        lines = fh.read().rstrip("\n").split("\n")
-    if not header.startswith("#"):
-        raise ValueError(f"{path}: missing metadata header")
+        cols = fh.readline()
+        *lines, end = fh.read().split("\n")  # end: what follows the final newline
     if cols != _SNAP_COLUMNS:
-        raise ValueError(f"{path}: unexpected columns {cols!r}")
+        raise ValueError(f"{path}: unexpected columns {cols.rstrip()!r}")
     commas = set(map(str.count, lines, [","] * len(lines)))
-    if commas != {4}:  # skip whitespace-only lines, then count again
-        lines = [line for line in lines if line.strip()]
-        commas = set(map(str.count, lines, [","] * len(lines)))
     fields = ",".join(lines).split(",")
     try:
-        if commas - {4} or fields[-4] or fields[-2]:
+        if end or commas != {4} or fields[-4] or fields[-2]:
             raise ValueError("truncated: short rows or no outer edge row")
         text = _params_text(params)
         t_text = header[4:].partition(" ")[0]  # what follows "# t=", up to a space
@@ -328,12 +321,11 @@ def load_snapshot(path, grid: MassGrid, params: PhysParams) -> FlowState:
         t = float(t_text)
         if not math.isfinite(t):
             raise ValueError(f"header value t={t!r} is not finite")
-        x = tuple(fields[0::5])
-        if x != grid.edge_text and not np.array_equal(np.array(x, dtype=float), grid.x_edges):
+        if tuple(fields[0::5]) != grid.edge_text:
             raise ValueError("x column is not the grid of config.resolved")
         u = np.array(fields[2::5], dtype=float)
         v = np.array(fields[1:-5:5], dtype=float)
         theta = np.array(fields[3:-5:5], dtype=float)
         return FlowState(grid=grid, t=t, v=v, u=u, theta=theta, n=params.n)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed snapshot: {exc}") from exc

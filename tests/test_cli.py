@@ -20,7 +20,7 @@ from sphgas.cli import (
 )
 from sphgas.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve
 from sphgas.diagnostics import SERIES_COLUMNS, DiagnosticsSeries, anchor_roots
-from sphgas.state import save_snapshot
+from sphgas.state import load_snapshot, save_snapshot
 from test_diagnostics import OLD_HEADER
 from test_golden import GOLDEN, TABLE, TABLE_TEXT
 
@@ -101,6 +101,24 @@ def _set_in_header(key, value, index):
         with open(path, "w") as fh:
             fh.write(header + "\n" + body)
     return spoil
+
+
+def _edit_file(name, edit):
+    """A spoiler that replaces the text of the run output ``name``, a path
+    from the snapshots directory, by ``edit`` of that text."""
+    def spoil(snap_dir):
+        path = os.path.join(snap_dir, name)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+    return spoil
+
+
+def _insert_line(text, index, line):
+    """``text`` with ``line`` inserted before its line ``index``."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:index] + [line] + lines[index:])
 
 
 def _header_refused(index):
@@ -260,6 +278,9 @@ class TestRunCommand:
         "probe.k=0",
         "probe.k=12",
         "cadence=0",
+        # above 1, but phi(a) = a - ln a - 1 rounds to 0
+        "superlevel.a=1.00000001",
+        "superlevel.a=1.0000000000000002",
     ])
     def test_bad_run_setting_exits_config_code_before_solving(
         self, config_file, tmp_path, capsys, override
@@ -271,6 +292,19 @@ class TestRunCommand:
         assert not os.path.exists(out)
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cadence", ["1e-320", "5e-324"])
+    def test_subnormal_cadence_samples_every_step(self, config_file, tmp_path, cadence):
+        """A cadence so small that t / cadence overflows samples every step,
+        as a tiny cadence does."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_file, "--out", str(out), "--set", "N=16",
+                     "--set", f"cadence={cadence}"]) == EXIT_OK
+        with open(out / "summary.json") as fh:
+            n_steps = json.load(fh)["n_steps"]
+        with open(out / "diagnostics.csv") as fh:
+            rows = len(fh.readlines()) - 1
+        assert rows == len(os.listdir(out / "snapshots")) == n_steps + 1 > 3
 
     def test_overflowing_initial_radius_exits_config_code(self, config_file, tmp_path, capsys):
         """An amplitude whose initial radius overflows is a config error
@@ -575,11 +609,11 @@ _PROPERTY_VALUES = {
     "dt_initial": ["1.0", "1e-300", "1e300", "0", "-1"],
     "cfl_fraction": ["0.4", "1", "1e-300", "0", "1.5"],
     "floors": ["1e-6,1e-6", "1e-300,1e-300", "0.999,0.999", "0,0", "1,1"],
-    "cadence": ["0.1", "1e-300", "1e300", "0", "-1"],
+    "cadence": ["0.1", "1e-300", "5e-324", "1e300", "0", "-1"],
     "scheme_order": ["1", "2", "3", "1.5"],
     "probe.k": ["4", "1", "0", "12", "2.5"],
     "probe.x": ["3.0", "0", "2", "4", "-1", "1e300"],
-    "superlevel.a": ["1.5", "1", "1e300", "1e-300"],
+    "superlevel.a": ["1.5", "1", "1.00000001", "1e300", "1e-300"],
     "case": ["smooth_bump", "equilibrium", "no_such_case"],
 }
 # keys the property test does not draw, each with the test that covers it
@@ -620,7 +654,6 @@ class TestConfigProperty:
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(overrides=_OVERRIDES)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_any_setting_ends_in_a_documented_exit_code(self, tmp_path_factory, overrides):
         """Every config either exits 2 before solving or reaches 0, 3 or 4;
         none raises or runs without end."""
@@ -711,6 +744,22 @@ class TestReportCommand:
         refused("diagnostics.csv")
         assert read == []
 
+    def test_report_reads_nothing_outside_the_run(self, config_file, tmp_path, capsys,
+                                                  monkeypatch):
+        """config.resolved names a table profile by the path the run was
+        started with; report, started elsewhere, reads only the run directory."""
+        start, elsewhere = tmp_path / "start", tmp_path / "elsewhere"
+        start.mkdir()
+        elsewhere.mkdir()
+        (start / TABLE).write_text(TABLE_TEXT)
+        monkeypatch.chdir(start)
+        assert main(["run", "--config", config_file, "--out", "out", "--set", "N=16",
+                     "--set", "profile.kind=table", "--set", f"profile.table={TABLE}"]) == EXIT_OK
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["report", "--out", str(start / "out")]) == EXIT_OK
+        assert "reproduction max deviation vs stored diagnostics: 0.0" in capsys.readouterr().out
+
     def test_report_reads_only_snapshot_files(self, config_file, tmp_path, capsys):
         """Other files in snapshots/, which run leaves alone, are not samples."""
         out = str(tmp_path / "out")
@@ -729,7 +778,7 @@ class TestReportCommand:
         (_garble_snapshot, "snap_000002.csv: malformed snapshot: could not convert"),
         (_replace_in_snapshot("n=2.0", "n=3.7"), _header_refused(1)),
         (_replace_in_snapshot("n=2.0", "n=inf"), _header_refused(1)),
-        (_replace_in_snapshot("# t=", "t="), "snap_000001.csv: missing metadata header"),
+        (_replace_in_snapshot("# t=", "t="), _header_refused(1)),
         (_replace_in_snapshot("x,v,u,theta,r", "x,v,u,T,r"), "unexpected columns 'x,v,u,T,r'"),
         (_empty_snapshot_dir, "no snapshots"),
         (_snapshot_from_other_grid,
@@ -752,12 +801,30 @@ class TestReportCommand:
         (_replace_in_snapshot(" R=1.0", "  R=1.0"), _header_refused(1)),
         (_set_in_header("lambda", "-0.0", 1), _header_refused(1)),
         (_set_in_header("t", "0.40", -1), _header_refused(4)),
+        # run writes each file one way: x as the grid's edge text, no blank
+        # line, and a newline at the end of every line
+        (_replace_in_snapshot("\n0.0,", "\n0.00,"),
+         "snap_000001.csv: malformed snapshot: x column is not the grid of config.resolved"),
+        (_edit_file("snap_000001.csv", lambda text: _insert_line(text, 4, " \t\n")),
+         "snap_000001.csv: malformed snapshot: truncated"),
+        (_edit_file("snap_000001.csv", lambda text: text + "\n"),
+         "snap_000001.csv: malformed snapshot: truncated"),
+        (_edit_file("snap_000001.csv", lambda text: text[:-1]),
+         "snap_000001.csv: malformed snapshot: truncated"),
+        (_edit_file("../diagnostics.csv", lambda text: _insert_line(text, 3, "  \n")),
+         "diagnostics.csv: the number of columns changed"),
+        (_edit_file("../diagnostics.csv", lambda text: text + "\n"),
+         "diagnostics.csv: a blank line or no final newline"),
+        (_edit_file("../diagnostics.csv", lambda text: text[:-1]),
+         "diagnostics.csv: a blank line or no final newline"),
     ], ids=["truncated", "non_numeric", "fractional_n", "infinite_n", "no_header",
             "other_columns", "empty_dir", "mixed_grids", "other_config_n", "other_config_x_max",
             "other_config_grading", "missing_diagnostics", "duplicate_t",
             "nan_t", "inf_t_last", "other_n_later", "infinite_mu", "repeated_key",
             "unknown_key", "other_mu", "reordered_keys", "other_float_text", "double_space",
-            "minus_zero_lambda", "other_t_text"])
+            "minus_zero_lambda", "other_t_text", "other_x_text", "whitespace_line",
+            "blank_line_after_last_row", "no_final_newline", "whitespace_line_in_diagnostics",
+            "blank_line_after_last_diagnostics_row", "diagnostics_without_final_newline"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect
     ):
@@ -818,8 +885,8 @@ def test_cold_start_imports_neither_scipy_linalg_nor_the_process_pool(config_fil
 
 
 class TestSnapshotReader:
-    """report reads back, through ``cli._snapshots``, what run wrote through
-    ``cli._snapshot_writer``."""
+    """report reads back, by ``load_snapshot`` on the grid of config.resolved,
+    what run wrote through ``cli._snapshot_writer``."""
 
     @staticmethod
     def _write(states, params, snap_dir):
@@ -835,14 +902,16 @@ class TestSnapshotReader:
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
 
     @staticmethod
-    def _grid(config):
-        """The grid ``report`` builds from a run's config."""
-        return build_mass_grid(config.x_max, config.n_cells, config.grading)
+    def _read(snap_dir, names, params, config):
+        """The states of the files ``names``, read as ``report`` reads them:
+        on the grid it builds from the run's config."""
+        grid = build_mass_grid(config.x_max, config.n_cells, config.grading)
+        return [load_snapshot(os.path.join(snap_dir, name), grid, params) for name in names]
 
     def test_run_states_come_back_bitwise_on_one_grid(self, bump_history, tmp_path):
         _, config, params, states = bump_history
         names = self._write(states, params, tmp_path)
-        loaded = list(cli._snapshots(str(tmp_path), names, params, self._grid(config)))
+        loaded = self._read(tmp_path, names, params, config)
         assert len(loaded) == len(states) > 2
         for st, back in zip(states, loaded):
             self._assert_bitwise_equal(st, back)
@@ -855,13 +924,14 @@ class TestSnapshotReader:
         assert main(["run", "--config", config_file, "--out", str(out), "--set", "N=16"]) == EXIT_OK
         snap_dir = str(out / "snapshots")
         config, params, _ = resolve(load_config(str(out / "config.resolved")))
-        loaded = list(cli._snapshots(snap_dir, sorted(os.listdir(snap_dir)), params,
-                                     self._grid(config)))
+        loaded = self._read(snap_dir, sorted(os.listdir(snap_dir)), params, config)
         assert len(loaded) > 2
         assert all(st.grid is loaded[0].grid for st in loaded)
         assert "edge_text" in vars(loaded[0].grid)
 
-    def test_non_canonical_x_text_loads_on_the_first_grid(self, bump_history, tmp_path):
+    def test_non_canonical_x_text_refused(self, bump_history, tmp_path):
+        """x text of equal value but other spelling is not the grid's edge
+        text, which run writes, and the file is refused."""
         _, config, params, states = bump_history
         names = self._write(states[:3], params, tmp_path)
         path = tmp_path / names[1]
@@ -869,10 +939,8 @@ class TestSnapshotReader:
         assert lines[2].startswith("0.0,")
         # "0.0" becomes "0.00", "0.1" "0.10", and so on
         path.write_text("".join(lines[:2] + [line.replace(",", "0,", 1) for line in lines[2:]]))
-        loaded = list(cli._snapshots(str(tmp_path), names, params, self._grid(config)))
-        assert loaded[1].grid is loaded[0].grid is loaded[2].grid
-        for st, back in zip(states, loaded):
-            self._assert_bitwise_equal(st, back)
+        with pytest.raises(ValueError, match=f"{names[1]}: malformed snapshot: x column is not"):
+            self._read(tmp_path, names, params, config)
 
 
 @pytest.fixture

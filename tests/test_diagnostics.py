@@ -482,6 +482,11 @@ class TestSuperlevel:
             superlevel_measure(equilibrium(), 1.0)
         with pytest.raises(ValueError):
             superlevel_bound(1.0, 0.5, params)
+        # above 1, but phi(a) rounds to 0, which the bound would divide by
+        for a in (1.0000000000000002, 1.00000001):
+            with pytest.raises(ValueError, match="phi"):
+                superlevel_bound(1.0, a, params)
+        assert 0.0 < superlevel_bound(1.0, 1.0000001, params) < np.inf
 
     def test_energy_bound_holds_exactly(self, grid, params):
         rng = np.random.default_rng(4)
@@ -662,6 +667,15 @@ class TestLocalRepresentation:
         f = (h0 + (h1 - h0) * s / dtau) * np.exp(-(ell0 + (ell1 - ell0) * s / dtau))
         seg = _integral_linear_exp(h0, h1, np.array([ell0]), ell1, dtau)
         assert seg[0] == pytest.approx(np.trapezoid(f, s), rel=1e-6)
+
+    def test_segment_integral_evaluates_each_form_only_where_kept(self):
+        """The small-z series is not formed at z = 1e200, where its powers
+        overflow, and the square of that z overflows to inf without a
+        warning: the integral of exp(-z s / dtau) is dtau / z there."""
+        ones, dtau = np.ones(2), np.array([0.5, 0.5])
+        seg = _integral_linear_exp(ones, ones, np.zeros(2), np.array([1e-8, 1e200]), dtau)
+        assert seg[0] == pytest.approx(0.5 * (1.0 - 0.5e-8), rel=1e-15)
+        assert seg[1] == 0.5 / 1e200
 
 
 class TestNormReport:
@@ -880,11 +894,14 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match="does not match the documented columns"):
             DiagnosticsSeries(np.zeros(shape))
 
-    def test_blank_lines_skipped(self, tmp_path):
-        path = self.write(tmp_path, SERIES_COLUMNS, [self.row(1.5), "", "  ", self.row(-2.0)])
-        data = DiagnosticsSeries.from_csv(path).data
-        assert data.shape == (2, len(SERIES_COLUMNS))
-        assert np.all(data[0] == 1.5) and np.all(data[1] == -2.0)
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "whitespace"])
+    def test_blank_lines_refused(self, tmp_path, blank):
+        """to_csv writes no blank line, so a file with one, empty or
+        whitespace-only, is not read."""
+        path = self.write(tmp_path, SERIES_COLUMNS, [self.row(1.5), blank, self.row(-2.0)])
+        with pytest.raises(ValueError) as err:
+            DiagnosticsSeries.from_csv(path)
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("header, rows, message", [
         (SERIES_COLUMNS, ["1,2,3"], f"a row of 3 values, not {WIDTH}"),
@@ -892,12 +909,16 @@ class TestSeriesCsv:
         (SERIES_COLUMNS, ["x" + ",0.5" * (WIDTH - 1)], "could not convert"),
         # an empty body is refused before numpy's reader, which would warn
         pytest.param(SERIES_COLUMNS, [], "no rows", marks=pytest.mark.filterwarnings("error")),
-        pytest.param(SERIES_COLUMNS, ["", " "], "no rows",
+        pytest.param(SERIES_COLUMNS, ["", " "], "a blank line",
                      marks=pytest.mark.filterwarnings("error")),
         (SERIES_COLUMNS[::-1], ["0.5" + ",0.5" * (WIDTH - 1)], "unexpected series columns"),
         ([], [], "unexpected series columns"),
         (OLD_HEADER, ["0.5" + ",0.5" * (len(OLD_HEADER) - 1)], "unexpected series columns"),
         (SERIES_COLUMNS, ["0.5" + ",0.5" * (WIDTH - 1), "1,2,3"], f"from {WIDTH} to 3"),
+        # to_csv ends every row with a newline, and writes nothing after the last
+        (SERIES_COLUMNS, ["0.5" + ",0.5" * (WIDTH - 1), ""], "a blank line or no final newline"),
+        ([*SERIES_COLUMNS[:-1], SERIES_COLUMNS[-1] + " "], ["0.5" + ",0.5" * (WIDTH - 1)],
+         "unexpected series columns"),
     ])
     def test_malformed_file_rejected(self, tmp_path, header, rows, message):
         path = self.write(tmp_path, header, rows)

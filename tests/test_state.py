@@ -280,10 +280,11 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match=r"snap\.csv: malformed snapshot: truncated"):
             load_snapshot(path, grid, params)
 
-    def test_whitespace_only_lines_skipped(self, grid, params, tmp_path):
-        st, path, lines = self._saved_lines(grid, params, tmp_path)
-        path.write_text("".join(lines[:5] + [" \t\n"] + lines[5:] + ["\n", "  \n"]))
-        loaded = load_snapshot(path, grid, params)
-        assert loaded.grid is grid
-        for f in ("v", "u", "theta", "r"):
-            assert getattr(loaded, f).tobytes() == getattr(st, f).tobytes()
+    def test_whitespace_only_lines_refused(self, grid, params, tmp_path):
+        """save_snapshot writes no whitespace-only line, so a file with one
+        is not read, whether inside the body or after its last row."""
+        _, path, lines = self._saved_lines(grid, params, tmp_path)
+        for spoilt in (lines[:5] + [" \t\n"] + lines[5:], lines + ["\n", "  \n"]):
+            path.write_text("".join(spoilt))
+            with pytest.raises(ValueError, match=r"snap\.csv: malformed snapshot: truncated"):
+                load_snapshot(path, grid, params)
