@@ -183,41 +183,31 @@ def cutoff_phi(x, k: int):
     return np.clip(k + 1.0 - x, 0.0, 1.0) if x.ndim else float(np.clip(k + 1.0 - x, 0.0, 1.0))
 
 
-_EXP_SAFE = 708.0  # exp(x) and exp(-x) are normal doubles for |x| up to this
+_FOLD_BELOW = -700.0  # below this z, (1 + z) exp(-z) nears the end of the double range
 
 
-def _integral_linear_exp(h0, h1, ell0, ell1, dtau):
-    """Exact integral of (linear h) * exp(-(linear ell)) over a segment.
+def _integral_linear_exp(h0, h1, z, dtau):
+    """Exact integral of (linear h) * exp(z (1 - s/dtau)) over a segment.
 
-    integral_0^dtau [h0 + (h1-h0) s/dtau] exp(-[ell0 + (ell1-ell0) s/dtau]) ds.
-    Exact when the exponent is genuinely linear, which makes the equilibrium
-    representation identity hold to rounding.  Vectorised over segments.
+    integral_0^dtau [h0 + (h1-h0) s/dtau] exp(z (1 - s/dtau)) ds, for the
+    exponent z = ln Z(t_{j+1}) - ln Z(t_j) measured from the right end.
+    Exact when h and the exponent are genuinely linear, which makes the
+    equilibrium representation identity hold to rounding.  Vectorised over
+    segments.
     """
-    z = ell1 - ell0
     small = np.abs(z) < 1e-6
-    # where exp(-z) would overflow or exp(-ell0) underflow, their product is
-    # formed in one exponent, exp(-ell1), below
-    fold = ~small & ((z < -_EXP_SAFE) | (ell0 > _EXP_SAFE))
+    fold = z < _FOLD_BELOW
     # each form sees z only where it is kept, and a harmless stand-in elsewhere
-    zs, z_safe = np.where(small, z, 0.0), np.where(small | fold, 1.0, z)
+    zs, zf = np.where(small, z, 0.0), np.where(fold, z, -1.0)
+    z_safe = np.where(small | fold, 1.0, z)
     em = np.exp(-z_safe)
     a0 = np.where(small, 1.0 - zs / 2 + zs**2 / 6 - zs**3 / 24, -np.expm1(-z_safe) / z_safe)
     a1 = np.where(small, 0.5 - zs / 3 + zs**2 / 8 - zs**3 / 30,
-                  (1.0 - (1.0 + z_safe) * em) / _square(z_safe))
-    out = dtau * np.exp(-ell0) * (h0 * a0 + (h1 - h0) * a1)
-    if fold.any():
-        h0, h1, ell0, ell1, dtau, z = (
-            np.broadcast_to(a, fold.shape)[fold] for a in (h0, h1, ell0, ell1, dtau, z)
-        )
-        e0, e1 = np.exp(-ell0), np.exp(-ell1)
-        out[fold] = dtau * (h0 * (e0 - e1) / z + (h1 - h0) * (e0 - (1.0 + z) * e1) / _square(z))
-    return out
-
-
-def _square(z):
-    """z**2, inf without a warning past |z| = 1.3e154, where a quotient by it is 0."""
-    with np.errstate(over="ignore"):
-        return z**2
+                  (1.0 - (1.0 + z_safe) * em) / z_safe**2)
+    # far below, e^z a0 = q and e^z a1 = (q - 1)/z, with q = (e^z - 1)/z: no exp(-z), no z^2
+    q = np.expm1(zf) / zf
+    return np.where(fold, dtau * (h0 * q + (h1 - h0) * (q - 1.0) / zf),
+                    dtau * np.exp(z) * (h0 * a0 + (h1 - h0) * a1))
 
 
 def _interp_at(nodes, x: float):
@@ -299,10 +289,9 @@ def _representation(times, ln_B, S, W, theta_probe, params: PhysParams):
     ln_Y = (_cumtrapz(S, times) - (n - 1) * _cumtrapz(W, times)) / beta
     ln_Z = ln_B + ln_Y
 
-    segs = _integral_linear_exp(
-        theta_probe[:-1], theta_probe[1:], ln_Z[:-1] - ln_Z[1:], 0.0, np.diff(times)
-    )
-    growth = np.exp(np.diff(ln_Z))
+    z = np.diff(ln_Z)
+    segs = _integral_linear_exp(theta_probe[:-1], theta_probe[1:], z, np.diff(times))
+    growth = np.exp(z)
     corr = np.zeros(len(times))
     for i in range(1, len(times)):
         corr[i] = growth[i - 1] * corr[i - 1] + segs[i - 1]
@@ -342,9 +331,20 @@ def _report(state, params: PhysParams, prev) -> dict:
     d_vu2 = integral(v * u2 / (gr.r_centers**2 * th))
     d_ux = integral(w_centers * gr.u_x**2 / (v * th))
     d_divru = integral(gr.div_ru**2 / (v * th))
-    # on the native interior-edge values of theta_x, with the center gaps as weights
-    d_thx = integral(w_edges * (_diff(th) / he) ** 2 / (_mean(v) * _mean(th) ** 2), he)
-    out = {
+    # a theta square past the float range is inf, and D_thx's quotient then
+    # inf / inf: series_finite fails on either
+    with np.errstate(over="ignore", invalid="ignore"):
+        # on the native interior-edge values of theta_x, with the center gaps as weights
+        d_thx = integral(w_edges * (_diff(th) / he) ** 2 / (_mean(v) * _mean(th) ** 2), he)
+        out = {
+            "l2_theta": np.sqrt(integral((th - 1.0) ** 2)),
+            "l2_rthx": np.sqrt(integral((gr.r_pow * gr.theta_x) ** 2)),
+            "grad2_theta": integral(gr.theta_x**2),
+            "int_r_thxx2": integral(
+                w_centers[..., 1:-1] * _second_derivative(g.cell_centers, th) ** 2, h[1:-1]
+            ),
+        }
+    out.update({
         "E": integral(params.R * _phi(v) + 0.5 * u2 + params.cv * _phi(th)),
         "D_vu2": d_vu2,
         "D_ux": d_ux,
@@ -352,10 +352,8 @@ def _report(state, params: PhysParams, prev) -> dict:
         "D_thx": d_thx,
         "l2_v": np.sqrt(integral((v - 1.0) ** 2)),
         "l2_u": np.sqrt(integral(u2)),
-        "l2_theta": np.sqrt(integral((th - 1.0) ** 2)),
         "l2_rvx": np.sqrt(integral((gr.r_pow * gr.v_x) ** 2)),
         "l2_rux": np.sqrt(integral(gr.r_pow_ux**2)),
-        "l2_rthx": np.sqrt(integral((gr.r_pow * gr.theta_x) ** 2)),
         "sup_v": np.abs(v - 1.0).max(axis=-1),
         "sup_u": np.abs(state.u).max(axis=-1),
         "sup_theta": np.abs(th - 1.0).max(axis=-1),
@@ -365,19 +363,15 @@ def _report(state, params: PhysParams, prev) -> dict:
         "max_theta": th.max(axis=-1),
         "grad2_v": integral(gr.v_x**2),
         "grad2_u": integral(gr.u_x**2),
-        "grad2_theta": integral(gr.theta_x**2),
         # the three-term dissipation bracket of the exact energy identity
         "balance_phi": params.beta * d_divru
         - 2.0 * params.mu * (params.n - 1) * integral(gr.div_ru2 / th)
         + params.kappa * d_thx,
         "b6_gap_min": _form_gap(params, gr),
-        # second-derivative integrands (standard three-point stencils)
+        # a second-derivative integrand (standard three-point stencil)
         "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, he),
-        "int_r_thxx2": integral(
-            w_centers[..., 1:-1] * _second_derivative(g.cell_centers, th) ** 2, h[1:-1]
-        ),
         "int_theta_vx2": integral((1.0 + th) * gr.v_x**2),
-    }
+    })
     dtau = np.asarray(state.t - prev.t)[..., None]
     # a quotient squared past the float range is inf in acc_ut or acc_tht: series_finite fails
     with np.errstate(over="ignore"):
@@ -585,7 +579,8 @@ def evaluate_series(samples, params: PhysParams, config) -> DiagnosticsSeries:
     col["acc_thxx"] = _cumtrapz(col["int_r_thxx2"], t)
     col["acc_ut"] = np.concatenate(([0.0], np.cumsum(col["int_ut2"][1:] * dt)))
     col["acc_tht"] = np.concatenate(([0.0], np.cumsum(col["int_tht2"][1:] * dt)))
-    tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: series_finite fails
+        tv = sum(np.abs(np.diff(col[c])) for c in ("grad2_v", "grad2_u", "grad2_theta"))
     col["acc_tv_grad"] = np.concatenate(([0.0], np.cumsum(tv)))
 
     _, v_repr = _representation(t, *(col[c] for c in _PROBE_COLUMNS[:4]), params)

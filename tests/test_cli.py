@@ -278,6 +278,7 @@ class TestRunCommand:
         "probe.k=0",
         "probe.k=12",
         "cadence=0",
+        "profile.amplitudes=-1,0,0",
         # above 1, but phi(a) = a - ln a - 1 rounds to 0
         "superlevel.a=1.00000001",
         "superlevel.a=1.0000000000000002",
@@ -522,6 +523,26 @@ class TestRunCommand:
             checks = json.load(fh)["invariants"]
         # the absolute -1e-12 gap tolerance is below the rounding of this run
         assert [name for name, ok in checks.items() if not ok] == ["quadratic_form_pointwise"]
+
+    @pytest.mark.parametrize("overrides", [
+        ["t_end=1e-300", "profile.amplitudes=0,0,1e300"],
+        ["mu=1e300", "R=1e-300"],
+    ], ids=["huge_theta", "huge_mu_tiny_R"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_theta_squares_fail_series_finite_quietly(
+        self, config_file, tmp_path, capsys, overrides
+    ):
+        """Squares of theta, its gradient or its second derivative past the
+        float range are inf, and D_thx's quotient inf / inf; these reach the
+        series without a warning, and the ledger's series_finite fails."""
+        argv = ["run", "--config", config_file, "--out", str(tmp_path / "out"),
+                "--set", "N=16", "--set", "t_end=0.2"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "FAIL series_finite" in captured.out.splitlines()
+        assert captured.err == ""
 
 
 class TestInvariantLedger:

@@ -653,29 +653,35 @@ class TestLocalRepresentation:
         reference[0] = np.exp(ln_Z[0])
         for i in range(1, len(states)):
             ell = ln_Z[: i + 1] - ln_Z[i]
-            segs = _integral_linear_exp(theta[:i], theta[1 : i + 1], ell[:-1], ell[1:], dt[:i])
+            segs = np.exp(-ell[1:]) * _integral_linear_exp(
+                theta[:i], theta[1 : i + 1], np.diff(ell), dt[:i]
+            )
             reference[i] = np.exp(ln_Z[i]) + (p.R / p.beta) * np.sum(segs)
         assert np.max(np.abs(v_repr - reference)) <= 1e-13
 
-    @pytest.mark.parametrize("ell0, ell1", [(2600.0, 0.0), (720.0, 700.0), (-3.0, 2600.0)])
+    @pytest.mark.parametrize("z", [-2600.0, -20.0, -703.5, -704.0, -706.0, -708.5, 700.0])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_segment_integral_at_the_ends_of_the_double_range(self, ell0, ell1):
-        """exp(-z) overflows or exp(-ell0) underflows on their own; the
-        segment integral stays finite and matches a fine trapezoid rule."""
+    def test_segment_integral_at_the_ends_of_the_double_range(self, z):
+        """exp(-z) or (1 + z) exp(-z) overflows on its own below z = -700, and
+        exp(z) nears the top of the range at z = 700; the segment integral
+        stays finite and matches a fine trapezoid rule."""
         h0, h1, dtau = np.array([2.0]), np.array([0.5]), np.array([0.1])
         s = np.linspace(0.0, dtau[0], 2_000_001)
-        f = (h0 + (h1 - h0) * s / dtau) * np.exp(-(ell0 + (ell1 - ell0) * s / dtau))
-        seg = _integral_linear_exp(h0, h1, np.array([ell0]), ell1, dtau)
+        f = (h0 + (h1 - h0) * s / dtau) * np.exp(z * (1.0 - s / dtau))
+        seg = _integral_linear_exp(h0, h1, np.array([z]), dtau)
         assert seg[0] == pytest.approx(np.trapezoid(f, s), rel=1e-6)
 
     def test_segment_integral_evaluates_each_form_only_where_kept(self):
-        """The small-z series is not formed at z = 1e200, where its powers
-        overflow, and the square of that z overflows to inf without a
-        warning: the integral of exp(-z s / dtau) is dtau / z there."""
-        ones, dtau = np.ones(2), np.array([0.5, 0.5])
-        seg = _integral_linear_exp(ones, ones, np.zeros(2), np.array([1e-8, 1e200]), dtau)
+        """The small-z series is not formed at z = -1e200, where its powers
+        overflow, nor z^2 in the form kept there: the integral of
+        (h0 + (h1 - h0) s / dtau) exp(z (1 - s / dtau)) is dtau h1 / |z| to
+        rounding, the (h1 - h0) term included."""
+        h0, h1 = np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 3.0])
+        z, dtau = np.array([-1e-8, -1e200, -1e200]), np.full(3, 0.5)
+        seg = _integral_linear_exp(h0, h1, z, dtau)
         assert seg[0] == pytest.approx(0.5 * (1.0 - 0.5e-8), rel=1e-15)
         assert seg[1] == 0.5 / 1e200
+        assert seg[2] == pytest.approx(0.5 * 3.0 / 1e200, rel=1e-12, abs=0.0)
 
 
 class TestNormReport:
