@@ -183,31 +183,22 @@ def cutoff_phi(x, k: int):
     return np.clip(k + 1.0 - x, 0.0, 1.0) if x.ndim else float(np.clip(k + 1.0 - x, 0.0, 1.0))
 
 
-_FOLD_BELOW = -700.0  # below this z, (1 + z) exp(-z) nears the end of the double range
-
-
 def _integral_linear_exp(h0, h1, z, dtau):
     """Exact integral of (linear h) * exp(z (1 - s/dtau)) over a segment.
 
-    integral_0^dtau [h0 + (h1-h0) s/dtau] exp(z (1 - s/dtau)) ds, for the
-    exponent z = ln Z(t_{j+1}) - ln Z(t_j) measured from the right end.
+    integral_0^dtau [h0 + (h1-h0) s/dtau] exp(z (1 - s/dtau)) ds
+    = dtau (h0 q + (h1 - h0) p), with q = (e^z - 1)/z and p = (q - 1)/z, for
+    the exponent z = ln Z(t_{j+1}) - ln Z(t_j) measured from the right end.
     Exact when h and the exponent are genuinely linear, which makes the
     equilibrium representation identity hold to rounding.  Vectorised over
     segments.
     """
     small = np.abs(z) < 1e-6
-    fold = z < _FOLD_BELOW
     # each form sees z only where it is kept, and a harmless stand-in elsewhere
-    zs, zf = np.where(small, z, 0.0), np.where(fold, z, -1.0)
-    z_safe = np.where(small | fold, 1.0, z)
-    em = np.exp(-z_safe)
-    a0 = np.where(small, 1.0 - zs / 2 + zs**2 / 6 - zs**3 / 24, -np.expm1(-z_safe) / z_safe)
-    a1 = np.where(small, 0.5 - zs / 3 + zs**2 / 8 - zs**3 / 30,
-                  (1.0 - (1.0 + z_safe) * em) / z_safe**2)
-    # far below, e^z a0 = q and e^z a1 = (q - 1)/z, with q = (e^z - 1)/z: no exp(-z), no z^2
-    q = np.expm1(zf) / zf
-    return np.where(fold, dtau * (h0 * q + (h1 - h0) * (q - 1.0) / zf),
-                    dtau * np.exp(z) * (h0 * a0 + (h1 - h0) * a1))
+    zs, zq = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    q = np.where(small, 1.0 + zs / 2 + zs**2 / 6 + zs**3 / 24, np.expm1(zq) / zq)
+    p = np.where(small, 0.5 + zs / 6 + zs**2 / 24 + zs**3 / 120, (q - 1.0) / zq)
+    return dtau * (h0 * q + (h1 - h0) * p)
 
 
 def _interp_at(nodes, x: float):

@@ -662,9 +662,10 @@ class TestLocalRepresentation:
     @pytest.mark.parametrize("z", [-2600.0, -20.0, -703.5, -704.0, -706.0, -708.5, 700.0])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_segment_integral_at_the_ends_of_the_double_range(self, z):
-        """exp(-z) or (1 + z) exp(-z) overflows on its own below z = -700, and
-        exp(z) nears the top of the range at z = 700; the segment integral
-        stays finite and matches a fine trapezoid rule."""
+        """Far below 0, exp(-z) would overflow and e^z underflows, and at
+        z = 700 e^z nears the top of the double range; the q-form, with
+        q = expm1(z)/z and p = (q - 1)/z, stays finite and matches a fine
+        trapezoid rule."""
         h0, h1, dtau = np.array([2.0]), np.array([0.5]), np.array([0.1])
         s = np.linspace(0.0, dtau[0], 2_000_001)
         f = (h0 + (h1 - h0) * s / dtau) * np.exp(z * (1.0 - s / dtau))
@@ -672,16 +673,34 @@ class TestLocalRepresentation:
         assert seg[0] == pytest.approx(np.trapezoid(f, s), rel=1e-6)
 
     def test_segment_integral_evaluates_each_form_only_where_kept(self):
-        """The small-z series is not formed at z = -1e200, where its powers
-        overflow, nor z^2 in the form kept there: the integral of
-        (h0 + (h1 - h0) s / dtau) exp(z (1 - s / dtau)) is dtau h1 / |z| to
-        rounding, the (h1 - h0) term included."""
+        """The series is kept at z = -1e-8, and not formed at z = -1e200,
+        where its powers overflow; nor is z^2 in the q-form kept there: the
+        integral of (h0 + (h1 - h0) s / dtau) exp(z (1 - s / dtau)) is
+        dtau h1 / |z| to rounding, the (h1 - h0) term included."""
         h0, h1 = np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 3.0])
         z, dtau = np.array([-1e-8, -1e200, -1e200]), np.full(3, 0.5)
         seg = _integral_linear_exp(h0, h1, z, dtau)
         assert seg[0] == pytest.approx(0.5 * (1.0 - 0.5e-8), rel=1e-15)
         assert seg[1] == 0.5 / 1e200
         assert seg[2] == pytest.approx(0.5 * 3.0 / 1e200, rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_segment_integral_matches_a_40_digit_reference(self):
+        """On both sides of 0, from |z| = 1e-7 to 630, the series and the
+        q-form match h0 (e^z - 1)/z + (h1 - h0)(e^z - 1 - z)/z^2 evaluated to
+        40 digits, across the switch at |z| = 1e-6 too."""
+        mpmath = pytest.importorskip("mpmath")
+        h0, h1 = 1.3, 0.7
+        mag = np.logspace(-7, np.log10(630.0), 200)
+        z = np.concatenate((-mag, mag))
+        seg = _integral_linear_exp(h0, h1, z, 1.0)
+        with mpmath.workdps(40):
+            ref = []
+            for zj in map(mpmath.mpf, z):
+                em1 = mpmath.expm1(zj)
+                ref.append(float(h0 * em1 / zj + (mpmath.mpf(h1) - h0) * (em1 - zj) / zj**2))
+        assert np.max(np.abs(seg / np.array(ref) - 1.0)) <= 1e-9
 
 
 class TestNormReport:
