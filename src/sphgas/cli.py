@@ -86,7 +86,7 @@ def _check_invariants(series: DiagnosticsSeries, config, params) -> dict:
             np.all(series["min_v"] > config.v_floor)
             and np.all(series["min_theta"] > config.theta_floor)
         ),
-        "quadratic_form_pointwise": bool(np.all(series["b6_gap_min"] >= -1e-12)),
+        "quadratic_form_pointwise": bool(np.all(series["b6_gap_rel_min"] >= -1e-12)),
         "superlevel_bound": bool(
             np.all(series["omega_measure"] <= series["omega_bound"] + round_tol)
         ),

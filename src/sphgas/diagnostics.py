@@ -14,7 +14,7 @@ Everything here is a pure function of sampled states.  The series produced by
   (the boundary flux vanishes under u(0)=0, theta_x(0)=0 and the far field),
 * L2 and sup norms of (v-1, u, theta-1) and weighted gradient norms,
 * the measure of the temperature superlevel set with its energy bound,
-* the pointwise gap of the viscous quadratic form,
+* the pointwise gap of the viscous quadratic form, also relative to its terms,
 * unit-interval averages of v and theta (Jensen anchors),
 * five running dissipation accumulators plus the total variation in time of
   the gradient norms,
@@ -94,12 +94,19 @@ def quadratic_form(a, b, params: PhysParams):
 
 
 def _form_gap(params: PhysParams, gr: Gradients):
-    """min over centers of Q(a, b) - C_min (a^2 + b^2), from the state's
-    gradient bundle ``gr``; nonnegative up to floating-point rounding."""
+    """The columns b6_gap_min, the min over centers of the gap Q(a, b) - C_min (a^2 + b^2)
+    from the gradient bundle ``gr``, and b6_gap_rel_min, that of the gap over max(1, T),
+    with T = beta s^2 + 2 mu (n-1)(2|b s| + n b^2) + C_min (a^2 + b^2) the size of the
+    terms that cancel in it and s = a + (n-1) b; both nonnegative up to rounding."""
+    n, beta, mu = params.n, params.beta, params.mu
     a = gr.r_pow_ux
-    b = gr.geom_vu / (params.n - 1)
-    gap = quadratic_form(a, b, params) - viscous_form_gap(params) * (a**2 + b**2)
-    return gap.min(axis=-1)
+    b = gr.geom_vu / (n - 1)
+    floor = viscous_form_gap(params) * (a**2 + b**2)
+    gap = quadratic_form(a, b, params) - floor
+    s = a + (n - 1) * b
+    scale = beta * s**2 + 2.0 * mu * (n - 1) * (2.0 * np.abs(b * s) + n * b**2) + floor
+    return {"b6_gap_min": gap.min(axis=-1),
+            "b6_gap_rel_min": (gap / np.maximum(1.0, scale)).min(axis=-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +365,7 @@ def _report(state, params: PhysParams, prev) -> dict:
         "balance_phi": params.beta * d_divru
         - 2.0 * params.mu * (params.n - 1) * integral(gr.div_ru2 / th)
         + params.kappa * d_thx,
-        "b6_gap_min": _form_gap(params, gr),
+        **_form_gap(params, gr),
         # a second-derivative integrand (standard three-point stencil)
         "int_r_uxx2": integral(w_edges * _second_derivative(g.x_edges, state.u) ** 2, he),
         "int_theta_vx2": integral((1.0 + th) * gr.v_x**2),
@@ -483,6 +490,7 @@ SERIES_COLUMNS = [
     "omega_measure",
     "omega_bound",
     "b6_gap_min",
+    "b6_gap_rel_min",
     "vbar_min",
     "vbar_max",
     "thbar_min",

@@ -78,7 +78,7 @@ class PhysParams:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 

@@ -20,6 +20,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAG, SOLVER, CLI = "src/sphgas/diagnostics.py", "src/sphgas/solver.py", "src/sphgas/cli.py"
+GRID = "src/sphgas/grid.py"
 
 MUTANTS = {  # name: (file, old text, new text)
     "rep_W_sign": (DIAG, "- (n - 1) * _cumtrapz(W, times)", "+ (n - 1) * _cumtrapz(W, times)"),
@@ -34,8 +35,10 @@ MUTANTS = {  # name: (file, old text, new text)
                    "(2 * e0 / params.R)\n    th_lo, th_hi = anchor_roots(2 * e0 / params.cv)"),
     "heat_dissip_sign": (SOLVER, "sigma -= d\n", "sigma += d\n"),
     "heat_r_power": (SOLVER, "r ** self.n2 * u**2", "r ** self.n1 * u**2"),
-    "seg_fold_slope": (DIAG, "(q - 1.0) / zf", "q / zf"),
-    "seg_fold_bound": (DIAG, "_FOLD_BELOW = -700.0", "_FOLD_BELOW = -708.0"),
+    "seg_fold_slope": (DIAG, "(q - 1.0) / zq", "q / zq"),
+    "seg_series_slope": (DIAG, "0.5 + zs / 6", "0.5 + zs / 3"),
+    "gap_no_scale": (DIAG, "gap / np.maximum(1.0, scale)", "gap"),
+    "readonly_no_copy": (GRID, "np.array(a, dtype=float)", "np.ascontiguousarray(a, dtype=float)"),
 }
 
 

@@ -71,6 +71,18 @@ class TestFlowState:
         with pytest.raises(ValueError):
             st.v[0] = 2.0
 
+    def test_state_and_grid_copy_the_callers_arrays(self):
+        """The caller's arrays stay writeable, and later writes to them reach
+        neither the state nor the grid."""
+        edges = np.linspace(0.0, 8.0, 9)
+        g = MassGrid(x_edges=edges)
+        v, u, theta = np.ones(8), np.zeros(9), np.ones(8)
+        st = FlowState(grid=g, t=0.0, v=v, u=u, theta=theta, n=2)
+        v[0], u[3], theta[1], edges[2] = 2.0, 0.5, 3.0, 2.5
+        assert np.array_equal(g.x_edges, np.arange(9.0))
+        assert np.all(st.v == 1.0) and np.all(st.u == 0.0) and np.all(st.theta == 1.0)
+        assert not (st.v.flags.writeable or g.x_edges.flags.writeable)
+
 
 class TestMakeInitialData:
     def test_equilibrium(self, grid, params):
