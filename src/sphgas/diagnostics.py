@@ -94,10 +94,10 @@ def quadratic_form(a, b, params: PhysParams):
 
 
 def _form_gap(params: PhysParams, gr: Gradients):
-    """The columns b6_gap_min, the min over centers of the gap Q(a, b) - C_min (a^2 + b^2)
-    from the gradient bundle ``gr``, and b6_gap_rel_min, that of the gap over max(1, T),
-    with T = beta s^2 + 2 mu (n-1)(2|b s| + n b^2) + C_min (a^2 + b^2) the size of the
-    terms that cancel in it and s = a + (n-1) b; both nonnegative up to rounding."""
+    """b6_gap_min and b6_gap_rel_min from the gradient bundle ``gr``: the min over
+    centers of the gap Q(a, b) - C_min (a^2 + b^2), nonnegative up to rounding, and of
+    the gap over max(1, T), T = beta s^2 + 2 mu (n-1)(2|b s| + n b^2) + C_min (a^2 + b^2)
+    with s = a + (n-1) b, the size of the terms that cancel in the gap."""
     n, beta, mu = params.n, params.beta, params.mu
     a = gr.r_pow_ux
     b = gr.geom_vu / (n - 1)

@@ -469,8 +469,8 @@ class TestRunCommand:
         """run + report hold one block of samples, not the history.
 
         At N=64 a state's fields take 2 KB and a full block of 63 samples
-        about 1 MB of temporaries.  The series keeps 34 values a sample and
-        the fold some 42, about 360 bytes, so from 65 to 257 samples the
+        about 1 MB of temporaries.  The series keeps 35 values a sample and
+        the fold some 42, about 370 bytes, so from 65 to 257 samples the
         peak may grow by that much per sample, which is 7%, but not by a
         state per sample.
 
@@ -530,9 +530,9 @@ class TestRunCommand:
         self, config_file, tmp_path, capsys, n_cells, amplitudes
     ):
         """At n = 2 with lambda = 0 the gap Q(a, b) - C (a^2 + b^2) is
-        identically 0, so what the series stores is rounding of terms of size
-        beta (a^2 + b^2); with large data it passes -1e-12, but not its share
-        of those terms, which the ledger reads."""
+        identically 0, so the stored gap is rounding of terms of size
+        beta (a^2 + b^2), below -1e-12 with large data; relative to those
+        terms, as the ledger reads it, it stays near the unit roundoff."""
         argv = ["run", "--config", config_file, "--out", str(tmp_path / "out"),
                 "--set", f"N={n_cells}", "--set", f"profile.amplitudes={amplitudes}"]
         assert main(argv) == EXIT_OK

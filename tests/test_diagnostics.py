@@ -684,7 +684,6 @@ class TestLocalRepresentation:
         assert seg[1] == 0.5 / 1e200
         assert seg[2] == pytest.approx(0.5 * 3.0 / 1e200, rel=1e-12, abs=0.0)
 
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_segment_integral_matches_a_40_digit_reference(self):
         """On both sides of 0, from |z| = 1e-7 to 630, the series and the
