@@ -141,7 +141,7 @@ def load_config(path, overrides=()) -> dict[str, str]:
         try:
             with open(path) as fh:
                 raw = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:  # a file that is not text included
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides:
         key, value = parse_setting(item, f"override {item!r}")

@@ -391,8 +391,16 @@ def norm_report(state: FlowState, params: PhysParams, prev: FlowState | None = N
     return {key: float(val) for key, val in _report(state, params, prev).items()}
 
 
-# Rows per block: rows * (N + 1) stays near this, which bounds the temporaries.
-_BLOCK_ELEMENTS = 4096
+# Rows per block: rows * (N + 1) stays near _BLOCK_ELEMENTS, which bounds the
+# temporaries, and rows at most _BLOCK_ROWS: 63 rows at N = 64, 51 at N = 320,
+# 20 at N = 800.  Any block size gives the same bits; both limits were measured.
+_BLOCK_ELEMENTS = 16384
+_BLOCK_ROWS = 63
+
+
+def _block_rows(n_cells: int) -> int:
+    """The samples a block holds on a grid of ``n_cells`` cells."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (n_cells + 1)))
 
 
 _PROBE_COLUMNS = ("probe_ln_B", "probe_S", "probe_W", "probe_theta", "probe_v")
@@ -417,7 +425,7 @@ def _sample_columns(samples, params: PhysParams, config) -> dict:
     if first is None:
         raise ValueError("no samples to evaluate")
     g = first.grid
-    rows = max(1, _BLOCK_ELEMENTS // (g.n_cells + 1))
+    rows = _block_rows(g.n_cells)
     unit = _unit_integrals(g)
     probe = _probe_scalars(first, params, config.probe_k, config.probe_x)
     reports = []  # one array per block, a row per key
@@ -507,8 +515,13 @@ SERIES_COLUMNS = [
 
 def _check_series_header(fh, path) -> None:
     """ValueError naming ``path`` unless the next line of ``fh`` is the header
-    :meth:`DiagnosticsSeries.to_csv` writes, SERIES_COLUMNS and a newline."""
-    if fh.readline() != ",".join(SERIES_COLUMNS) + "\n":
+    :meth:`DiagnosticsSeries.to_csv` writes, SERIES_COLUMNS and a newline
+    (ValueError naming ``path`` too if the text read ahead is not UTF-8)."""
+    try:
+        header = fh.readline()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if header != ",".join(SERIES_COLUMNS) + "\n":
         raise ValueError(f"{path}: unexpected series columns")
 
 
@@ -537,11 +550,14 @@ class DiagnosticsSeries:
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
         """Read a series as :meth:`to_csv` wrote it, rows by numpy's reader;
-        any other file (a blank line or no final newline included) raises
-        ValueError naming ``path``."""
+        any other file (a blank line, no final newline or text that is not
+        UTF-8 included) raises ValueError naming ``path``."""
         with open(path) as fh:
             _check_series_header(fh, path)
-            *rows, end = fh.read().split("\n")  # end: what follows the final newline
+            try:
+                *rows, end = fh.read().split("\n")  # end: what follows the final newline
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         if not (rows or end):  # numpy warns of an empty input
             raise ValueError(f"{path}: no rows")
         if end or not all(rows):  # no final newline, or an empty line

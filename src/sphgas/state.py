@@ -68,17 +68,18 @@ class FlowState:
                 f"field shapes {v.shape}, {u.shape}, {theta.shape} do not match "
                 f"grid with {nc} cells"
             )
-        if not np.all((v > 0) & (v < np.inf)):
+        # plain reductions; a NaN fails each test
+        if not (np.minimum.reduce(v) > 0 and np.maximum.reduce(v) < np.inf):
             raise ValueError("specific volume must stay positive and finite")
-        if not np.all((theta > 0) & (theta < np.inf)):
+        if not (np.minimum.reduce(theta) > 0 and np.maximum.reduce(theta) < np.inf):
             raise ValueError("temperature must stay positive and finite")
-        if not np.all(np.isfinite(u)):
+        if not (np.minimum.reduce(u) > -np.inf and np.maximum.reduce(u) < np.inf):
             raise ValueError("velocity must stay finite")
         if u[0] != 0.0:
             raise ValueError("velocity at the inner boundary edge must vanish")
         with np.errstate(over="ignore"):  # an overflow is rejected just below
             r = radius_from_volume(self.grid, v, self.n)
-        if not np.all(np.isfinite(r)):
+        if not np.maximum.reduce(r) < np.inf:
             raise ValueError("radius must stay finite")
         object.__setattr__(self, "v", _readonly(v))
         object.__setattr__(self, "u", _readonly(u))
@@ -261,6 +262,8 @@ def discrete_gradients(state: FlowState) -> Gradients:
 
 
 _SNAP_COLUMNS = "x,v,u,theta,r\n"  # the second line of a snapshot
+_ROW_SEPARATORS = b",,,,\n"  # the separators of a snapshot row, in order
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(_ROW_SEPARATORS)))
 
 
 def _params_text(params: PhysParams) -> str:
@@ -294,24 +297,32 @@ def save_snapshot(state: FlowState, params: PhysParams, path) -> None:
 def load_snapshot(path, grid: MassGrid, params: PhysParams) -> FlowState:
     """Read a snapshot exactly as :func:`save_snapshot` wrote it on ``grid``
     with ``params``, the run's config.resolved's; any other text raises
-    ValueError naming ``path``: a header that is not ``# t=<t> `` and the
-    :func:`_params_text` of ``params`` with a finite t written by repr, a
-    row of other than five fields (a blank line included), no final newline,
-    no outer edge row, or an x column other than the ``edge_text`` of ``grid``.
+    ValueError naming ``path``: text that is not UTF-8, a header that is not
+    ``# t=<t> `` and the :func:`_params_text` of ``params`` with a finite t
+    written by repr, a row of other than five fields (a blank line included),
+    no final newline, no outer edge row, or an x column other than the
+    ``edge_text`` of ``grid``.
 
-    The body is split once; v, u and theta are each converted in one call,
-    and r, which the state recomputes, not at all.  The states of one run share one grid.
+    The separators of the body are checked in one pass, as one byte string
+    that must repeat ``,,,,`` and a newline; the body is then split once, v,
+    u and theta are each converted in one call, and r, which the state
+    recomputes, not at all.  The states of one run share one grid.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        cols = fh.readline()
-        *lines, end = fh.read().split("\n")  # end: what follows the final newline
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            cols = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if cols != _SNAP_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {cols.rstrip()!r}")
-    commas = set(map(str.count, lines, [","] * len(lines)))
-    fields = ",".join(lines).split(",")
+    seps = body.encode().translate(None, _NOT_SEPARATORS)
+    fields = body.replace("\n", ",").split(",")
     try:
-        if end or commas != {4} or fields[-4] or fields[-2]:
+        # fields.pop() is what follows the final newline
+        if (not seps or seps != _ROW_SEPARATORS * (len(seps) // 5) or fields.pop()
+                or fields[-4] or fields[-2]):
             raise ValueError("truncated: short rows or no outer edge row")
         text = _params_text(params)
         t_text = header[4:].partition(" ")[0]  # what follows "# t=", up to a space

@@ -20,7 +20,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAG, SOLVER, CLI = "src/sphgas/diagnostics.py", "src/sphgas/solver.py", "src/sphgas/cli.py"
-GRID = "src/sphgas/grid.py"
+GRID, STATE = "src/sphgas/grid.py", "src/sphgas/state.py"
 
 MUTANTS = {  # name: (file, old text, new text)
     "rep_W_sign": (DIAG, "- (n - 1) * _cumtrapz(W, times)", "+ (n - 1) * _cumtrapz(W, times)"),
@@ -39,6 +39,8 @@ MUTANTS = {  # name: (file, old text, new text)
     "seg_series_slope": (DIAG, "0.5 + zs / 6", "0.5 + zs / 3"),
     "gap_no_scale": (DIAG, "gap / np.maximum(1.0, scale)", "gap"),
     "readonly_no_copy": (GRID, "np.array(a, dtype=float)", "np.ascontiguousarray(a, dtype=float)"),
+    "reader_total_count": (STATE, "seps != _ROW_SEPARATORS * (len(seps) // 5)",
+                           'seps.count(b",") != 4 * seps.count(b"\\n")'),
 }
 
 

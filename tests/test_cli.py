@@ -115,6 +115,28 @@ def _edit_file(name, edit):
     return spoil
 
 
+def _undecodable(name):
+    """A spoiler that puts the byte 0xff, which no UTF-8 text holds, in the
+    middle of the run output ``name``, a path from the snapshots directory."""
+    def spoil(snap_dir):
+        path = os.path.join(snap_dir, name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:])
+    return spoil
+
+
+def _move_newline(text):
+    """``text`` with the last field of its line 4 moved to the head of line 5:
+    a row of four fields, then one of six, and every field in its place when
+    the lines are joined, so the x column is intact."""
+    lines = text.split("\n")
+    lines[4], last = lines[4].rsplit(",", 1)
+    lines[5] = f"{last},{lines[5]}"
+    return "\n".join(lines)
+
+
 def _insert_line(text, index, line):
     """``text`` with ``line`` inserted before its line ``index``."""
     lines = text.splitlines(keepends=True)
@@ -379,6 +401,18 @@ class TestRunCommand:
     def test_missing_config_rejected(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_config_that_is_not_utf8_exits_config_code(self, tmp_path, capsys, verb):
+        """A Latin-1 e-acute in a comment is a byte that no UTF-8 text holds:
+        one stderr line naming the file, and no output directory."""
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+        cfg.write_bytes(BASE_CONFIG.encode() + "# r\xe9sum\xe9\n".encode("latin-1"))
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert "can't decode byte 0xe9" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_overrides_applied(self, config_file, tmp_path):
         out = str(tmp_path / "out")
@@ -860,6 +894,13 @@ class TestReportCommand:
          "snap_000001.csv: malformed snapshot: truncated"),
         (_edit_file("snap_000001.csv", lambda text: text[:-1]),
          "snap_000001.csv: malformed snapshot: truncated"),
+        (_edit_file("snap_000001.csv", _move_newline),
+         "snap_000001.csv: malformed snapshot: truncated"),
+        (_undecodable("snap_000001.csv"), "snap_000001.csv: 'utf-8' codec can't decode byte 0xff"),
+        (_undecodable("../diagnostics.csv"),
+         "diagnostics.csv: 'utf-8' codec can't decode byte 0xff"),
+        (_undecodable("../config.resolved"),
+         "config.resolved: 'utf-8' codec can't decode byte 0xff"),
         (_edit_file("../diagnostics.csv", lambda text: _insert_line(text, 3, "  \n")),
          "diagnostics.csv: the number of columns changed"),
         (_edit_file("../diagnostics.csv", lambda text: text + "\n"),
@@ -872,7 +913,9 @@ class TestReportCommand:
             "nan_t", "inf_t_last", "other_n_later", "infinite_mu", "repeated_key",
             "unknown_key", "other_mu", "reordered_keys", "other_float_text", "double_space",
             "minus_zero_lambda", "other_t_text", "other_x_text", "whitespace_line",
-            "blank_line_after_last_row", "no_final_newline", "whitespace_line_in_diagnostics",
+            "blank_line_after_last_row", "no_final_newline", "moved_newline",
+            "undecodable_snapshot", "undecodable_diagnostics", "undecodable_config",
+            "whitespace_line_in_diagnostics",
             "blank_line_after_last_diagnostics_row", "diagnostics_without_final_newline"])
     def test_report_unreadable_outputs_exit_config_code(
         self, config_file, tmp_path, capsys, spoil, expect

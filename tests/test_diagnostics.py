@@ -20,8 +20,8 @@ from sphgas import (
     superlevel_measure,
     viscous_form_gap,
 )
+from sphgas import diagnostics
 from sphgas.diagnostics import (
-    _BLOCK_ELEMENTS,
     SERIES_COLUMNS,
     DiagnosticsSeries,
     _integral_linear_exp,
@@ -743,7 +743,8 @@ class TestNormReport:
 
 
 def _block_rows(states):
-    return max(1, _BLOCK_ELEMENTS // (states[0].grid.n_cells + 1))
+    """The samples of a block of ``states``, at the budget in force."""
+    return diagnostics._block_rows(states[0].grid.n_cells)
 
 
 def _synthetic_history(n, count):
@@ -755,9 +756,25 @@ def _synthetic_history(n, count):
     ]
 
 
+def test_block_rows_stay_near_the_element_budget():
+    """The samples a block holds: about 16,384 grid values and at most 63
+    samples, so 63 at N = 64, around which the memory test of run and report
+    is designed, and at least one."""
+    assert [diagnostics._block_rows(n) for n in (64, 320, 800, 16383, 10**6)] == [
+        63, 51, 20, 1, 1]
+
+
 class TestSampleBlocks:
     """The series evaluates the per-state kernels over blocks of samples;
-    every row must equal the per-state value exactly, across block edges."""
+    every row must equal the per-state value exactly, across block edges.
+
+    The histories here are short (31 samples at N = 160, 40 at N = 120), so
+    the tests shrink the element budget to 4,096, where they span two blocks
+    of 25 and 33 rows; any block size gives the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def short_blocks(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 4096)
 
     @pytest.mark.parametrize("length", ["1", "B", "B+1", "B+2", "all"])
     @pytest.mark.parametrize("history", ["bump_run", "n3"])
