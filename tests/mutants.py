@@ -21,6 +21,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAG, SOLVER, CLI = "src/sphgas/diagnostics.py", "src/sphgas/solver.py", "src/sphgas/cli.py"
 GRID, STATE = "src/sphgas/grid.py", "src/sphgas/state.py"
+ORACLE = "src/sphgas/oracle.py"
 
 MUTANTS = {  # name: (file, old text, new text)
     "rep_W_sign": (DIAG, "- (n - 1) * _cumtrapz(W, times)", "+ (n - 1) * _cumtrapz(W, times)"),
@@ -41,6 +42,7 @@ MUTANTS = {  # name: (file, old text, new text)
     "readonly_no_copy": (GRID, "np.array(a, dtype=float)", "np.ascontiguousarray(a, dtype=float)"),
     "reader_total_count": (STATE, "seps != _ROW_SEPARATORS * (len(seps) // 5)",
                            'seps.count(b",") != 4 * seps.count(b"\\n")'),
+    "rich_order_plus_one": (ORACLE, "2.0 ** scheme_order", "2.0 ** (scheme_order + 1)"),
 }
 
 
@@ -71,11 +73,11 @@ def run_mutant(name: str) -> str:
 
 def main(names) -> int:
     survivors = 0
-    print(f"{'mutant':<18} {'result':<8} first failing test")
+    print(f"{'mutant':<20} {'result':<8} first failing test")
     for name in names or MUTANTS:
         killer = run_mutant(name)
         survivors += not killer
-        print(f"{name:<18} {'killed' if killer else 'SURVIVED':<8} {killer}", flush=True)
+        print(f"{name:<20} {'killed' if killer else 'SURVIVED':<8} {killer}", flush=True)
     return 1 if survivors else 0
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphgas import InitProfile, PhysParams, build_mass_grid, make_initial_data
-from sphgas import cli
+from sphgas import cli, oracle
 from sphgas.cli import (
     EXIT_ABORT, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, _check_invariants, main,
 )
@@ -1198,6 +1198,25 @@ class TestVerifyCommand:
             temporal = json.load(fh)["temporal"]
         for f in ("v", "u", "theta"):
             assert 0.98 <= temporal[f] <= 1.02
+
+    def test_temporal_ladder_runs_on_the_finest_spatial_grid(self, tmp_path, monkeypatch):
+        """verify marches the spatial ladder at dt ~ dx^2, then the temporal
+        ladder and its half-step reference run on the spatial ladder's
+        finest grid: seven marches, no more."""
+        marches = []
+        real = oracle.solve_case
+
+        def recorded(case, params, n_cells, dt, *args):
+            marches.append((n_cells, dt))
+            return real(case, params, n_cells, dt, *args)
+
+        monkeypatch.setattr(oracle, "solve_case", recorded)
+        assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
+        dt0 = 0.5 * (10.0 / 64) ** 2
+        assert marches == [
+            (64, dt0), (128, dt0 / 4), (256, dt0 / 16),
+            (256, 0.0032), (256, 0.0016), (256, 0.0008), (256, 0.0004),
+        ]
 
     def test_verify_unknown_case(self, tmp_path):
         cfg = tmp_path / "v.cfg"

@@ -247,6 +247,19 @@ class TestConvergenceOrder:
             assert rep.monotone[f]
             assert 0.9 <= rep.orders[f] <= 1.1
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_temporal_orders_do_not_depend_on_the_grid(self, case, n):
+        """The reference is marched on the same grid, so the spatial error
+        cancels from the temporal errors: at 256 and at 512 cells the orders
+        agree to 1e-4 (about 1e-5 measured), and verify may run its temporal
+        ladder on its spatial ladder's finest grid."""
+        params = PhysParams(n=n)
+        reps = [convergence_order(case, params, [0.0032, 0.0016, 0.0008], t_end=0.25,
+                                  mode="temporal", n_cells_fixed=cells)
+                for cells in (256, 512)]
+        for f in ("v", "u", "theta"):
+            assert abs(reps[0].orders[f] - reps[1].orders[f]) <= 1e-4
+
     def test_temporal_reference_is_one_run_at_half_the_finest_step(self, case, params,
                                                                    monkeypatch):
         """The temporal mode marches the ladder's steps and, for its
