@@ -25,6 +25,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 
@@ -116,8 +117,15 @@ _RUN_FILES = ("diagnostics.csv", "summary.json", "report.json")
 
 
 def _is_snapshot(name) -> bool:
-    """Whether a file in ``snapshots/`` is one that run writes."""
-    return name.startswith("snap_") and name.endswith(".csv")
+    """Whether a file in ``snapshots/`` is one that run writes: snap_, at
+    least six ASCII digits, .csv."""
+    return re.fullmatch(r"snap_[0-9]{6,}\.csv", name) is not None
+
+
+def _sample_index(name) -> int:
+    """The sample index in a snapshot's name; sample 10**6 is the first
+    whose name has seven digits, so names sort as text only below it."""
+    return int(name[5:-4])
 
 
 def _clear_earlier_run(out_dir, snap_dir) -> None:
@@ -262,7 +270,7 @@ def _cmd_report(args) -> int:
         with open(diagnostics) as fh:
             _check_series_header(fh, diagnostics)
         del fh  # a closed file keeps the text it read ahead (17 KB at N=64) until freed
-        names = sorted(filter(_is_snapshot, os.listdir(snap_dir)))
+        names = sorted(filter(_is_snapshot, os.listdir(snap_dir)), key=_sample_index)
         if not names:
             raise ValueError(f"no snapshots in {snap_dir}")
         # a snapshot whose grid or header is not what config.resolved gives,

@@ -499,6 +499,29 @@ class TestRunCommand:
         assert main(["report", "--out", out]) == EXIT_OK
         assert "reproduction max deviation vs stored diagnostics: 0.0" in capsys.readouterr().out
 
+    def test_snapshots_are_named_and_read_by_their_sample_index(self, config_file, tmp_path,
+                                                                capsys):
+        """Sample 10**6 is the first with a seven-digit name, and report reads
+        it after snap_999999.csv, not before as text order would; a file in
+        snapshots/ that is not snap_<digits>.csv is a user's, which run
+        leaves in place and report does not read."""
+        out = str(tmp_path / "out")
+        snap_dir = os.path.join(out, "snapshots")
+        argv = ["run", "--config", config_file, "--out", out, "--set", "N=16",
+                "--set", "t_end=0.2"]
+        assert main(argv) == EXIT_OK
+        notes = os.path.join(snap_dir, "snap_notes.csv")
+        with open(notes, "w") as fh:
+            fh.write("not a snapshot\n")
+        assert main(argv) == EXIT_OK
+        assert os.path.exists(notes)
+        for i, index in enumerate((999998, 999999, 1000000)):
+            os.rename(os.path.join(snap_dir, f"snap_{i:06d}.csv"),
+                      os.path.join(snap_dir, f"snap_{index}.csv"))
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == EXIT_OK
+        assert "reproduction max deviation vs stored diagnostics: 0.0" in capsys.readouterr().out
+
     def test_memory_does_not_grow_with_the_sample_count(self, config_file, tmp_path):
         """run + report hold one block of samples, not the history.
 
